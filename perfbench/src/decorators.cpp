@@ -5,16 +5,17 @@
 
 namespace perfbench {
 
-void GeneSampler::add(Entry e) {
+std::vector<GeneSampler::Entry>* GeneSampler::newBuffer() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.push_back(std::move(e));
+  buffers_.push_back(std::make_unique<std::vector<Entry>>());
+  return buffers_.back().get();
 }
 
 std::vector<GeneSampler::Entry> GeneSampler::sorted() const {
   std::vector<Entry> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out = entries_;
+    for (const auto& b : buffers_) out.insert(out.end(), b->begin(), b->end());
   }
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     return std::tie(a.task, a.island, a.seq) <
@@ -41,17 +42,23 @@ TracedFitness::TracedFitness(netsyn::fitness::FitnessPtr inner, Layer layer,
     : inner_(std::move(inner)),
       layer_(layer),
       sampler_(sampler),
+      buffer_(sampler ? sampler->newBuffer() : nullptr),
       island_(island) {}
 
-void TracedFitness::sample(const netsyn::dsl::Program& gene) {
-  const std::size_t seq = seen_++;
-  if (sampler_ && seq % sampler_->stride() == 0)
-    sampler_->add({sampler_->task(), island_, seq, gene});
+void TracedFitness::sample(
+    const std::vector<const netsyn::dsl::Program*>& genes) {
+  if (!buffer_) return;
+  ScopedSpan span(Layer::Sample);
+  for (const auto* g : genes) {
+    const std::size_t seq = seen_++;
+    if (seq % sampler_->stride() == 0)
+      buffer_->push_back({sampler_->task(), island_, seq, *g});
+  }
 }
 
 double TracedFitness::score(const netsyn::dsl::Program& gene,
                             const netsyn::fitness::EvalContext& ctx) {
-  sample(gene);  // outside the span: sampling is the benchmark's own cost
+  sample({&gene});
   ScopedSpan span(layer_, 1);
   return inner_->score(gene, ctx);
 }
@@ -59,7 +66,7 @@ double TracedFitness::score(const netsyn::dsl::Program& gene,
 std::vector<double> TracedFitness::scoreBatch(
     const std::vector<const netsyn::dsl::Program*>& genes,
     const std::vector<const netsyn::fitness::EvalContext*>& contexts) {
-  for (const auto* g : genes) sample(*g);
+  sample(genes);
   ScopedSpan span(layer_, static_cast<std::uint32_t>(genes.size()));
   return inner_->scoreBatch(genes, contexts);
 }

@@ -35,15 +35,18 @@ class GeneSampler {
   std::size_t stride() const { return stride_; }
   void setTask(std::size_t task) { task_ = task; }
   std::size_t task() const { return task_; }
-  void add(Entry e);
-  /// All entries sorted by (task, island, seq).
+  /// A buffer for one fitness instance. Only that instance appends to it, so
+  /// island threads sample without sharing a lock or a growing vector.
+  std::vector<Entry>* newBuffer();
+  /// All entries sorted by (task, island, seq). Call only while no search
+  /// runs.
   std::vector<Entry> sorted() const;
 
  private:
   std::size_t stride_;
   std::size_t task_ = 0;  ///< set between synthesize calls only
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
+  mutable std::mutex mu_;  ///< guards buffers_ (registration only)
+  std::vector<std::unique_ptr<std::vector<Entry>>> buffers_;
 };
 
 /// Times LaneTraceSink calls, so the search keeps its lane-view path while
@@ -65,7 +68,8 @@ class TimingSink final : public netsyn::fitness::LaneTraceSink {
 class TracedFitness final : public netsyn::fitness::FitnessFunction {
  public:
   /// `layer` is GradeNn or GradeEdit; `sampler` (optional) receives the
-  /// graded-candidate sample, tagged with `island`.
+  /// graded-candidate sample, tagged with `island`. Sampling runs in its own
+  /// Sample span, so its cost is kept out of core self time.
   TracedFitness(netsyn::fitness::FitnessPtr inner, Layer layer,
                 GeneSampler* sampler, std::size_t island);
 
@@ -82,11 +86,12 @@ class TracedFitness final : public netsyn::fitness::FitnessFunction {
   netsyn::fitness::LaneTraceSink* laneSink() override;
 
  private:
-  void sample(const netsyn::dsl::Program& gene);
+  void sample(const std::vector<const netsyn::dsl::Program*>& genes);
 
   netsyn::fitness::FitnessPtr inner_;
   Layer layer_;
   GeneSampler* sampler_;
+  std::vector<GeneSampler::Entry>* buffer_ = nullptr;  ///< owned by sampler_
   std::size_t island_;
   std::size_t seen_ = 0;
   std::unique_ptr<TimingSink> sink_;

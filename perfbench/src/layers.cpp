@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "hostclock.hpp"
-
 namespace perfbench {
 
 namespace {
@@ -20,34 +18,22 @@ std::string baseOr(const std::string& base) {
 
 }  // namespace
 
-void reportEndToEnd(const Options& opt, Result& r,
-                    const std::vector<double>& setupSamples,
+void reportEndToEnd(Result& r, const std::vector<double>& setupSamples,
                     double candidatesPerSecond,
                     const std::vector<double>& usPerCandidate,
                     double peakRssMb) {
-  opt.clock->stop();
-  const double slow = opt.clock->slowdown();
-  const double setupSeconds = median(setupSamples);
   std::string samples;
   for (double v : setupSamples) {
     if (!samples.empty()) samples += ' ';
     samples += num(v);
   }
-  r.stamp("raw_setup_samples_s", samples);
-  const double p50 = percentile(usPerCandidate, 50);
-  const double p80 = percentile(usPerCandidate, 80);
-  r.stamp("host_slowdown", num(slow) + " (median of " +
-                               std::to_string(opt.clock->samples()) +
-                               " kernel samples / reference)");
-  r.stamp("raw_wall_clock",
-          "setup_s=" + num(setupSeconds) +
-              " candidates_per_s=" + num(candidatesPerSecond) +
-              " task_us_per_candidate_p50=" + num(p50) +
-              " task_us_per_candidate_p80=" + num(p80));
-  r.endToEnd("setup_s", setupSeconds / slow, "s");
-  r.endToEnd("candidates_per_s", candidatesPerSecond * slow, "1/s");
-  r.endToEnd("task_us_per_candidate_p50", p50 / slow, "us");
-  r.endToEnd("task_us_per_candidate_p80", p80 / slow, "us");
+  r.stamp("setup_samples_s", samples);
+  r.endToEnd("setup_s", median(setupSamples), "s");
+  r.endToEnd("candidates_per_s", candidatesPerSecond, "1/s");
+  r.endToEnd("task_us_per_candidate_p50", percentile(usPerCandidate, 50),
+             "us");
+  r.endToEnd("task_us_per_candidate_p80", percentile(usPerCandidate, 80),
+             "us");
   r.percentileNote("task_us_per_candidate_p80", usPerCandidate.size(), 80);
   r.endToEnd("peak_rss_mb", peakRssMb, "MB");
 }

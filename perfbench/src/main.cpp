@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "hostclock.hpp"
 #include "report.hpp"
 #include "util/argparse.hpp"
 #include "workloads.hpp"
@@ -59,8 +58,6 @@ int main(int argc, char** argv) {
         "work-dir", ".bench_build/run-" + std::to_string(getpid()));
     std::filesystem::create_directories(opt.workDir);
 
-    HostClock clock;
-    opt.clock = &clock;
     Result r;
     stampEnvironment(r, opt.workDir);
     r.stamp("workload_seed", std::to_string(opt.seed));

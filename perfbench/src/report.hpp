@@ -12,8 +12,6 @@
 
 namespace perfbench {
 
-class HostClock;
-
 struct Options {
   std::string workload;
   std::uint64_t seed = 2021;
@@ -21,7 +19,6 @@ struct Options {
   bool trace = false;
   std::string synthd;   ///< daemon binary (service workload)
   std::string workDir;  ///< scratch directory for this run, inside the checkout
-  HostClock* clock = nullptr;  ///< host-speed reference sampled during the run
 };
 
 struct Metric {

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <tuple>
 #include <unordered_map>
 
 #include "core/evaluator.hpp"
@@ -278,44 +279,90 @@ void replayDsl(const Options& opt, const Setup& s, const GeneSampler& sampler,
 }
 
 /// Splits every synthesize span between its child layers and self time,
-/// and checks that the split is exact.
+/// after checking the span tree the split rests on: every child's parent was
+/// recorded and encloses it, and direct children of one synthesize span on
+/// one thread never overlap (a nested span wrongly parented to the root
+/// would). Where all of a root's children ran on its own thread nothing can
+/// overlap, so each layer's attributed time must equal the summed durations
+/// of its direct children; a lost or misparented span breaks that.
 void analyseSpans(const std::vector<Span>& spans, const Pass& traced,
                   LayerReport& L, Result& r) {
   constexpr std::size_t kLayers = static_cast<std::size_t>(Layer::Count);
   std::array<double, kLayers> busy{};
   std::array<double, kLayers> items{};
   std::array<std::size_t, kLayers> calls{};
-  std::unordered_map<std::uint64_t, std::vector<Interval>> children;
+  std::unordered_map<std::uint64_t, const Span*> byId;
+  for (const Span& sp : spans) byId[sp.id] = &sp;
+  std::unordered_map<std::uint64_t, std::vector<const Span*>> children;
   std::vector<const Span*> roots;
+  std::size_t orphans = 0, escaped = 0;
   for (const Span& sp : spans) {
     const auto l = static_cast<std::size_t>(sp.layer);
     busy[l] += sp.end - sp.start;
     items[l] += sp.tag;
     ++calls[l];
-    if (sp.layer == Layer::Synthesize) roots.push_back(&sp);
-    else children[sp.parent].push_back({sp.start, sp.end, l});
+    if (sp.layer == Layer::Synthesize) {
+      roots.push_back(&sp);
+      continue;
+    }
+    const auto parent = byId.find(sp.parent);
+    if (parent == byId.end()) {
+      ++orphans;
+      continue;
+    }
+    if (sp.start < parent->second->start || sp.end > parent->second->end)
+      ++escaped;
+    children[sp.parent].push_back(&sp);
   }
   if (roots.size() != traced.tasks.size())
     r.error("traced pass recorded " + std::to_string(roots.size()) +
             " synthesize spans for " + std::to_string(traced.tasks.size()) +
             " tasks");
+  if (orphans > 0)
+    r.error(std::to_string(orphans) + " spans whose parent was not recorded");
+  if (escaped > 0)
+    r.error(std::to_string(escaped) + " spans outside their parent span");
   std::array<double, kMaxLayers> attributed{};
   double synthWall = 0.0, self = 0.0;
+  std::size_t overlapping = 0, mismatched = 0, singleThread = 0;
   for (const Span* root : roots) {
-    const Attribution a = attribute(root->start, root->end, children[root->id]);
-    double sum = a.self;
-    for (std::size_t l = 0; l < kMaxLayers; ++l) {
-      attributed[l] += a.layer[l];
-      sum += a.layer[l];
+    std::vector<const Span*>& kids = children[root->id];
+    std::sort(kids.begin(), kids.end(), [](const Span* a, const Span* b) {
+      return std::tie(a->thread, a->start) < std::tie(b->thread, b->start);
+    });
+    std::vector<Interval> intervals;
+    std::array<double, kMaxLayers> direct{};
+    bool oneThread = true;
+    for (std::size_t k = 0; k < kids.size(); ++k) {
+      const Span& c = *kids[k];
+      if (k > 0 && kids[k - 1]->thread == c.thread && kids[k - 1]->end > c.start)
+        ++overlapping;
+      oneThread = oneThread && c.thread == root->thread;
+      const auto l = static_cast<std::size_t>(c.layer);
+      direct[l] += c.end - c.start;
+      intervals.push_back({c.start, c.end, l});
     }
-    if (a.outside > 0)
-      r.error(std::to_string(a.outside) +
-              " child spans outside their synthesize span");
-    if (std::abs(sum - a.duration) > 1e-9 + 1e-9 * a.duration)
-      r.error("child spans plus self time do not sum to a synthesize span");
+    const Attribution a = attribute(root->start, root->end, intervals);
+    if (oneThread) {
+      ++singleThread;
+      for (std::size_t l = 0; l < kMaxLayers; ++l)
+        if (std::abs(a.layer[l] - direct[l]) > 1e-9 * (1.0 + a.duration))
+          ++mismatched;
+    }
+    for (std::size_t l = 0; l < kMaxLayers; ++l) attributed[l] += a.layer[l];
     synthWall += a.duration;
     self += a.self;
   }
+  if (overlapping > 0)
+    r.error(std::to_string(overlapping) +
+            " direct children of a synthesize span overlap on one thread");
+  if (mismatched > 0)
+    r.error(std::to_string(mismatched) +
+            " layers whose attributed time differs from their direct spans");
+  r.stamp("span_check", std::to_string(singleThread) + " of " +
+                            std::to_string(roots.size()) +
+                            " synthesize spans single-threaded; attributed "
+                            "time == direct child time checked on those");
   const auto at = [](Layer l) { return static_cast<std::size_t>(l); };
   const std::string ofSynth = " / synthesize wall time (sum over tasks)";
   const auto perGene = [](double s, double n) {
@@ -345,7 +392,8 @@ void analyseSpans(const std::vector<Span>& spans, const Pass& traced,
   L.coreSelfS = self;
   L.coreSelfShare = {self, synthWall};
   L.coreSelfShareBase =
-      "synthesize time covered by no fitness/encode/probMap span" + ofSynth;
+      "synthesize time covered by no fitness/encode/probMap/sampling span" +
+      ofSynth;
 
   double offered = 0.0;
   for (const Task& t : traced.tasks) offered += static_cast<double>(t.offered);
@@ -364,7 +412,7 @@ void runSearchWorkload(const Options& opt, Result& r) {
   Tracer& tracer = Tracer::instance();
   // ---- set-up, several times; the median is setup_s. A traced run reports
   // no setup_s, so one set-up keeps it well inside the time limit. ----
-  const std::size_t setupRuns = opt.trace ? 1 : isNn(opt) ? 3 : 9;
+  const std::size_t setupRuns = opt.trace ? 1 : isNn(opt) ? 3 : 25;
   std::vector<double> setupSeconds;
   tracer.setEnabled(opt.trace);
   Setup s = setUp(opt, 0);
@@ -403,7 +451,7 @@ void runSearchWorkload(const Options& opt, Result& r) {
   }
   if (solved == 0) r.error("no task solved: the workload measures nothing");
   if (!opt.trace) {
-    reportEndToEnd(opt, r, setupSeconds,
+    reportEndToEnd(r, setupSeconds,
                    static_cast<double>(candidates) / pass.wall, usPerCandidate,
                    selfPeakRssMb());
     return;

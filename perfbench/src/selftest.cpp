@@ -113,9 +113,10 @@ void spanAttribution(Checker& c) {
   c.check(direct.size() == 3, "three direct children");
   c.check(crossThread == 2, "children on other threads find the root");
   const Attribution ra = attribute(root->start, root->end, direct);
-  double sum = ra.self;
-  for (double l : ra.layer) sum += l;
-  c.near(sum, ra.duration, "recorded children + self == root");
+  // The grade child ran before the other threads started, so nothing
+  // overlapped it: it is attributed its whole duration.
+  c.near(ra.layer[static_cast<std::size_t>(Layer::GradeNn)],
+         grade->end - grade->start, "same-thread child keeps its duration");
   c.check(ra.outside == 0, "recorded children inside root");
 }
 

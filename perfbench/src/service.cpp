@@ -475,7 +475,7 @@ void runServiceWorkload(const Options& opt, Result& r) {
     }
 
   if (!opt.trace) {
-    reportEndToEnd(opt, r, setupSeconds,
+    reportEndToEnd(r, setupSeconds,
                    static_cast<double>(candidates) / lr.wall, usPerCandidate,
                    lr.peakRssMb);
     return;

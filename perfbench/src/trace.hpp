@@ -28,6 +28,7 @@ enum class Layer : std::uint8_t {
   Train,         ///< harness: loadOrTrain
   Workload,      ///< harness: makeFullWorkload
   Request,       ///< service/transport: one NDJSON request round trip
+  Sample,        ///< bench: copying graded genes for the dsl replay
   Count
 };
 

@@ -40,13 +40,11 @@ struct LayerReport {
   void emit(Result& r) const;
 };
 
-/// The end-to-end metrics every workload reports, in BENCHMARK.json order.
-/// `setupSeconds` holds one sample per set-up; `usPerCandidate` one per
-/// task: its wall time divided by the candidates it searched. Stops the host
-/// clock and reports the timings in reference-host time; the raw values go
-/// to the detail record.
-void reportEndToEnd(const Options& opt, Result& r,
-                    const std::vector<double>& setupSeconds,
+/// The end-to-end metrics every workload reports, in BENCHMARK.json order,
+/// as measured (wall clock). `setupSeconds` holds one sample per set-up;
+/// `usPerCandidate` one per task: its wall time divided by the candidates it
+/// searched.
+void reportEndToEnd(Result& r, const std::vector<double>& setupSeconds,
                     double candidatesPerSecond,
                     const std::vector<double>& usPerCandidate,
                     double peakRssMb);
