@@ -20,9 +20,11 @@ namespace {
 /// class expectation of the cached f_CF model.
 double classifierPairAccuracy(const fitness::NnffModel& model,
                               const std::vector<fitness::PairSample>& set) {
+  fitness::EncodedTrace encoded;
   auto expectation = [&](const dsl::Program& gene, const dsl::Spec& spec,
                          const std::vector<std::vector<dsl::Value>>& traces) {
-    const auto logits = model.forwardFast(spec, gene, traces);
+    model.encodeTrace(spec, gene, traces, encoded);
+    const auto logits = model.predictBatch(spec, {&gene}, {&encoded})[0];
     const float mx = *std::max_element(logits.begin(), logits.end());
     double num = 0.0, den = 0.0;
     for (std::size_t j = 0; j < logits.size(); ++j) {

@@ -1,10 +1,12 @@
-// Scalar vs population-batched fitness scoring throughput.
+// Per-gene vs population-batched fitness scoring throughput.
 //
 // Reproduces the GA's actual hot loop: a population evolves by breeding for
 // a number of generations, and every generation is graded twice — once with
-// per-gene FitnessFunction::score calls (the old path) and once with one
-// scoreBatch call (the batched pipeline). Gene execution (the interpreter)
-// is excluded from both timings; this isolates NN scoring throughput.
+// per-gene FitnessFunction::score calls and once with one scoreBatch call.
+// NeuralFitness::score is a batch of one, so the "scalar" column measures
+// the same encode + predictBatch path run one gene at a time: the speedup is
+// the gain from batching alone. Gene execution (the interpreter) is
+// excluded from both timings; this isolates NN scoring throughput.
 //
 //   $ ./bench_batch_inference [--population=100] [--generations=30]
 //                             [--length=5] [--seed=2021]

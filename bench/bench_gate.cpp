@@ -7,8 +7,8 @@
 // the job summary.
 //
 // Usage:
-//   bench_gate --baseline=bench/baselines/BENCH_interpreter.json \
-//              --fresh=BENCH_interpreter.json [--tolerance=0.15] \
+//   bench_gate --baseline=bench/baselines/BENCH_interpreter.json
+//              --fresh=BENCH_interpreter.json [--tolerance=0.15]
 //              [--summary=path]
 //   bench_gate --baseline=... --self-test [--tolerance=0.15]
 //

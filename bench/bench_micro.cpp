@@ -259,34 +259,24 @@ void BM_NnffForwardGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_NnffForwardGraph);
 
-void BM_NnffForwardFast(benchmark::State& state) {
-  const fitness::NnffModel model(benchModelConfig(fitness::HeadKind::Classifier));
-  fitness::DatasetBuilder builder;
-  util::Rng rng(9);
-  const auto s = *builder.makeSample(3, fitness::BalanceMetric::CF, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forwardFast(s.spec, s.candidate, s.traces));
-  }
-}
-BENCHMARK(BM_NnffForwardFast);
-
 void BM_NnffPredictBatch(benchmark::State& state) {
   const fitness::NnffModel model(benchModelConfig(fitness::HeadKind::Classifier));
   fitness::DatasetBuilder builder;
   util::Rng rng(9);
   const auto s = *builder.makeSample(3, fitness::BalanceMetric::CF, rng);
-  // A population of copies of the sample's candidate: the per-gene work is
-  // identical to BM_NnffForwardFast, so genes/sec are directly comparable.
+  // A population of copies of the sample's candidate; Arg(1) is the
+  // single-gene path, so genes/sec across args show the batching gain.
   const auto batch = static_cast<std::size_t>(state.range(0));
+  fitness::EncodedTrace encoded;
+  model.encodeTrace(s.spec, s.candidate, s.traces, encoded);
   std::vector<const dsl::Program*> genes(batch, &s.candidate);
-  std::vector<const std::vector<std::vector<dsl::Value>>*> traces(batch,
-                                                                  &s.traces);
+  std::vector<const fitness::EncodedTrace*> rows(batch, &encoded);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predictBatch(s.spec, genes, traces));
+    benchmark::DoNotOptimize(model.predictBatch(s.spec, genes, rows));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_NnffPredictBatch)->Arg(10)->Arg(100);
+BENCHMARK(BM_NnffPredictBatch)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_ProbMapInference(benchmark::State& state) {
   auto model = std::make_shared<fitness::NnffModel>(
@@ -295,7 +285,7 @@ void BM_ProbMapInference(benchmark::State& state) {
   util::Rng rng(10);
   const auto s = *builder.makeSample(3, fitness::BalanceMetric::CF, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->forwardIOOnlyFast(s.spec));
+    benchmark::DoNotOptimize(model->predictIOOnly(s.spec));
   }
 }
 BENCHMARK(BM_ProbMapInference);

@@ -4,7 +4,7 @@
 //   $ ./dsl_explorer                                  # built-in demo
 //   $ ./dsl_explorer --program="SORT | REVERSE | HEAD" --input=5,3,8
 //   $ ./dsl_explorer --list-functions [--domain=str]
-//   $ ./dsl_explorer --domain=str --program="STR.TITLE | STR.INITIALS" \
+//   $ ./dsl_explorer --domain=str --program="STR.TITLE | STR.INITIALS"
 //                    --text="ada lovelace"
 #include <cstdio>
 #include <exception>

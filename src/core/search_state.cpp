@@ -81,8 +81,7 @@ SearchState::Snapshot SearchState::snapshot() const {
 // executed in order through SpecEvaluator::evaluateBatch — the same budget
 // consumption, dedup, and early-exit points as grading one gene at a time —
 // and the genes that survive (not cached, not duplicates, not the solution)
-// are scored in one FitnessFunction::scoreBatch call (or per-gene when
-// batchedEvaluation is off; the two modes produce identical results).
+// are scored in one FitnessFunction::scoreBatch call.
 //
 // Returns the number of genes graded: progs.size() normally, or the index
 // the walk stopped at because the budget ran out or a gene satisfied the
@@ -115,16 +114,14 @@ std::size_t SearchState::gradePopulation(
     pendingOrigin.push_back(i);
   }
 
-  // Lane-view grading: when the batched path is on, the spec fits one lane
+  // Lane-view grading: when lane execution is on, the spec fits one lane
   // group, and the fitness can consume encoded traces, each pending gene is
   // executed through the lane executor and its trace is encoded in place —
   // no per-Value scatter, no trace copy. Budget consumption, dedup, and the
   // early-exit points below are identical to evaluateBatch (and the scores
   // are bitwise-identical, pinned by the differential fuzz suite).
   fitness::LaneTraceSink* sink =
-      (config_.batchedEvaluation && evaluator_.laneViewCapable())
-          ? fitness_->laneSink()
-          : nullptr;
+      evaluator_.laneViewCapable() ? fitness_->laneSink() : nullptr;
 
   std::vector<std::optional<SpecEvaluator::Evaluation>> evals;
   std::size_t graded = progs.size();
@@ -186,13 +183,7 @@ std::size_t SearchState::gradePopulation(
         contextStore.push_back(fitness::EvalContext{spec_, evals[j]->runs});
       contexts.push_back(&contextStore.back());
     }
-    if (config_.batchedEvaluation) {
-      pendingScores = fitness_->scoreBatch(toScore, contexts);
-    } else {
-      pendingScores.reserve(scored);
-      for (std::size_t j = 0; j < scored; ++j)
-        pendingScores.push_back(fitness_->score(*toScore[j], *contexts[j]));
-    }
+    pendingScores = fitness_->scoreBatch(toScore, contexts);
     for (std::size_t j = 0; j < scored; ++j)
       cache_.emplace(std::move(pendingKeys[j]), pendingScores[j]);
   }
@@ -223,9 +214,7 @@ std::vector<double> SearchState::nsBatchScore(
   // runs then skip the trace scatter too. Each view is encoded before the
   // next execution overwrites the SoA blocks.
   fitness::LaneTraceSink* sink =
-      (config_.batchedEvaluation && evaluator_.laneViewCapable())
-          ? fitness_->laneSink()
-          : nullptr;
+      evaluator_.laneViewCapable() ? fitness_->laneSink() : nullptr;
   if (sink) sink->beginCapture(spec_, genes.size());
   for (std::size_t i = 0; i < genes.size(); ++i) {
     if (const auto it = cache_.find(cacheKey(*genes[i])); it != cache_.end()) {
@@ -261,14 +250,7 @@ std::vector<double> SearchState::nsBatchScore(
     pendingAt.push_back(i);
   }
   if (!pending.empty()) {
-    std::vector<double> scores;
-    if (config_.batchedEvaluation) {
-      scores = fitness_->scoreBatch(pending, contexts);
-    } else {
-      scores.reserve(pending.size());
-      for (std::size_t j = 0; j < pending.size(); ++j)
-        scores.push_back(fitness_->score(*pending[j], *contexts[j]));
-    }
+    const std::vector<double> scores = fitness_->scoreBatch(pending, contexts);
     for (std::size_t j = 0; j < pending.size(); ++j)
       out[pendingAt[j]] = scores[j];
   }

@@ -7,14 +7,6 @@
 namespace netsyn::fitness {
 namespace {
 
-std::vector<std::vector<dsl::Value>> tracesFromRuns(
-    const std::vector<dsl::ExecResult>& runs) {
-  std::vector<std::vector<dsl::Value>> traces;
-  traces.reserve(runs.size());
-  for (const auto& r : runs) traces.push_back(r.trace);
-  return traces;
-}
-
 std::vector<double> softmaxOf(const std::vector<float>& logits) {
   const float mx = *std::max_element(logits.begin(), logits.end());
   std::vector<double> probs(logits.size());
@@ -25,6 +17,14 @@ std::vector<double> softmaxOf(const std::vector<float>& logits) {
   }
   for (double& p : probs) p /= sum;
   return probs;
+}
+
+/// `model`'s logits for one gene: a batch of one over its encoded runs.
+std::vector<float> logitsOf(const NnffModel& model, const dsl::Program& gene,
+                            const EvalContext& ctx) {
+  EncodedTrace encoded;
+  model.encodeTrace(ctx.spec, gene, ctx.runs, encoded);
+  return model.predictBatch(ctx.spec, {&gene}, {&encoded})[0];
 }
 
 }  // namespace
@@ -53,17 +53,14 @@ TwoTierFitness::TwoTierFitness(std::shared_ptr<NnffModel> gate,
 
 double TwoTierFitness::gateProbability(const dsl::Program& gene,
                                        const EvalContext& ctx) const {
-  const auto logits =
-      gate_->forwardFast(ctx.spec, gene, tracesFromRuns(ctx.runs));
-  return softmaxOf(logits)[1];  // class 1 = "fitness is non-zero"
+  // class 1 = "fitness is non-zero"
+  return softmaxOf(logitsOf(*gate_, gene, ctx))[1];
 }
 
 double TwoTierFitness::score(const dsl::Program& gene,
                              const EvalContext& ctx) {
   if (gateProbability(gene, ctx) < 0.5) return 0.0;
-  const auto logits =
-      value_->forwardFast(ctx.spec, gene, tracesFromRuns(ctx.runs));
-  const auto probs = softmaxOf(logits);
+  const auto probs = softmaxOf(logitsOf(*value_, gene, ctx));
   double expectation = 0.0;
   for (std::size_t j = 0; j < probs.size(); ++j)
     expectation += static_cast<double>(j) * probs[j];
@@ -80,14 +77,16 @@ BigramFitness::BigramFitness(std::shared_ptr<NnffModel> bigramModel)
 }
 
 const std::vector<double>& BigramFitness::pairMap(const dsl::Spec& spec) {
-  if (cachedSpec_ == &spec) return cachedMap_;
-  const auto logits = model_->forwardIOOnlyFast(spec);
+  const std::uint64_t fp = spec.fingerprint();
+  if (hasCachedMap_ && cachedFingerprint_ == fp) return cachedMap_;
+  const auto logits = model_->predictIOOnly(spec);
   cachedMap_.resize(kBigramDim);
   for (std::size_t j = 0; j < kBigramDim; ++j) {
     cachedMap_[j] =
         1.0 / (1.0 + std::exp(-static_cast<double>(logits[j])));
   }
-  cachedSpec_ = &spec;
+  hasCachedMap_ = true;
+  cachedFingerprint_ = fp;
   return cachedMap_;
 }
 

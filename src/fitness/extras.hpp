@@ -13,6 +13,7 @@
 // singleton programs.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "fitness/fitness.hpp"
@@ -67,12 +68,15 @@ class BigramFitness final : public FitnessFunction {
   }
   std::string name() const override { return "NN_Bigram"; }
 
-  /// The full predicted pair-probability map for `spec` (cached).
+  /// The full predicted pair-probability map for `spec`, cached by content
+  /// fingerprint (like ProbMapFitness::probMap): a different spec built at
+  /// the old one's address must not return a stale map.
   const std::vector<double>& pairMap(const dsl::Spec& spec);
 
  private:
   std::shared_ptr<NnffModel> model_;
-  const dsl::Spec* cachedSpec_ = nullptr;
+  bool hasCachedMap_ = false;
+  std::uint64_t cachedFingerprint_ = 0;
   std::vector<double> cachedMap_;
 };
 

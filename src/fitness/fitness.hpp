@@ -66,7 +66,8 @@ class FitnessFunction {
   /// grades whole populations through this entry point. The default loops
   /// over score() so oracle/ablation fitnesses keep working unchanged; the
   /// neural fitnesses override it with a single population-batched forward
-  /// pass (parity pinned to 1e-9 by tests).
+  /// pass, and their score() is a batch of one (bitwise parity pinned by
+  /// tests).
   virtual std::vector<double> scoreBatch(
       const std::vector<const dsl::Program*>& genes,
       const std::vector<const EvalContext*>& contexts) {
@@ -87,7 +88,7 @@ class FitnessFunction {
   /// Non-null iff this fitness can grade from lane-encoded traces: the
   /// synthesizer then routes execution through the lane executor's view
   /// path (no per-Value scatter) and passes contexts with
-  /// EvalContext::encoded set. Default: scatter-and-copy as before.
+  /// EvalContext::encoded set. Default: graders read the scattered runs.
   virtual LaneTraceSink* laneSink() { return nullptr; }
 };
 

@@ -9,6 +9,18 @@
 #include "fitness/edit.hpp"
 
 namespace netsyn::fitness {
+
+/// One trace cell as a token span: a list is its elements, an int a
+/// 1-element span over caller-provided scratch. Both trace encoders reduce
+/// their cells to this form, so everything downstream of a cell — the
+/// fingerprint, the memo keys, the tokens, the edit distance — is one code
+/// path whatever the trace came from.
+struct TraceCell {
+  dsl::Type type;
+  const std::int32_t* xs;
+  std::size_t n;
+};
+
 namespace {
 
 /// Per-step match features between a trace value and the example output:
@@ -24,42 +36,40 @@ nn::Var stepMatchFeatures(const dsl::Value& traceValue,
   return nn::constant(std::move(f));
 }
 
-/// 64-bit FNV-1a over (type tag + payload words). The lane-view path
-/// fingerprints arena segments with the segment helpers below; they must
-/// stay byte-for-byte identical to valueFingerprint so both paths hit the
-/// same memo cells (that identity is what makes the encoded scores bitwise
-/// equal to the scalar path's).
-struct FnvMixer {
+TraceCell valueCell(const dsl::Value& v, std::int32_t& scratch) {
+  if (v.isInt()) {
+    scratch = v.asInt();
+    return {dsl::Type::Int, &scratch, 1};
+  }
+  const auto& xs = v.asList();
+  return {dsl::Type::List, xs.data(), xs.size()};
+}
+
+TraceCell laneCell(const dsl::LaneTraceView& view, std::size_t i,
+                   std::size_t k, std::int32_t& scratch) {
+  if (view.stepType(k) == dsl::Type::Int) {
+    scratch = view.intAt(k, i);
+    return {dsl::Type::Int, &scratch, 1};
+  }
+  std::size_t n = 0;
+  const std::int32_t* seg = view.listAt(k, i, &n);
+  return {dsl::Type::List, seg, n};
+}
+
+/// 64-bit FNV-1a over (type tag, list length, payload words) of a cell.
+std::uint64_t cellFingerprint(const TraceCell& c) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t x) {
+  const auto mix = [&h](std::uint64_t x) {
     for (std::size_t b = 0; b < 8; ++b) {
       h ^= (x >> (8 * b)) & 0xff;
       h *= 0x100000001b3ULL;
     }
-  }
-};
-
-std::uint64_t laneIntFingerprint(std::int32_t v) {
-  FnvMixer f;
-  f.mix(static_cast<std::uint64_t>(dsl::Type::Int));
-  f.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  return f.h;
-}
-
-std::uint64_t laneListFingerprint(const std::int32_t* xs, std::size_t n) {
-  FnvMixer f;
-  f.mix(static_cast<std::uint64_t>(dsl::Type::List));
-  f.mix(n);
-  for (std::size_t i = 0; i < n; ++i)
-    f.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(xs[i])));
-  return f.h;
-}
-
-/// Fingerprint of a DSL value; segment helpers above are its two cases.
-std::uint64_t valueFingerprint(const dsl::Value& v) {
-  if (v.isInt()) return laneIntFingerprint(v.asInt());
-  const auto& xs = v.asList();
-  return laneListFingerprint(xs.data(), xs.size());
+  };
+  mix(static_cast<std::uint64_t>(c.type));
+  if (c.type == dsl::Type::List) mix(c.n);
+  for (std::size_t i = 0; i < c.n; ++i)
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.xs[i])));
+  return h;
 }
 
 /// Combined key of the edit-distance memo (trace fp mixed with output fp).
@@ -67,6 +77,37 @@ std::uint64_t editKey(std::uint64_t traceFp, std::uint64_t outputFp) {
   std::uint64_t key = traceFp;
   key ^= outputFp + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
   return key;
+}
+
+/// Two-generation memo lookup: probes the current map, then the previous
+/// one, promoting a previous-generation hit so the working set survives the
+/// next rotation. Node extraction moves the element wholesale — a mapped
+/// vector's heap buffer (and thus a returned reference) stays put.
+template <typename Map>
+typename Map::mapped_type* findMemo(Map& cur, Map& prev, std::uint64_t key,
+                                    std::uint64_t& hits,
+                                    std::uint64_t& misses) {
+  if (const auto it = cur.find(key); it != cur.end()) {
+    ++hits;
+    return &it->second;
+  }
+  if (const auto it = prev.find(key); it != prev.end()) {
+    ++hits;
+    return &cur.insert(prev.extract(it)).position->second;
+  }
+  ++misses;
+  return nullptr;
+}
+
+/// Miss-path rotation at capacity: the current map becomes the previous one
+/// (whose stale entries are dropped, their bucket array recycled), so
+/// recently touched entries stay findable instead of being thrown away
+/// wholesale. Live memory is bounded by 2x `cap` entries.
+template <typename Map>
+void rotateAtCapacity(Map& cur, Map& prev, std::size_t cap) {
+  if (cur.size() < cap) return;
+  std::swap(cur, prev);
+  cur.clear();
 }
 
 }  // namespace
@@ -208,231 +249,37 @@ nn::Var NnffModel::forward(
   return head(exampleLstm_->encode(His));
 }
 
-void NnffModel::exampleVectorFast(const dsl::IOExample& example,
-                                  const dsl::Program* candidate,
-                                  const std::vector<dsl::Value>* trace,
-                                  float* out) const {
-  const std::size_t h = config_.hiddenDim;
-  const std::size_t e = config_.embedDim;
-
-  // Piece buffers (at most 6 pieces of width h).
-  std::vector<float> hIn(h), hOut(h), hProg(h), hMul(h), hFeat(h), hIoF(h);
-  nn::lstmEncodeTokensFast(*inputLstm_, *valueEmb_,
-                           encoder_.encodeInputs(example.inputs), hIn.data(),
-                           scratch_);
-  nn::lstmEncodeTokensFast(*outputLstm_, *valueEmb_,
-                           encoder_.encodeValue(example.output), hOut.data(),
-                           scratch_);
-  const auto ioFeats = ioSummaryFeatures(example.inputs, example.output);
-  nn::linearForwardFast(*ioFeatProj_, ioFeats.data(), hIoF.data());
-  for (std::size_t j = 0; j < h; ++j) hIoF[j] = std::tanh(hIoF[j]);
-
-  std::vector<const float*> pieces = {hIn.data(), hOut.data(), hIoF.data()};
-  std::vector<float> stepBuf;
-  if (config_.useTrace) {
-    // Program branch: per step, x_k = [funcEmb | traceEnc | match feats].
-    const std::size_t stepWidth = e + h + 2;
-    const std::size_t len = candidate->length();
-    const std::uint64_t outputFp = valueFingerprint(example.output);
-    stepBuf.resize(stepWidth * std::max<std::size_t>(len, 1));
-    std::vector<const float*> steps;
-    steps.reserve(len);
-    std::size_t exactSteps = 0;
-    for (std::size_t k = 0; k < len; ++k) {
-      float* x = stepBuf.data() + k * stepWidth;
-      const float* fRow =
-          funcEmb_->table().data() + funcRow(candidate->at(k)) * e;
-      std::copy(fRow, fRow + e, x);
-      const std::uint64_t tvFp = valueFingerprint((*trace)[k]);
-      const auto& tEnc = traceEncodingMemo((*trace)[k], tvFp);
-      std::copy(tEnc.begin(), tEnc.end(), x + e);
-      const auto dist =
-          editDistanceMemo((*trace)[k], tvFp, outputFp, example.output);
-      x[e + h] = 1.0f / (1.0f + static_cast<float>(dist));
-      x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
-      if (dist == 0) ++exactSteps;
-      steps.push_back(x);
-    }
-    nn::lstmEncodeVectorsFast(*stepLstm_, steps, hProg.data(), scratch_);
-    for (std::size_t j = 0; j < h; ++j) hMul[j] = hOut[j] * hProg[j];
-    const dsl::Value& finalValue =
-        len == 0 ? dsl::kEmptyListValue : trace->back();
-    const auto finalDist = editDistanceMemo(
-        finalValue, valueFingerprint(finalValue), outputFp, example.output);
-    float g[4];
-    g[0] = 1.0f / (1.0f + static_cast<float>(finalDist));
-    g[1] = (finalDist == 0) ? 1.0f : 0.0f;
-    g[2] = (finalValue.type() == example.output.type()) ? 1.0f : 0.0f;
-    g[3] = len == 0 ? 0.0f
-                    : static_cast<float>(exactSteps) / static_cast<float>(len);
-    nn::linearForwardFast(*featProj_, g, hFeat.data());
-    for (std::size_t j = 0; j < h; ++j) hFeat[j] = std::tanh(hFeat[j]);
-    pieces.push_back(hProg.data());
-    pieces.push_back(hMul.data());
-    pieces.push_back(hFeat.data());
-  }
-
-  // Stacked combiners: layer 1 emits a hidden per piece, layer 2 fuses.
-  std::vector<float> l1(h * pieces.size());
-  {
-    std::vector<float> hState(h, 0.0f), cState(h, 0.0f);
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      nn::lstmStepFast(*combine1_, pieces[i], hState.data(), cState.data(),
-                       scratch_);
-      std::copy(hState.begin(), hState.end(), l1.begin() + i * h);
-    }
-  }
-  std::vector<const float*> l1Ptrs;
-  for (std::size_t i = 0; i < pieces.size(); ++i)
-    l1Ptrs.push_back(l1.data() + i * h);
-  nn::lstmEncodeVectorsFast(*combine2_, l1Ptrs, out, scratch_);
-}
-
-std::vector<float> NnffModel::forwardFast(
-    const dsl::Spec& spec, const dsl::Program& candidate,
-    const std::vector<std::vector<dsl::Value>>& traces) const {
-  if (traces.size() < std::min(spec.size(), config_.maxExamples))
-    throw std::invalid_argument("NnffModel: one trace per example required");
-  const std::size_t h = config_.hiddenDim;
-  const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  std::vector<float> His(h * std::max<std::size_t>(m, 1));
-  std::vector<const float*> hiPtrs;
-  for (std::size_t i = 0; i < m; ++i) {
-    exampleVectorFast(spec.examples[i], &candidate, &traces[i],
-                      His.data() + i * h);
-    hiPtrs.push_back(His.data() + i * h);
-  }
-  std::vector<float> fused(h);
-  nn::lstmEncodeVectorsFast(*exampleLstm_, hiPtrs, fused.data(), scratch_);
-  std::vector<float> hidden(fc1_->outDim());
-  nn::linearForwardFast(*fc1_, fused.data(), hidden.data());
-  nn::reluFast(hidden.data(), hidden.size());
-  std::vector<float> logits(fc2_->outDim());
-  nn::linearForwardFast(*fc2_, hidden.data(), logits.data());
-  return logits;
-}
-
-std::vector<float> NnffModel::forwardIOOnlyFast(const dsl::Spec& spec) const {
-  if (config_.useTrace)
-    throw std::logic_error(
-        "NnffModel::forwardIOOnlyFast requires useTrace=false");
-  const std::size_t h = config_.hiddenDim;
-  const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  std::vector<float> His(h * std::max<std::size_t>(m, 1));
-  std::vector<const float*> hiPtrs;
-  for (std::size_t i = 0; i < m; ++i) {
-    exampleVectorFast(spec.examples[i], nullptr, nullptr, His.data() + i * h);
-    hiPtrs.push_back(His.data() + i * h);
-  }
-  std::vector<float> fused(h);
-  nn::lstmEncodeVectorsFast(*exampleLstm_, hiPtrs, fused.data(), scratch_);
-  std::vector<float> hidden(fc1_->outDim());
-  nn::linearForwardFast(*fc1_, fused.data(), hidden.data());
-  nn::reluFast(hidden.data(), hidden.size());
-  std::vector<float> logits(fc2_->outDim());
-  nn::linearForwardFast(*fc2_, hidden.data(), logits.data());
-  return logits;
-}
-
-const std::vector<float>* NnffModel::findTraceMemo(std::uint64_t key) const {
-  const auto it = traceMemo_.find(key);
-  if (it != traceMemo_.end()) {
-    ++memoStats_.traceHits;
-    return &it->second;
-  }
-  const auto pit = traceMemoPrev_.find(key);
-  if (pit != traceMemoPrev_.end()) {
-    ++memoStats_.traceHits;
-    // Promote previous-generation hits so the working set survives the next
-    // rotation. Node extraction moves the element wholesale — the mapped
-    // vector's heap buffer (and thus the returned reference) stays put.
-    auto node = traceMemoPrev_.extract(pit);
-    return &traceMemo_.insert(std::move(node)).position->second;
-  }
-  ++memoStats_.traceMisses;
-  return nullptr;
-}
-
-const std::vector<float>& NnffModel::insertTraceMemo(
-    std::uint64_t key, const std::vector<std::size_t>& tokens) const {
-  // Rotate generations at capacity: the current map becomes the previous
-  // one (whose stale entries are dropped, their bucket array recycled), so
-  // recently touched entries stay findable instead of being thrown away
-  // wholesale. Live memory is bounded by 2x memoCapacity_ entries.
-  if (traceMemo_.size() >= memoCapacity_) {
-    std::swap(traceMemo_, traceMemoPrev_);
-    traceMemo_.clear();
-  }
-  std::vector<float> h(config_.hiddenDim);
-  nn::lstmEncodeTokensFast(*traceLstm_, *valueEmb_, tokens, h.data(),
-                           scratch_);
-  return traceMemo_.emplace(key, std::move(h)).first->second;
-}
-
-const std::vector<float>& NnffModel::traceEncodingMemo(
-    const dsl::Value& value, std::uint64_t valueFp) const {
-  // Keyed by the value's own fingerprint so a hit skips tokenization too
+const std::vector<float>& NnffModel::memoTraceEncoding(
+    std::uint64_t fp, const TraceCell& c) const {
+  // Keyed by the value's own fingerprint, so a hit skips tokenization too
   // (two values that clamp/truncate to the same token sequence just occupy
   // two entries with equal encodings — correct either way).
-  if (const auto* hit = findTraceMemo(valueFp)) return *hit;
-  return insertTraceMemo(valueFp, encoder_.encodeValue(value));
-}
-
-const std::vector<float>& NnffModel::traceEncodingMemoSpan(
-    std::uint64_t fp, bool isInt, const std::int32_t* xs,
-    std::size_t n) const {
-  if (const auto* hit = findTraceMemo(fp)) return *hit;
-  // Miss: tokenize straight from the segment into a reused scratch buffer —
+  if (auto* hit = findMemo(traceMemo_, traceMemoPrev_, fp,
+                           memoStats_.traceHits, memoStats_.traceMisses))
+    return *hit;
+  // Miss: tokenize straight from the span into a reused scratch buffer —
   // same token sequence encodeValue would produce for the equivalent Value.
-  if (isInt)
-    encoder_.encodeIntInto(xs[0], laneTokenScratch_);
+  if (c.type == dsl::Type::Int)
+    encoder_.encodeIntInto(c.xs[0], tokenScratch_);
   else
-    encoder_.encodeListInto(xs, n, laneTokenScratch_);
-  return insertTraceMemo(fp, laneTokenScratch_);
+    encoder_.encodeListInto(c.xs, c.n, tokenScratch_);
+  rotateAtCapacity(traceMemo_, traceMemoPrev_, memoCapacity_);
+  std::vector<float> h(config_.hiddenDim);
+  nn::lstmEncodeTokensFast(*traceLstm_, *valueEmb_, tokenScratch_, h.data(),
+                           scratch_);
+  return traceMemo_.emplace(fp, std::move(h)).first->second;
 }
 
-const std::size_t* NnffModel::findEditMemo(std::uint64_t key) const {
-  const auto it = editMemo_.find(key);
-  if (it != editMemo_.end()) {
-    ++memoStats_.editHits;
-    return &it->second;
-  }
-  const auto pit = editMemoPrev_.find(key);
-  if (pit != editMemoPrev_.end()) {
-    ++memoStats_.editHits;
-    auto node = editMemoPrev_.extract(pit);
-    return &editMemo_.insert(std::move(node)).position->second;
-  }
-  ++memoStats_.editMisses;
-  return nullptr;
-}
-
-std::size_t NnffModel::editDistanceMemo(const dsl::Value& traceValue,
-                                        std::uint64_t traceFp,
-                                        std::uint64_t outputFp,
-                                        const dsl::Value& output) const {
+std::size_t NnffModel::memoEditDistance(
+    std::uint64_t traceFp, const TraceCell& c, std::uint64_t outputFp,
+    const std::vector<std::int32_t>& outToks) const {
   const std::uint64_t key = editKey(traceFp, outputFp);
-  if (const auto* hit = findEditMemo(key)) return *hit;
-  if (editMemo_.size() >= memoCapacity_) {
-    std::swap(editMemo_, editMemoPrev_);
-    editMemo_.clear();
-  }
-  const std::size_t dist = valueEditDistance(traceValue, output);
-  editMemo_.emplace(key, dist);
-  return dist;
-}
-
-std::size_t NnffModel::editDistanceMemoSpan(
-    std::uint64_t traceFp, std::uint64_t outputFp, const std::int32_t* xs,
-    std::size_t n, const std::vector<std::int32_t>& outToks) const {
-  const std::uint64_t key = editKey(traceFp, outputFp);
-  if (const auto* hit = findEditMemo(key)) return *hit;
-  if (editMemo_.size() >= memoCapacity_) {
-    std::swap(editMemo_, editMemoPrev_);
-    editMemo_.clear();
-  }
+  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, key,
+                                 memoStats_.editHits, memoStats_.editMisses))
+    return *hit;
+  rotateAtCapacity(editMemo_, editMemoPrev_, memoCapacity_);
   const std::size_t dist =
-      editDistanceSpans(xs, n, outToks.data(), outToks.size());
+      editDistanceSpans(c.xs, c.n, outToks.data(), outToks.size());
   editMemo_.emplace(key, dist);
   return dist;
 }
@@ -448,28 +295,21 @@ void NnffModel::setMemoCapacity(std::size_t cap) {
 
 void NnffModel::beginLaneCapture(const dsl::Spec& spec) const {
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  laneOutputFps_.resize(m);
-  laneOutputToks_.resize(m);
+  outputFps_.resize(m);
+  outputToks_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
-    const dsl::Value& out = spec.examples[i].output;
-    laneOutputFps_[i] = valueFingerprint(out);
-    if (out.isList())
-      laneOutputToks_[i] = out.asList();
-    else
-      laneOutputToks_[i].assign(1, out.asInt());
+    std::int32_t scratch = 0;
+    const TraceCell out = valueCell(spec.examples[i].output, scratch);
+    outputFps_[i] = cellFingerprint(out);
+    outputToks_[i].assign(out.xs, out.xs + out.n);
   }
-  laneCaptureSpec_ = &spec;
+  captureSpec_ = &spec;
 }
 
-void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
-                                const dsl::Program& candidate,
-                                const dsl::LaneTraceView& view,
-                                EncodedTrace& out) const {
-  if (!config_.useTrace)
-    throw std::logic_error("NnffModel::encodeLaneTrace requires useTrace=true");
-  if (&spec != laneCaptureSpec_) beginLaneCapture(spec);
-  if (view.steps != candidate.length())
-    throw std::invalid_argument("NnffModel: trace length != program length");
+template <typename CellAt>
+void NnffModel::encodeCells(const dsl::Spec& spec,
+                            const dsl::Program& candidate,
+                            const CellAt& cellAt, EncodedTrace& out) const {
   const std::size_t e = config_.embedDim;
   const std::size_t h = config_.hiddenDim;
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
@@ -482,51 +322,35 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
   out.gfeat.resize(m * 4);
 
   for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t outputFp = laneOutputFps_[i];
-    const std::vector<std::int32_t>& outToks = laneOutputToks_[i];
+    const std::uint64_t outputFp = outputFps_[i];
+    const std::vector<std::int32_t>& outToks = outputToks_[i];
+    // Example-level features. An empty program's final value is the
+    // default (empty) list; otherwise it is the last step's, whose distance
+    // the loop below computes anyway.
+    std::size_t finalDist = 0;
+    dsl::Type finalType = dsl::Type::List;
+    if (len == 0) {
+      const TraceCell empty{dsl::Type::List, nullptr, 0};
+      finalDist =
+          memoEditDistance(cellFingerprint(empty), empty, outputFp, outToks);
+    }
     std::size_t exactSteps = 0;
-    std::size_t lastDist = 0;
-    dsl::Type lastType = dsl::Type::List;
     for (std::size_t k = 0; k < len; ++k) {
       float* x = out.steps.data() + (i * len + k) * stepWidth;
       const float* fRow =
           funcEmb_->table().data() + funcRow(candidate.at(k)) * e;
       std::copy(fRow, fRow + e, x);
-      std::size_t dist;
-      if (view.stepType(k) == dsl::Type::Int) {
-        const std::int32_t v = view.intAt(k, i);
-        const std::uint64_t tvFp = laneIntFingerprint(v);
-        const auto& tEnc = traceEncodingMemoSpan(tvFp, /*isInt=*/true, &v, 1);
-        std::copy(tEnc.begin(), tEnc.end(), x + e);
-        dist = editDistanceMemoSpan(tvFp, outputFp, &v, 1, outToks);
-        lastType = dsl::Type::Int;
-      } else {
-        std::size_t segLen = 0;
-        const std::int32_t* seg = view.listAt(k, i, &segLen);
-        const std::uint64_t tvFp = laneListFingerprint(seg, segLen);
-        const auto& tEnc =
-            traceEncodingMemoSpan(tvFp, /*isInt=*/false, seg, segLen);
-        std::copy(tEnc.begin(), tEnc.end(), x + e);
-        dist = editDistanceMemoSpan(tvFp, outputFp, seg, segLen, outToks);
-        lastType = dsl::Type::List;
-      }
+      std::int32_t scratch = 0;
+      const TraceCell c = cellAt(i, k, scratch);
+      const std::uint64_t tvFp = cellFingerprint(c);
+      const auto& tEnc = memoTraceEncoding(tvFp, c);
+      std::copy(tEnc.begin(), tEnc.end(), x + e);
+      const std::size_t dist = memoEditDistance(tvFp, c, outputFp, outToks);
       x[e + h] = 1.0f / (1.0f + static_cast<float>(dist));
       x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
       if (dist == 0) ++exactSteps;
-      lastDist = dist;
-    }
-    // Example-level features. An empty program's final value is the default
-    // (empty) list; otherwise the last step's distance is reused — it was
-    // just computed against the same memo key the scalar path probes.
-    std::size_t finalDist;
-    dsl::Type finalType;
-    if (len == 0) {
-      finalType = dsl::Type::List;
-      finalDist = editDistanceMemoSpan(laneListFingerprint(nullptr, 0),
-                                       outputFp, nullptr, 0, outToks);
-    } else {
-      finalType = lastType;
-      finalDist = lastDist;
+      finalDist = dist;
+      finalType = c.type;
     }
     float* g = out.gfeat.data() + i * 4;
     g[0] = 1.0f / (1.0f + static_cast<float>(finalDist));
@@ -537,74 +361,102 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
   }
 }
 
-std::vector<std::vector<float>> NnffModel::predictBatchEncoded(
+void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
+                                const dsl::Program& candidate,
+                                const dsl::LaneTraceView& view,
+                                EncodedTrace& out) const {
+  if (!config_.useTrace)
+    throw std::logic_error("NnffModel::encodeLaneTrace requires useTrace=true");
+  if (&spec != captureSpec_) beginLaneCapture(spec);
+  if (view.steps != candidate.length())
+    throw std::invalid_argument("NnffModel: trace length != program length");
+  encodeCells(spec, candidate,
+              [&view](std::size_t i, std::size_t k, std::int32_t& scratch) {
+                return laneCell(view, i, k, scratch);
+              },
+              out);
+}
+
+template <typename TraceAt>
+void NnffModel::encodeScattered(const dsl::Spec& spec,
+                                const dsl::Program& candidate,
+                                std::size_t count, const TraceAt& traceAt,
+                                EncodedTrace& out) const {
+  if (!config_.useTrace)
+    throw std::logic_error("NnffModel::encodeTrace requires useTrace=true");
+  const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  if (count < m)
+    throw std::invalid_argument("NnffModel: one trace per example required");
+  for (std::size_t i = 0; i < m; ++i)
+    if (traceAt(i).size() != candidate.length())
+      throw std::invalid_argument("NnffModel: trace length != program length");
+  // Always refresh: a caller may rebuild a different spec at the same
+  // address between calls, which the lane sink's per-generation
+  // beginCapture covers but a one-off score() does not.
+  beginLaneCapture(spec);
+  encodeCells(spec, candidate,
+              [&traceAt](std::size_t i, std::size_t k, std::int32_t& scratch) {
+                return valueCell(traceAt(i)[k], scratch);
+              },
+              out);
+}
+
+void NnffModel::encodeTrace(const dsl::Spec& spec,
+                            const dsl::Program& candidate,
+                            const std::vector<std::vector<dsl::Value>>& traces,
+                            EncodedTrace& out) const {
+  encodeScattered(
+      spec, candidate, traces.size(),
+      [&traces](std::size_t i) -> const std::vector<dsl::Value>& {
+        return traces[i];
+      },
+      out);
+}
+
+void NnffModel::encodeTrace(const dsl::Spec& spec,
+                            const dsl::Program& candidate,
+                            const std::vector<dsl::ExecResult>& runs,
+                            EncodedTrace& out) const {
+  encodeScattered(
+      spec, candidate, runs.size(),
+      [&runs](std::size_t i) -> const std::vector<dsl::Value>& {
+        return runs[i].trace;
+      },
+      out);
+}
+
+std::vector<std::vector<float>> NnffModel::predictBatch(
     const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
     const std::vector<const EncodedTrace*>& encoded) const {
   const std::size_t batch = candidates.size();
   if (batch == 0) return {};
   if (!config_.useTrace)
-    throw std::logic_error(
-        "NnffModel::predictBatchEncoded requires useTrace=true");
+    throw std::logic_error("NnffModel::predictBatch requires useTrace=true");
   if (encoded.size() != batch)
     throw std::invalid_argument("NnffModel: one encoded trace per candidate");
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  const std::size_t stepWidth = config_.embedDim + config_.hiddenDim + 2;
   for (std::size_t b = 0; b < batch; ++b) {
-    if (encoded[b] == nullptr || encoded[b]->examples < m)
+    if (encoded[b] == nullptr || encoded[b]->examples < m ||
+        encoded[b]->stepWidth != stepWidth)
       throw std::invalid_argument(
-          "NnffModel: encoded trace covers too few examples");
+          "NnffModel: encoded trace does not fit this model and spec");
+    if (encoded[b]->length != candidates[b]->length())
+      throw std::invalid_argument("NnffModel: trace length != program length");
   }
-  return predictBatchImpl(spec, candidates, {}, &encoded);
+  return predictRows(spec, batch, encoded);
 }
 
-std::vector<std::vector<float>> NnffModel::predictBatch(
-    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
-    const std::vector<const std::vector<std::vector<dsl::Value>>*>& traces)
-    const {
-  const std::size_t batch = candidates.size();
-  if (batch == 0) return {};
-  if (config_.useTrace && traces.size() != batch)
-    throw std::invalid_argument("NnffModel: one trace set per candidate");
-  const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  std::vector<const std::vector<dsl::Value>*> table;
-  if (config_.useTrace) {
-    table.resize(batch * m);
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (traces[b] == nullptr || traces[b]->size() < m)
-        throw std::invalid_argument("NnffModel: one trace per example required");
-      for (std::size_t i = 0; i < m; ++i) table[b * m + i] = &(*traces[b])[i];
-    }
-  }
-  return predictBatchImpl(spec, candidates, table);
+std::vector<float> NnffModel::predictIOOnly(const dsl::Spec& spec) const {
+  if (config_.useTrace)
+    throw std::logic_error("NnffModel::predictIOOnly requires useTrace=false");
+  return predictRows(spec, 1, {})[0];
 }
 
-std::vector<std::vector<float>> NnffModel::predictBatchRuns(
-    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
-    const std::vector<const std::vector<dsl::ExecResult>*>& runs) const {
-  const std::size_t batch = candidates.size();
-  if (batch == 0) return {};
-  if (config_.useTrace && runs.size() != batch)
-    throw std::invalid_argument("NnffModel: one run set per candidate");
-  const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  std::vector<const std::vector<dsl::Value>*> table;
-  if (config_.useTrace) {
-    table.resize(batch * m);
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (runs[b] == nullptr || runs[b]->size() < m)
-        throw std::invalid_argument("NnffModel: one run per example required");
-      for (std::size_t i = 0; i < m; ++i)
-        table[b * m + i] = &(*runs[b])[i].trace;
-    }
-  }
-  return predictBatchImpl(spec, candidates, table);
-}
-
-std::vector<std::vector<float>> NnffModel::predictBatchImpl(
-    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
-    const std::vector<const std::vector<dsl::Value>*>& traceTable,
-    const std::vector<const EncodedTrace*>* encoded) const {
-  const std::size_t batch = candidates.size();
+std::vector<std::vector<float>> NnffModel::predictRows(
+    const dsl::Spec& spec, std::size_t batch,
+    const std::vector<const EncodedTrace*>& encoded) const {
   const std::size_t h = config_.hiddenDim;
-  const std::size_t e = config_.embedDim;
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
 
   // His: example-major blocks of B x h (block i feeds exampleLstm step i).
@@ -615,9 +467,8 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
   std::vector<float> hC(batch * h), cC(batch * h), h2(batch * h),
       c2(batch * h);
 
-  // Shared spec encodings, computed once for the whole population (the
-  // scalar path recomputes these for every gene) and batched across the m
-  // examples.
+  // Shared spec encodings, computed once for the whole population and
+  // batched across the m examples.
   std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
   std::vector<float> ioFeatsAll(m * kIoFeatureDim);
   for (std::size_t i = 0; i < m; ++i) {
@@ -638,58 +489,29 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
   for (float& v : hIoFAll) v = std::tanh(v);
 
   for (std::size_t i = 0; i < m; ++i) {
-    const dsl::IOExample& example = spec.examples[i];
     const float* hIn = hInAll.data() + i * h;
     const float* hOut = hOutAll.data() + i * h;
     const float* hIoF = hIoFAll.data() + i * h;
 
     if (config_.useTrace) {
       // Program branch, batched over genes: step k runs all genes that are
-      // at least k+1 long through stepLstm as one B x (e+h+2) block.
-      const std::uint64_t outputFp =
-          encoded ? 0 : valueFingerprint(example.output);
-      const std::size_t stepWidth = e + h + 2;
+      // at least k+1 long through stepLstm as one B x stepWidth block of
+      // the encoded rows, fed verbatim.
+      const std::size_t stepWidth = encoded[0]->stepWidth;
       std::size_t maxLen = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t traceLen = encoded ? (*encoded)[b]->length
-                                             : traceTable[b * m + i]->size();
-        if (traceLen != candidates[b]->length())
-          throw std::invalid_argument(
-              "NnffModel: trace length != program length");
-        maxLen = std::max(maxLen, candidates[b]->length());
-      }
+      for (std::size_t b = 0; b < batch; ++b)
+        maxLen = std::max(maxLen, encoded[b]->length);
       std::vector<float> xStep(batch * stepWidth, 0.0f);
       std::vector<std::uint8_t> active(batch);
-      std::vector<std::size_t> exactSteps(batch, 0);
       std::fill(hProg.begin(), hProg.end(), 0.0f);
       std::fill(cProg.begin(), cProg.end(), 0.0f);
       for (std::size_t k = 0; k < maxLen; ++k) {
         for (std::size_t b = 0; b < batch; ++b) {
-          active[b] = k < candidates[b]->length() ? 1 : 0;
+          const EncodedTrace& et = *encoded[b];
+          active[b] = k < et.length ? 1 : 0;
           if (!active[b]) continue;
-          float* x = xStep.data() + b * stepWidth;
-          if (encoded) {
-            // Lane path: the full stepLstm input row was produced by
-            // encodeLaneTrace; feed it verbatim (exactSteps is already
-            // folded into the encoded example features).
-            const EncodedTrace& et = *(*encoded)[b];
-            const float* row =
-                et.steps.data() + (i * et.length + k) * et.stepWidth;
-            std::copy(row, row + stepWidth, x);
-            continue;
-          }
-          const float* fRow =
-              funcEmb_->table().data() + funcRow(candidates[b]->at(k)) * e;
-          std::copy(fRow, fRow + e, x);
-          const dsl::Value& tv = (*traceTable[b * m + i])[k];
-          const std::uint64_t tvFp = valueFingerprint(tv);
-          const auto& tEnc = traceEncodingMemo(tv, tvFp);
-          std::copy(tEnc.begin(), tEnc.end(), x + e);
-          const auto dist =
-              editDistanceMemo(tv, tvFp, outputFp, example.output);
-          x[e + h] = 1.0f / (1.0f + static_cast<float>(dist));
-          x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
-          if (dist == 0) ++exactSteps[b];
+          const float* row = et.steps.data() + (i * et.length + k) * stepWidth;
+          std::copy(row, row + stepWidth, xStep.data() + b * stepWidth);
         }
         nn::lstmStepBatchFast(*stepLstm_, xStep.data(), batch, hProg.data(),
                               cProg.data(), scratch_, active.data());
@@ -698,27 +520,9 @@ std::vector<std::vector<float>> NnffModel::predictBatchImpl(
         for (std::size_t j = 0; j < h; ++j)
           hMul[b * h + j] = hOut[j] * hProg[b * h + j];
       std::vector<float> g(batch * 4);
-      for (std::size_t b = 0; b < batch; ++b) {
-        if (encoded) {
-          const EncodedTrace& et = *(*encoded)[b];
-          std::copy(et.gfeat.data() + i * 4, et.gfeat.data() + (i + 1) * 4,
-                    g.data() + b * 4);
-          continue;
-        }
-        const std::size_t len = candidates[b]->length();
-        const dsl::Value& finalValue =
-            len == 0 ? dsl::kEmptyListValue : (*traceTable[b * m + i]).back();
-        const auto finalDist = editDistanceMemo(
-            finalValue, valueFingerprint(finalValue), outputFp,
-            example.output);
-        g[b * 4 + 0] = 1.0f / (1.0f + static_cast<float>(finalDist));
-        g[b * 4 + 1] = (finalDist == 0) ? 1.0f : 0.0f;
-        g[b * 4 + 2] =
-            (finalValue.type() == example.output.type()) ? 1.0f : 0.0f;
-        g[b * 4 + 3] = len == 0 ? 0.0f
-                                : static_cast<float>(exactSteps[b]) /
-                                      static_cast<float>(len);
-      }
+      for (std::size_t b = 0; b < batch; ++b)
+        std::copy(encoded[b]->gfeat.data() + i * 4,
+                  encoded[b]->gfeat.data() + (i + 1) * 4, g.data() + b * 4);
       nn::linearForwardBatchFast(*featProj_, g.data(), batch, hFeat.data());
       for (float& v : hFeat) v = std::tanh(v);
     }

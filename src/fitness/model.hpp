@@ -35,12 +35,14 @@ struct LaneTraceView;  // lanes.hpp
 
 namespace netsyn::fitness {
 
-/// One candidate's NN-ready trace features, encoded straight from a
-/// LaneTraceView by NnffModel::encodeLaneTrace: per (example i, step k) the
-/// full stepLstm input row [funcEmb | trace encoding | match features], plus
-/// the four example-level summary features. predictBatchEncoded feeds the
-/// rows into the batched LSTMs directly, so the lane path never
-/// materializes a trace Value.
+struct TraceCell;  // model.cpp: one trace value as a token span
+
+/// One candidate's NN-ready trace features, encoded by
+/// NnffModel::encodeLaneTrace (from a LaneTraceView) or encodeTrace (from
+/// scattered Values): per (example i, step k) the full stepLstm input row
+/// [funcEmb | trace encoding | match features], plus the four example-level
+/// summary features. predictBatch feeds the rows into the batched LSTMs
+/// directly.
 struct EncodedTrace {
   std::size_t length = 0;     ///< candidate length (steps per example)
   std::size_t examples = 0;   ///< encoded examples: min(spec size, maxExamples)
@@ -92,67 +94,57 @@ class NnffModel {
   /// (kNumFunctions for the list domain).
   std::size_t funcVocabSize() const;
 
-  /// Full forward pass: logits (1 x outDim). `traces[i]` is the execution
-  /// trace of `candidate` on spec example i (traces[i].size() ==
+  /// Autograd forward pass: logits (1 x outDim). `traces[i]` is the
+  /// execution trace of `candidate` on spec example i (traces[i].size() ==
   /// candidate.length()). Only the first maxExamples examples are consumed.
+  /// This is the training path, and the oracle that predictBatch and
+  /// predictIOOnly are pinned against by tests.
   nn::Var forward(const dsl::Spec& spec, const dsl::Program& candidate,
                   const std::vector<std::vector<dsl::Value>>& traces) const;
 
-  /// IO-only forward (FP model): logits (1 x outDim).
+  /// IO-only autograd forward (FP model): logits (1 x outDim).
   nn::Var forwardIOOnly(const dsl::Spec& spec) const;
 
-  /// Allocation-free forward passes producing raw logits. Numerically
-  /// identical to forward()/forwardIOOnly() (asserted by tests) but ~3-4x
-  /// faster; used for single-gene scoring. Not thread-safe (reuses internal
-  /// scratch buffers); clone the model per worker thread.
-  std::vector<float> forwardFast(
-      const dsl::Spec& spec, const dsl::Program& candidate,
-      const std::vector<std::vector<dsl::Value>>& traces) const;
-  std::vector<float> forwardIOOnlyFast(const dsl::Spec& spec) const;
-
-  /// Population-batched forward pass: row i of the result is the logits of
-  /// candidates[i] (bitwise identical to forwardFast on the same gene). The
-  /// GA's hot path: spec encodings are computed once per example instead of
-  /// once per gene, repeated trace values hit a memo, and every LSTM/linear
-  /// layer runs the whole population as one matrix-matrix product.
-  /// `traces[i]` are candidate i's per-example traces (as in forwardFast).
-  /// Not thread-safe; clone the model per worker thread.
-  std::vector<std::vector<float>> predictBatch(
-      const dsl::Spec& spec,
-      const std::vector<const dsl::Program*>& candidates,
-      const std::vector<const std::vector<std::vector<dsl::Value>>*>& traces)
-      const;
-
-  /// predictBatch over the evaluator's execution results directly:
-  /// `runs[i]` are candidate i's per-example ExecResults and the traces are
-  /// read in place, so the GA's hot path never deep-copies a trace. Same
-  /// output as predictBatch on the copied traces.
-  std::vector<std::vector<float>> predictBatchRuns(
-      const dsl::Spec& spec,
-      const std::vector<const dsl::Program*>& candidates,
-      const std::vector<const std::vector<dsl::ExecResult>*>& runs) const;
-
-  /// The lane-view trace path. beginLaneCapture caches per-example output
-  /// fingerprints and token spans for `spec`; encodeLaneTrace then fills
-  /// `out` with `candidate`'s step rows and example features read straight
-  /// from the SoA lane blocks — fingerprints over the lane segment, memoized
-  /// encodings copied into LSTM-ready rows, no Value materialized anywhere.
-  /// The rows are bitwise-identical to what predictBatchRuns computes from
-  /// scattered traces (same memos, same float expressions), so
-  /// predictBatchEncoded's scores equal the scalar path exactly — pinned by
-  /// the differential fuzz suite. Not thread-safe, like the other fast paths.
+  /// Inference runs in two stages: every candidate's trace is first encoded
+  /// into an EncodedTrace, then predictBatch grades a whole population in
+  /// one allocation-light pass. Both encoders share one body: fingerprints
+  /// and token spans per trace cell (an int is a 1-element span), memoized
+  /// trace encodings and edit distances, the same float expressions — so a
+  /// lane-encoded and a scatter-encoded trace of the same candidate are
+  /// equal field by field (pinned by the differential fuzz suite). None of
+  /// the inference entry points is thread-safe (they share scratch and memo
+  /// buffers); clone the model per worker thread.
+  ///
+  /// beginLaneCapture caches per-example output fingerprints and token spans
+  /// for `spec`; encodeLaneTrace then fills `out` straight from the SoA lane
+  /// blocks of `view`, with no Value materialized anywhere.
   void beginLaneCapture(const dsl::Spec& spec) const;
   void encodeLaneTrace(const dsl::Spec& spec, const dsl::Program& candidate,
                        const dsl::LaneTraceView& view,
                        EncodedTrace& out) const;
 
-  /// predictBatch over pre-encoded lane traces: `encoded[i]` must come from
-  /// encodeLaneTrace on candidates[i] against the same spec. Output is
-  /// bitwise-identical to predictBatchRuns on the scattered traces.
-  std::vector<std::vector<float>> predictBatchEncoded(
+  /// Encodes scattered per-example traces (`traces[i]` or `runs[i].trace`
+  /// for example i), read in place. Refreshes the capture cache for `spec`.
+  void encodeTrace(const dsl::Spec& spec, const dsl::Program& candidate,
+                   const std::vector<std::vector<dsl::Value>>& traces,
+                   EncodedTrace& out) const;
+  void encodeTrace(const dsl::Spec& spec, const dsl::Program& candidate,
+                   const std::vector<dsl::ExecResult>& runs,
+                   EncodedTrace& out) const;
+
+  /// Population-batched forward pass: row b of the result is the logits of
+  /// candidates[b], graded from `encoded[b]` (encoded for that candidate
+  /// against the same spec). Spec encodings are computed once per example
+  /// instead of once per gene, and every LSTM/linear layer runs the whole
+  /// population as one matrix-matrix product. A batch of one is the
+  /// single-gene path.
+  std::vector<std::vector<float>> predictBatch(
       const dsl::Spec& spec,
       const std::vector<const dsl::Program*>& candidates,
       const std::vector<const EncodedTrace*>& encoded) const;
+
+  /// IO-only models (useTrace = false): the logits row for `spec`.
+  std::vector<float> predictIOOnly(const dsl::Spec& spec) const;
 
   /// Hit/miss counters of the trace-encoding and edit-distance memos, for
   /// tests and service stats (proves the two-generation eviction keeps the
@@ -191,65 +183,40 @@ class NnffModel {
 
   nn::Var head(const nn::Var& h) const;
 
-  /// Fast-path helpers (see model.cpp).
-  void exampleVectorFast(const dsl::IOExample& example,
-                         const dsl::Program* candidate,
-                         const std::vector<dsl::Value>* trace,
-                         float* out) const;
+  /// Memoized traceLstm encoding of one trace cell, keyed by its
+  /// fingerprint `fp` (computed once per step by the caller and shared with
+  /// memoEditDistance). The encoding is a pure function of the value, so
+  /// entries never go stale. Bounded by a two-generation scheme (see the
+  /// memo members below).
+  const std::vector<float>& memoTraceEncoding(std::uint64_t fp,
+                                              const TraceCell& c) const;
 
-  /// Memoized traceLstm encoding of one trace value; `valueFp` is the
-  /// value's fingerprint, computed once per step by the caller and shared
-  /// with editDistanceMemo. The encoding is a pure function of the value,
-  /// so entries never go stale. Bounded by a two-generation scheme (see
-  /// the memo members below). On a hit neither the token sequence nor the
-  /// encoding is recomputed.
-  const std::vector<float>& traceEncodingMemo(const dsl::Value& value,
-                                              std::uint64_t valueFp) const;
+  /// Memoized edit distance between a trace cell and an example output (the
+  /// cached token span from beginLaneCapture). Trace values recur heavily
+  /// across a population's shared ancestry, and the DP behind a miss is
+  /// O(|a|*|b|).
+  std::size_t memoEditDistance(std::uint64_t traceFp, const TraceCell& c,
+                               std::uint64_t outputFp,
+                               const std::vector<std::int32_t>& outToks) const;
 
-  /// Segment counterpart for the lane-view path: same memo maps, same keys
-  /// (the fingerprint of the equivalent Value), tokens drawn straight from
-  /// the arena segment (`xs[0]` for an int cell).
-  const std::vector<float>& traceEncodingMemoSpan(std::uint64_t fp,
-                                                  bool isInt,
-                                                  const std::int32_t* xs,
-                                                  std::size_t n) const;
+  /// Shared body of encodeLaneTrace and encodeTrace. `cellAt(i, k, scratch)`
+  /// returns candidate step k's value on example i as a TraceCell.
+  template <typename CellAt>
+  void encodeCells(const dsl::Spec& spec, const dsl::Program& candidate,
+                   const CellAt& cellAt, EncodedTrace& out) const;
 
-  /// Memo plumbing shared by the Value and span entry points: lookup with
-  /// previous-generation promotion, and miss-path insert (rotating the
-  /// generations at capacity).
-  const std::vector<float>* findTraceMemo(std::uint64_t key) const;
-  const std::vector<float>& insertTraceMemo(
-      std::uint64_t key, const std::vector<std::size_t>& tokens) const;
-  const std::size_t* findEditMemo(std::uint64_t key) const;
+  /// encodeTrace's body: `traceAt(i)` is example i's Value trace (`count`
+  /// of them).
+  template <typename TraceAt>
+  void encodeScattered(const dsl::Spec& spec, const dsl::Program& candidate,
+                       std::size_t count, const TraceAt& traceAt,
+                       EncodedTrace& out) const;
 
-  /// Memoized valueEditDistance(traceValue, output); both fingerprints are
-  /// precomputed by the caller (the output's once per example, the trace
-  /// value's once per step). Trace values recur heavily across a
-  /// population's shared ancestry, and the DP behind a miss is O(|a|*|b|)
-  /// with three allocations.
-  std::size_t editDistanceMemo(const dsl::Value& traceValue,
-                               std::uint64_t traceFp, std::uint64_t outputFp,
-                               const dsl::Value& output) const;
-
-  /// Segment counterpart (lane-view path): the trace side is an arena
-  /// segment, the output side the cached token span from beginLaneCapture.
-  std::size_t editDistanceMemoSpan(std::uint64_t traceFp,
-                                   std::uint64_t outputFp,
-                                   const std::int32_t* xs, std::size_t n,
-                                   const std::vector<std::int32_t>& outToks)
-      const;
-
-  /// Shared core of predictBatch/predictBatchRuns/predictBatchEncoded:
-  /// traceTable[b * m + i] points at candidate b's trace on example i (empty
-  /// when !useTrace). When `encoded` is non-null it supplies the step rows
-  /// and example features instead and traceTable is ignored — every LSTM and
-  /// combiner below the feed is the same code either way, which is what
-  /// makes the two paths bitwise-identical.
-  std::vector<std::vector<float>> predictBatchImpl(
-      const dsl::Spec& spec,
-      const std::vector<const dsl::Program*>& candidates,
-      const std::vector<const std::vector<dsl::Value>*>& traceTable,
-      const std::vector<const EncodedTrace*>* encoded = nullptr) const;
+  /// Shared core of predictBatch and predictIOOnly: `batch` rows, the
+  /// program/trace branch fed from `encoded` iff useTrace.
+  std::vector<std::vector<float>> predictRows(
+      const dsl::Spec& spec, std::size_t batch,
+      const std::vector<const EncodedTrace*>& encoded) const;
 
   NnffConfig config_;
   const dsl::Domain* resolvedDomain_;  ///< config_.domain, null -> list
@@ -268,13 +235,13 @@ class NnffModel {
   std::unique_ptr<nn::Lstm> exampleLstm_;
   std::unique_ptr<nn::Linear> fc1_;
   std::unique_ptr<nn::Linear> fc2_;
-  mutable nn::InferenceScratch scratch_;  ///< fast-path buffers
-  /// Trace-value encoding memo for the batched path, keyed by a 64-bit
-  /// FNV-1a fingerprint of the value (GA populations re-produce the same
-  /// intermediate values across genes and generations). The fingerprint
-  /// replaces a per-lookup heap-allocated string key; a collision could only
-  /// substitute one value's encoding for another's in the fitness signal,
-  /// and at < 2^32 distinct trace values per run is negligible.
+  mutable nn::InferenceScratch scratch_;  ///< inference buffers
+  /// Trace-value encoding memo, keyed by a 64-bit FNV-1a fingerprint of the
+  /// value (GA populations re-produce the same intermediate values across
+  /// genes and generations). The fingerprint replaces a per-lookup
+  /// heap-allocated string key; a collision could only substitute one
+  /// value's encoding for another's in the fitness signal, and at < 2^32
+  /// distinct trace values per run is negligible.
   ///
   /// Bounding is two-generation: when the current map reaches capacity it
   /// becomes the previous generation and a fresh map starts; lookups probe
@@ -292,14 +259,14 @@ class NnffModel {
   std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation map
   mutable MemoStats memoStats_;
 
-  // Lane-capture state (beginLaneCapture): per-example output fingerprints
-  // and full token spans, so encodeLaneTrace computes them once per spec
-  // instead of once per candidate. The spec pointer detects capture context
-  // switches; encodeLaneTrace refreshes lazily when it changes.
-  mutable const dsl::Spec* laneCaptureSpec_ = nullptr;
-  mutable std::vector<std::uint64_t> laneOutputFps_;
-  mutable std::vector<std::vector<std::int32_t>> laneOutputToks_;
-  mutable std::vector<std::size_t> laneTokenScratch_;
+  // Capture state (beginLaneCapture): per-example output fingerprints and
+  // full token spans, so the encoders compute them once per spec instead of
+  // once per candidate. The spec pointer detects capture context switches;
+  // encodeLaneTrace refreshes lazily when it changes, encodeTrace always.
+  mutable const dsl::Spec* captureSpec_ = nullptr;
+  mutable std::vector<std::uint64_t> outputFps_;
+  mutable std::vector<std::vector<std::int32_t>> outputToks_;
+  mutable std::vector<std::size_t> tokenScratch_;  ///< memo-miss tokens
 };
 
 }  // namespace netsyn::fitness

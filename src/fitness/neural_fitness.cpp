@@ -7,17 +7,7 @@
 namespace netsyn::fitness {
 namespace {
 
-std::vector<std::vector<dsl::Value>> tracesFromRuns(
-    const std::vector<dsl::ExecResult>& runs) {
-  std::vector<std::vector<dsl::Value>> traces;
-  traces.reserve(runs.size());
-  for (const auto& r : runs) traces.push_back(r.trace);
-  return traces;
-}
-
-/// Stable softmax over raw logits (identical arithmetic to
-/// NeuralFitness::classProbabilities, so scalar and batched scores agree
-/// bitwise).
+/// Stable softmax over raw logits.
 std::vector<double> softmaxOfLogits(const std::vector<float>& logits) {
   const float mx = *std::max_element(logits.begin(), logits.end());
   std::vector<double> probs(logits.size());
@@ -38,43 +28,34 @@ double expectationFromLogits(const std::vector<float>& logits) {
   return expectation;
 }
 
-/// Runs one batched forward per maximal run of contexts sharing a spec (in
-/// the GA every context shares the generation's spec, so this is one batch)
-/// and maps each gene's logits row through `toScore`. Contexts that carry
-/// lane-encoded traces go through predictBatchEncoded; the rest read the
-/// evaluator's ExecResults in place via predictBatchRuns — either way no
-/// trace is copied. Grouping also splits on encoded-ness so a mixed
-/// population (e.g. lane-graded generation plus scatter-graded stragglers)
-/// batches each flavor separately.
-template <typename ToScore>
-std::vector<double> batchOverSharedSpecs(
-    NnffModel& model, const std::vector<const dsl::Program*>& genes,
-    const std::vector<const EvalContext*>& contexts, const ToScore& toScore) {
-  std::vector<double> out(genes.size());
+/// Logits of every gene: one predictBatch per maximal run of contexts
+/// sharing a spec (in the GA every context shares the generation's spec, so
+/// this is one batch). Lane-encoded contexts are fed as they are; run-backed
+/// ones are first encoded from their ExecResults, read in place, into
+/// `slots` (reused across calls, so steady-state grading allocates no trace
+/// storage).
+std::vector<std::vector<float>> batchLogits(
+    const NnffModel& model, const std::vector<const dsl::Program*>& genes,
+    const std::vector<const EvalContext*>& contexts,
+    std::vector<EncodedTrace>& slots) {
+  std::vector<std::vector<float>> out(genes.size());
+  if (slots.size() < genes.size()) slots.resize(genes.size());
   std::size_t begin = 0;
   while (begin < genes.size()) {
-    const bool laneEncoded = contexts[begin]->encoded != nullptr;
+    const dsl::Spec& spec = contexts[begin]->spec;
     std::size_t end = begin + 1;
-    while (end < genes.size() &&
-           &contexts[end]->spec == &contexts[begin]->spec &&
-           (contexts[end]->encoded != nullptr) == laneEncoded)
-      ++end;
-    const std::size_t n = end - begin;
-    std::vector<const dsl::Program*> progs(n);
-    for (std::size_t i = 0; i < n; ++i) progs[i] = genes[begin + i];
-    std::vector<std::vector<float>> logits;
-    if (laneEncoded) {
-      std::vector<const EncodedTrace*> encoded(n);
-      for (std::size_t i = 0; i < n; ++i)
-        encoded[i] = contexts[begin + i]->encoded;
-      logits =
-          model.predictBatchEncoded(contexts[begin]->spec, progs, encoded);
-    } else {
-      std::vector<const std::vector<dsl::ExecResult>*> runs(n);
-      for (std::size_t i = 0; i < n; ++i) runs[i] = &contexts[begin + i]->runs;
-      logits = model.predictBatchRuns(contexts[begin]->spec, progs, runs);
+    while (end < genes.size() && &contexts[end]->spec == &spec) ++end;
+    std::vector<const dsl::Program*> progs(genes.begin() + begin,
+                                           genes.begin() + end);
+    std::vector<const EncodedTrace*> encoded(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (contexts[i]->encoded == nullptr)
+        model.encodeTrace(spec, *genes[i], contexts[i]->runs, slots[i]);
+      encoded[i - begin] =
+          contexts[i]->encoded ? contexts[i]->encoded : &slots[i];
     }
-    for (std::size_t i = 0; i < n; ++i) out[begin + i] = toScore(logits[i]);
+    auto logits = model.predictBatch(spec, progs, encoded);
+    std::move(logits.begin(), logits.end(), out.begin() + begin);
     begin = end;
   }
   return out;
@@ -91,27 +72,23 @@ NeuralFitness::NeuralFitness(std::shared_ptr<NnffModel> model,
 
 std::vector<double> NeuralFitness::classProbabilities(
     const dsl::Program& gene, const EvalContext& ctx) const {
-  if (ctx.encoded)
-    return softmaxOfLogits(
-        model_->predictBatchEncoded(ctx.spec, {&gene}, {ctx.encoded})[0]);
-  return softmaxOfLogits(
-      model_->forwardFast(ctx.spec, gene, tracesFromRuns(ctx.runs)));
+  std::vector<EncodedTrace> slot;
+  return softmaxOfLogits(batchLogits(*model_, {&gene}, {&ctx}, slot)[0]);
 }
 
 double NeuralFitness::score(const dsl::Program& gene,
                             const EvalContext& ctx) {
-  if (ctx.encoded)
-    return expectationFromLogits(
-        model_->predictBatchEncoded(ctx.spec, {&gene}, {ctx.encoded})[0]);
-  return expectationFromLogits(
-      model_->forwardFast(ctx.spec, gene, tracesFromRuns(ctx.runs)));
+  return scoreBatch({&gene}, {&ctx})[0];
 }
 
 std::vector<double> NeuralFitness::scoreBatch(
     const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts) {
-  return batchOverSharedSpecs(*model_, genes, contexts,
-                              expectationFromLogits);
+  const auto logits = batchLogits(*model_, genes, contexts, slots_);
+  std::vector<double> out(logits.size());
+  for (std::size_t i = 0; i < logits.size(); ++i)
+    out[i] = expectationFromLogits(logits[i]);
+  return out;
 }
 
 ProbMapFitness::ProbMapFitness(std::shared_ptr<NnffModel> fpModel)
@@ -129,7 +106,7 @@ ProbMapFitness::ProbMapFitness(std::shared_ptr<NnffModel> fpModel)
 std::vector<double> ProbMapFitness::probMap(const dsl::Spec& spec) {
   const std::uint64_t fp = spec.fingerprint();
   if (hasCachedMap_ && cachedFingerprint_ == fp) return cachedMap_;
-  const auto logits = model_->forwardIOOnlyFast(spec);
+  const auto logits = model_->predictIOOnly(spec);
   cachedMap_.resize(domain_->vocabSize());
   for (std::size_t j = 0; j < cachedMap_.size(); ++j) {
     cachedMap_[j] =
@@ -178,20 +155,17 @@ RegressionFitness::RegressionFitness(std::shared_ptr<NnffModel> model)
 
 double RegressionFitness::score(const dsl::Program& gene,
                                 const EvalContext& ctx) {
-  const auto pred =
-      ctx.encoded
-          ? model_->predictBatchEncoded(ctx.spec, {&gene}, {ctx.encoded})[0]
-          : model_->forwardFast(ctx.spec, gene, tracesFromRuns(ctx.runs));
-  return std::max(0.0, static_cast<double>(pred[0]));
+  return scoreBatch({&gene}, {&ctx})[0];
 }
 
 std::vector<double> RegressionFitness::scoreBatch(
     const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts) {
-  return batchOverSharedSpecs(
-      *model_, genes, contexts, [](const std::vector<float>& pred) {
-        return std::max(0.0, static_cast<double>(pred[0]));
-      });
+  const auto preds = batchLogits(*model_, genes, contexts, slots_);
+  std::vector<double> out(preds.size());
+  for (std::size_t i = 0; i < preds.size(); ++i)
+    out[i] = std::max(0.0, static_cast<double>(preds[i][0]));
+  return out;
 }
 
 }  // namespace netsyn::fitness

@@ -69,8 +69,10 @@ class NeuralFitness final : public FitnessFunction {
  public:
   NeuralFitness(std::shared_ptr<NnffModel> model, std::string name);
 
+  /// A batch of one.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;
-  /// One batched forward over the whole population (NnffModel::predictBatch).
+  /// One batched forward over the whole population (NnffModel::predictBatch);
+  /// run-backed contexts are encoded first (NnffModel::encodeTrace).
   std::vector<double> scoreBatch(
       const std::vector<const dsl::Program*>& genes,
       const std::vector<const EvalContext*>& contexts) override;
@@ -92,6 +94,7 @@ class NeuralFitness final : public FitnessFunction {
   std::shared_ptr<NnffModel> model_;
   std::string name_;
   ModelLaneSink sink_{nullptr};
+  std::vector<EncodedTrace> slots_;  ///< encodings of run-backed contexts
 };
 
 /// f_FP: sum of learned per-function probabilities over the gene. The map's
@@ -132,6 +135,7 @@ class RegressionFitness final : public FitnessFunction {
  public:
   explicit RegressionFitness(std::shared_ptr<NnffModel> model);
 
+  /// A batch of one, like NeuralFitness.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;
   std::vector<double> scoreBatch(
       const std::vector<const dsl::Program*>& genes,
@@ -148,6 +152,7 @@ class RegressionFitness final : public FitnessFunction {
  private:
   std::shared_ptr<NnffModel> model_;
   ModelLaneSink sink_{nullptr};
+  std::vector<EncodedTrace> slots_;  ///< encodings of run-backed contexts
 };
 
 }  // namespace netsyn::fitness

@@ -61,10 +61,12 @@ double RankTrainer::pairAccuracy(const NnffModel& model,
                                  const std::vector<PairSample>& set) {
   if (set.empty()) return 0.0;
   std::size_t correct = 0;
+  EncodedTrace ea, eb;
   for (const PairSample& p : set) {
-    const float sa = model.forwardFast(p.spec, p.a, p.tracesA)[0];
-    const float sb = model.forwardFast(p.spec, p.b, p.tracesB)[0];
-    const bool predictedAFirst = sa > sb;
+    model.encodeTrace(p.spec, p.a, p.tracesA, ea);
+    model.encodeTrace(p.spec, p.b, p.tracesB, eb);
+    const auto scores = model.predictBatch(p.spec, {&p.a, &p.b}, {&ea, &eb});
+    const bool predictedAFirst = scores[0][0] > scores[1][0];
     const bool actualAFirst = p.metricA > p.metricB;
     correct += (predictedAFirst == actualAFirst) ? 1 : 0;
   }

@@ -80,7 +80,9 @@ struct ServiceConfig {
   /// Durable-state directory. Empty (default) disables durability; set, the
   /// service persists job manifests, completed-task records, and task
   /// snapshots under `<stateDir>/jobs/` and recovers them on construction.
-  std::string stateDir;
+  /// (The explicit `= {}` lets designated initializers omit this field
+  /// without -Wmissing-field-initializers.)
+  std::string stateDir = {};
   /// Default per-job wall-clock deadline in seconds (0 = none). A job past
   /// its deadline fails with errorKind "deadline". SubmitOptions can
   /// override per job.

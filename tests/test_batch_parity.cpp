@@ -1,6 +1,7 @@
 // Batched-evaluation parity: the population-batched NN forward, the
-// scoreBatch overrides, the batched synthesizer grading, and the batch-aware
-// evaluator must all agree with their per-gene counterparts.
+// scoreBatch overrides, the lane and scatter synthesizer grading paths, and
+// the batch-aware evaluator must all agree with their per-gene
+// counterparts — bitwise, since a batch of one is the single-gene path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,8 +25,6 @@ using netsyn::util::Rng;
 
 namespace {
 
-constexpr double kTol = 1e-9;
-
 nf::NnffConfig smallConfig(nf::HeadKind head) {
   nf::NnffConfig cfg;
   cfg.encoder = {.vmax = 64, .maxValueTokens = 8};
@@ -43,13 +42,6 @@ struct PopulationFixture {
   nd::Spec spec;
   std::vector<nd::Program> genes;
   std::vector<std::vector<nd::ExecResult>> runs;  // per gene, per example
-
-  std::vector<std::vector<std::vector<nd::Value>>> traces() const {
-    std::vector<std::vector<std::vector<nd::Value>>> out(runs.size());
-    for (std::size_t b = 0; b < runs.size(); ++b)
-      for (const auto& r : runs[b]) out[b].push_back(r.trace);
-    return out;
-  }
 };
 
 PopulationFixture makePopulation(std::size_t count, std::uint64_t seed,
@@ -78,6 +70,27 @@ std::vector<const nd::Program*> genePtrs(const PopulationFixture& fx) {
   std::vector<const nd::Program*> out;
   for (const auto& g : fx.genes) out.push_back(&g);
   return out;
+}
+
+/// The whole population's logits: every gene encoded from its scattered
+/// runs, then one predictBatch.
+std::vector<std::vector<float>> predictAll(const nf::NnffModel& model,
+                                          const PopulationFixture& fx) {
+  std::vector<nf::EncodedTrace> encoded(fx.genes.size());
+  std::vector<const nf::EncodedTrace*> ptrs;
+  for (std::size_t b = 0; b < fx.genes.size(); ++b) {
+    model.encodeTrace(fx.spec, fx.genes[b], fx.runs[b], encoded[b]);
+    ptrs.push_back(&encoded[b]);
+  }
+  return model.predictBatch(fx.spec, genePtrs(fx), ptrs);
+}
+
+/// Gene b's logits through a batch of one.
+std::vector<float> predictOne(const nf::NnffModel& model,
+                              const PopulationFixture& fx, std::size_t b) {
+  nf::EncodedTrace encoded;
+  model.encodeTrace(fx.spec, fx.genes[b], fx.runs[b], encoded);
+  return model.predictBatch(fx.spec, {&fx.genes[b]}, {&encoded})[0];
 }
 
 }  // namespace
@@ -115,47 +128,35 @@ TEST(BatchKernels, TokenEncodingMatchesScalarPerRow) {
 
 // ------------------------------------------------- model-level parity ------
 
-TEST(PredictBatch, MatchesForwardFastPerGene) {
+TEST(PredictBatch, BatchOfOneMatchesPopulationRow) {
   const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(32, 11);
-  const auto traces = fx.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrs;
-  for (const auto& t : traces) tracePtrs.push_back(&t);
-
-  const auto batched = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  const auto batched = predictAll(model, fx);
   ASSERT_EQ(batched.size(), fx.genes.size());
   for (std::size_t b = 0; b < fx.genes.size(); ++b) {
-    const auto single = model.forwardFast(fx.spec, fx.genes[b], traces[b]);
+    const auto single = predictOne(model, fx, b);
     ASSERT_EQ(batched[b].size(), single.size());
     for (std::size_t j = 0; j < single.size(); ++j)
-      EXPECT_NEAR(batched[b][j], single[j], kTol)
-          << "gene " << b << " logit " << j;
+      EXPECT_EQ(batched[b][j], single[j]) << "gene " << b << " logit " << j;
   }
 }
 
 TEST(PredictBatch, HandlesMixedLengthPopulations) {
   const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(17, 12, /*mixedLengths=*/true);
-  const auto traces = fx.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrs;
-  for (const auto& t : traces) tracePtrs.push_back(&t);
-
-  const auto batched = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  const auto batched = predictAll(model, fx);
   for (std::size_t b = 0; b < fx.genes.size(); ++b) {
-    const auto single = model.forwardFast(fx.spec, fx.genes[b], traces[b]);
+    const auto single = predictOne(model, fx, b);
     for (std::size_t j = 0; j < single.size(); ++j)
-      EXPECT_NEAR(batched[b][j], single[j], kTol);
+      EXPECT_EQ(batched[b][j], single[j]) << "gene " << b << " logit " << j;
   }
 }
 
 TEST(PredictBatch, RepeatedCallsHitTraceMemoConsistently) {
   const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(8, 13);
-  const auto traces = fx.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrs;
-  for (const auto& t : traces) tracePtrs.push_back(&t);
-  const auto first = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
-  const auto second = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  const auto first = predictAll(model, fx);
+  const auto second = predictAll(model, fx);
   for (std::size_t b = 0; b < first.size(); ++b)
     for (std::size_t j = 0; j < first[b].size(); ++j)
       EXPECT_EQ(first[b][j], second[b][j]);
@@ -165,10 +166,9 @@ TEST(ModelClone, ProducesIdenticalPredictions) {
   const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto copy = model.clone();
   const auto fx = makePopulation(4, 14);
-  const auto traces = fx.traces();
   for (std::size_t b = 0; b < fx.genes.size(); ++b) {
-    const auto a = model.forwardFast(fx.spec, fx.genes[b], traces[b]);
-    const auto c = copy->forwardFast(fx.spec, fx.genes[b], traces[b]);
+    const auto a = predictOne(model, fx, b);
+    const auto c = predictOne(*copy, fx, b);
     ASSERT_EQ(a.size(), c.size());
     for (std::size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a[j], c[j]);
   }
@@ -191,7 +191,7 @@ void expectScoreBatchParity(nf::FitnessFunction& fit,
   ASSERT_EQ(batched.size(), fx.genes.size());
   for (std::size_t b = 0; b < fx.genes.size(); ++b) {
     const double single = fit.score(fx.genes[b], *contexts[b]);
-    EXPECT_NEAR(batched[b], single, kTol) << "gene " << b;
+    EXPECT_EQ(batched[b], single) << "gene " << b;
   }
 }
 
@@ -231,17 +231,14 @@ TEST(ScoreBatch, DefaultLoopCoversOracleAndEditFitness) {
 TEST(TraceMemo, SecondPassIsAllHitsAtDefaultCapacity) {
   nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(12, 61);
-  const auto traces = fx.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrs;
-  for (const auto& t : traces) tracePtrs.push_back(&t);
 
   EXPECT_EQ(model.memoStats().traceHits, 0u);
   EXPECT_EQ(model.memoStats().traceMisses, 0u);
-  (void)model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  (void)predictAll(model, fx);
   const auto first = model.memoStats();
   EXPECT_GT(first.traceMisses, 0u);
   EXPECT_GT(first.editMisses, 0u);
-  (void)model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  (void)predictAll(model, fx);
   const auto second = model.memoStats();
   EXPECT_EQ(second.traceMisses, first.traceMisses)
       << "re-encoded an already-memoized trace span";
@@ -259,12 +256,9 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   // boundary.
   nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(12, 62);
-  const auto traces = fx.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrs;
-  for (const auto& t : traces) tracePtrs.push_back(&t);
 
   // Measure the unique-span working set at the default (ample) capacity...
-  (void)model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  (void)predictAll(model, fx);
   const std::size_t unique = model.memoStats().traceMisses;
   ASSERT_GT(unique, 4u) << "fixture too small to exercise rotation";
 
@@ -272,7 +266,7 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   // fills the current generation to the brim without rotating.
   // setMemoCapacity clears the memos and stats.
   model.setMemoCapacity(unique);
-  const auto cold = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  const auto cold = predictAll(model, fx);
   const auto first = model.memoStats();
   EXPECT_EQ(first.traceMisses, unique) << "capacity changed the key space";
 
@@ -280,17 +274,14 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   // novel span rotates generations, demoting everything the first pass
   // encoded.
   const auto fxB = makePopulation(2, 63);
-  const auto tracesB = fxB.traces();
-  std::vector<const std::vector<std::vector<nd::Value>>*> tracePtrsB;
-  for (const auto& t : tracesB) tracePtrsB.push_back(&t);
-  (void)model.predictBatch(fxB.spec, genePtrs(fxB), tracePtrsB);
+  (void)predictAll(model, fxB);
   const auto mid = model.memoStats();
   ASSERT_GT(mid.traceMisses, first.traceMisses) << "no rotation was forced";
 
   // Crossing back is where clear() used to start cold: with two
   // generations the whole first working set is still readable, so the
   // repeat pass adds no misses.
-  const auto warm = model.predictBatch(fx.spec, genePtrs(fx), tracePtrs);
+  const auto warm = predictAll(model, fx);
   const auto second = model.memoStats();
   EXPECT_EQ(second.traceMisses, mid.traceMisses)
       << "the rotation evicted part of the live working set";
@@ -438,8 +429,10 @@ void expectSameResult(const nc::SynthesisResult& a,
   EXPECT_DOUBLE_EQ(a.bestFitness, b.bestFitness);
 }
 
+/// `lanes` = true grades through lane views (encodeLaneTrace); false forces
+/// the scalar executor, so grading reads scattered runs (encodeTrace).
 nc::SynthesisResult runOnce(const nd::Spec& spec, nf::FitnessPtr fit,
-                            bool batched, nc::NsKind nsKind,
+                            bool lanes, nc::NsKind nsKind,
                             std::uint64_t seed) {
   nc::SynthesizerConfig sc;
   sc.ga.populationSize = 20;
@@ -448,7 +441,7 @@ nc::SynthesisResult runOnce(const nd::Spec& spec, nf::FitnessPtr fit,
   sc.nsWindow = 5;
   sc.nsTopN = 2;
   sc.nsKind = nsKind;
-  sc.batchedEvaluation = batched;
+  sc.simdExecutor = lanes;
   const nc::Synthesizer syn(sc, std::move(fit));
   Rng rng(seed);
   return syn.synthesize(spec, 5, 1500, rng);
@@ -456,7 +449,7 @@ nc::SynthesisResult runOnce(const nd::Spec& spec, nf::FitnessPtr fit,
 
 }  // namespace
 
-TEST(SynthesizerParity, BatchedAndScalarGradingSearchIdentically) {
+TEST(SynthesizerParity, LaneAndScatterGradingSearchIdentically) {
   auto model =
       std::make_shared<nf::NnffModel>(smallConfig(nf::HeadKind::Classifier));
   Rng rng(51);
@@ -464,26 +457,26 @@ TEST(SynthesizerParity, BatchedAndScalarGradingSearchIdentically) {
   const auto tc = gen.randomTestCase(5, 4, false, rng);
   ASSERT_TRUE(tc.has_value());
   for (const auto nsKind : {nc::NsKind::BFS, nc::NsKind::DFS}) {
-    const auto batched =
+    const auto lanes =
         runOnce(tc->spec, std::make_shared<nf::NeuralFitness>(model, "NN_CF"),
                 true, nsKind, 99);
-    const auto scalar =
+    const auto scatter =
         runOnce(tc->spec, std::make_shared<nf::NeuralFitness>(model, "NN_CF"),
                 false, nsKind, 99);
-    expectSameResult(batched, scalar);
+    expectSameResult(lanes, scatter);
   }
 }
 
-TEST(SynthesizerParity, EditFitnessUnaffectedByBatchFlag) {
+TEST(SynthesizerParity, EditFitnessUnaffectedByExecutor) {
   Rng rng(52);
   const nd::Generator gen;
   const auto tc = gen.randomTestCase(4, 4, false, rng);
   ASSERT_TRUE(tc.has_value());
-  const auto batched = runOnce(
+  const auto lanes = runOnce(
       tc->spec, std::make_shared<nf::EditDistanceFitness>(), true,
       nc::NsKind::BFS, 7);
   const auto scalar = runOnce(
       tc->spec, std::make_shared<nf::EditDistanceFitness>(), false,
       nc::NsKind::BFS, 7);
-  expectSameResult(batched, scalar);
+  expectSameResult(lanes, scalar);
 }

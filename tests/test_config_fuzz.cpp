@@ -216,7 +216,9 @@ TEST(ConfigFuzz, RandomByteCorruptionNeverCrashes) {
           doc.insert(pos, 1, static_cast<char>(rng.uniform(256)));
           break;
       }
-      if (doc.empty()) doc = "{";
+      // push_back, not `doc = "{"`: GCC 12 flags the one-char literal
+      // assignment with a bogus -Wrestrict (GCC bug 105329).
+      if (doc.empty()) doc.push_back('{');
     }
     try {
       (void)nh::ExperimentConfig::fromJson(doc);

@@ -113,6 +113,27 @@ TEST(BigramFitness, PairMapCachedPerSpec) {
   EXPECT_EQ(ptr, &b);  // same cached vector
 }
 
+TEST(BigramFitness, PairMapInvalidatesWhenSpecContentsChangeAtSameAddress) {
+  auto model = std::make_shared<nf::NnffModel>(tinyConfig(
+      nf::HeadKind::Multilabel, 5, false, nf::kBigramDim));
+  nf::BigramFitness fit(model);
+  nf::BigramFitness fresh(model);
+  const auto set = tinyDataset(2, 8);
+  ASSERT_NE(set[0].spec.fingerprint(), set[1].spec.fingerprint());
+
+  // One spec object whose contents are replaced in place: the address stays
+  // the same, so an address-keyed cache would serve map A for spec B.
+  nd::Spec spec = set[0].spec;
+  const std::vector<double> mapA = fit.pairMap(spec);
+  spec = set[1].spec;
+  const std::vector<double> mapB = fit.pairMap(spec);
+  const std::vector<double>& mapBFresh = fresh.pairMap(spec);
+  for (std::size_t j = 0; j < mapB.size(); ++j)
+    EXPECT_EQ(mapB[j], mapBFresh[j]) << "stale cached map at pair " << j;
+  // And the two specs genuinely disagree somewhere (guards the test).
+  EXPECT_NE(mapA, mapB);
+}
+
 TEST(BigramTraining, LossDecreases) {
   nf::NnffModel model(tinyConfig(nf::HeadKind::Multilabel, 5, false,
                                  nf::kBigramDim));

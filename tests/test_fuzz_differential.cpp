@@ -384,14 +384,15 @@ TEST(FuzzDifferential, PinnedIngestMatchesScalarOracleAcrossCandidates) {
 
 // ------------------------------- lane-view NN encoding parity -------------
 
-// The NN fitness stack reads traces two ways: scattered per-example Values
-// (predictBatchRuns) and un-scattered SoA lane blocks through a
-// LaneTraceView (encodeLaneTrace + predictBatchEncoded). The lane encoder
-// recomputes fingerprints and token spans straight off the lane segments,
-// so any mismatch with the Value-walking tokenizer — ordering, sign
-// extension, empty-list defaults, the final-output edit distance — shows up
-// as a score difference here. Scores must be bitwise-equal, not just close:
-// both paths feed the same memos and the same batched LSTM rows.
+// The NN fitness stack encodes traces two ways: scattered per-example
+// Values from the scalar executor (encodeTrace) and un-scattered SoA lane
+// blocks through a LaneTraceView (encodeLaneTrace). The lane encoder reads
+// fingerprints and token spans straight off the lane segments, so any
+// mismatch with the Value cells — ordering, sign extension, empty-list
+// defaults, the final-output edit distance — shows up here, first as an
+// EncodedTrace field difference, then as a score difference. Both must be
+// bitwise-equal, not just close: the two encoders share one body and feed
+// the same memos and the same batched LSTM rows.
 TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
   nf::NnffConfig cfg;
   cfg.encoder = {.vmax = 64, .maxValueTokens = 8};
@@ -434,19 +435,18 @@ TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
     std::vector<const nd::Program*> genePtrs;
     for (const auto& g : genes) genePtrs.push_back(&g);
 
-    // Scalar oracle: scattered traces through predictBatchRuns.
+    // Scalar oracle: scalar-executor traces, scattered and encoded in place.
     nd::Executor scalarExec;
     scalarExec.setLaneExecution(false);
-    std::vector<std::vector<nd::ExecResult>> runs(
-        kGenes, std::vector<nd::ExecResult>(examples));
-    std::vector<const std::vector<nd::ExecResult>*> runPtrs;
+    std::vector<nd::ExecResult> runs(examples);
+    std::vector<nf::EncodedTrace> scattered(kGenes);
+    std::vector<const nf::EncodedTrace*> scatteredPtrs;
     for (std::size_t b = 0; b < kGenes; ++b) {
       const nd::ExecPlan& plan = scalarExec.planFor(genes[b], sig);
-      scalarExec.executeMulti(plan, inputSets.data(), examples,
-                              runs[b].data());
-      runPtrs.push_back(&runs[b]);
+      scalarExec.executeMulti(plan, inputSets.data(), examples, runs.data());
+      model.encodeTrace(spec, genes[b], runs, scattered[b]);
+      scatteredPtrs.push_back(&scattered[b]);
     }
-    const auto scalar = model.predictBatchRuns(spec, genePtrs, runPtrs);
 
     // Lane path: the view aliases the executor's scratch SoA trace, so each
     // gene is encoded before the next execution overwrites it — the same
@@ -465,7 +465,18 @@ TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
       model.encodeLaneTrace(spec, genes[b], view, encoded[b]);
       encodedPtrs.push_back(&encoded[b]);
     }
-    const auto lane = model.predictBatchEncoded(spec, genePtrs, encodedPtrs);
+    for (std::size_t b = 0; b < kGenes; ++b) {
+      ASSERT_EQ(encoded[b].length, scattered[b].length) << "gene " << b;
+      ASSERT_EQ(encoded[b].examples, scattered[b].examples) << "gene " << b;
+      ASSERT_EQ(encoded[b].steps, scattered[b].steps)
+          << "round " << round << " gene " << b << ": "
+          << genes[b].toString();
+      ASSERT_EQ(encoded[b].gfeat, scattered[b].gfeat)
+          << "round " << round << " gene " << b << ": "
+          << genes[b].toString();
+    }
+    const auto scalar = model.predictBatch(spec, genePtrs, scatteredPtrs);
+    const auto lane = model.predictBatch(spec, genePtrs, encodedPtrs);
 
     ASSERT_EQ(lane.size(), scalar.size());
     for (std::size_t b = 0; b < kGenes; ++b) {

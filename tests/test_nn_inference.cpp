@@ -1,6 +1,6 @@
 // The allocation-free inference path must match the autograd graph path to
 // float precision — these tests pin that equivalence for every kernel and
-// for the full fitness models.
+// for the full fitness models, whose oracle is forward()/forwardIOOnly().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,35 +108,58 @@ TEST(FastInference, ReluClampsNegatives) {
 
 class FullModelEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(FullModelEquivalence, ClassifierFastMatchesGraph) {
+namespace {
+
+/// predictBatch-of-one (encodeTrace + predictBatch) against the autograd
+/// forward() on a handful of dataset samples.
+void expectBatchOfOneMatchesGraph(nf::HeadKind head, std::size_t numClasses,
+                                  std::uint64_t seed, std::uint64_t dataSeed) {
   nf::NnffConfig cfg;
   cfg.encoder = {.vmax = 16, .maxValueTokens = 6};
   cfg.embedDim = 8;
   cfg.hiddenDim = 12;
-  cfg.numClasses = 5;
+  cfg.numClasses = numClasses;
   cfg.maxExamples = 3;
-  cfg.seed = 42 + static_cast<std::uint64_t>(GetParam());
-  nf::NnffModel model(cfg);
+  cfg.head = head;
+  cfg.seed = seed;
+  const nf::NnffModel model(cfg);
 
   nf::DatasetConfig dc;
   dc.programLength = 4;
   dc.numExamples = 3;
   nf::DatasetBuilder builder(dc);
-  Rng rng(100 + GetParam());
+  Rng rng(dataSeed);
+  nf::EncodedTrace encoded;
   for (int iter = 0; iter < 5; ++iter) {
     const auto s = builder.makeSample(static_cast<std::size_t>(iter % 5),
                                       nf::BalanceMetric::CF, rng);
     if (!s) continue;  // rare degenerate spec at this seed; not under test
     nn::InferenceModeGuard guard;
     const auto graph = model.forward(s->spec, s->candidate, s->traces);
-    const auto fast = model.forwardFast(s->spec, s->candidate, s->traces);
+    model.encodeTrace(s->spec, s->candidate, s->traces, encoded);
+    const auto fast =
+        model.predictBatch(s->spec, {&s->candidate}, {&encoded})[0];
     ASSERT_EQ(fast.size(), graph->value().cols());
     for (std::size_t j = 0; j < fast.size(); ++j)
       EXPECT_NEAR(fast[j], graph->value().at(j), kTol) << "logit " << j;
   }
 }
 
-TEST_P(FullModelEquivalence, MultilabelFastMatchesGraph) {
+}  // namespace
+
+TEST_P(FullModelEquivalence, ClassifierBatchOfOneMatchesGraph) {
+  expectBatchOfOneMatchesGraph(nf::HeadKind::Classifier, 5,
+                               42 + static_cast<std::uint64_t>(GetParam()),
+                               100 + static_cast<std::uint64_t>(GetParam()));
+}
+
+TEST_P(FullModelEquivalence, RegressionBatchOfOneMatchesGraph) {
+  expectBatchOfOneMatchesGraph(nf::HeadKind::Regression, 5,
+                               17 + static_cast<std::uint64_t>(GetParam()),
+                               300 + static_cast<std::uint64_t>(GetParam()));
+}
+
+TEST_P(FullModelEquivalence, MultilabelPredictIOOnlyMatchesGraph) {
   nf::NnffConfig cfg;
   cfg.encoder = {.vmax = 16, .maxValueTokens = 6};
   cfg.embedDim = 8;
@@ -156,7 +179,8 @@ TEST_P(FullModelEquivalence, MultilabelFastMatchesGraph) {
   ASSERT_TRUE(s.has_value());
   nn::InferenceModeGuard guard;
   const auto graph = model.forwardIOOnly(s->spec);
-  const auto fast = model.forwardIOOnlyFast(s->spec);
+  const auto fast = model.predictIOOnly(s->spec);
+  ASSERT_EQ(fast.size(), graph->value().cols());
   for (std::size_t j = 0; j < fast.size(); ++j)
     EXPECT_NEAR(fast[j], graph->value().at(j), kTol);
 }

@@ -185,9 +185,10 @@ TEST(SearchStateSnapshot, ResumedCheckpointFinishesWithTheSameWinner) {
   EXPECT_EQ(resumedResult->generations, expected.generations);
   EXPECT_EQ(resumedResult->nsInvocations, expected.nsInvocations);
   EXPECT_DOUBLE_EQ(resumedResult->bestFitness, expected.bestFitness);
-  if (expected.found)
+  if (expected.found) {
     EXPECT_EQ(resumedResult->solution.functions(),
               expected.solution.functions());
+  }
 }
 
 TEST(Service, PauseResumeJobMatchesOneShot) {

@@ -297,7 +297,10 @@ TEST(StrDomain, ClassifierModelScoresStrGenes) {
   for (const auto& ex : tc->spec.examples)
     traces.push_back(nd::run(tc->program, ex.inputs).trace);
   const auto slow = model->forward(tc->spec, tc->program, traces);
-  const auto fast = model->forwardFast(tc->spec, tc->program, traces);
+  nf::EncodedTrace encoded;
+  model->encodeTrace(tc->spec, tc->program, traces, encoded);
+  const auto fast =
+      model->predictBatch(tc->spec, {&tc->program}, {&encoded})[0];
   ASSERT_EQ(fast.size(), 4u);
   for (std::size_t j = 0; j < fast.size(); ++j)
     EXPECT_NEAR(slow->value().at(j), fast[j], 1e-5f);
