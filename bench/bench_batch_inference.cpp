@@ -5,8 +5,11 @@
 // per-gene FitnessFunction::score calls and once with one scoreBatch call.
 // NeuralFitness::score is a batch of one, so the "scalar" column measures
 // the same encode + predictBatch path run one gene at a time: the speedup is
-// the gain from batching alone. Gene execution (the interpreter) is
-// excluded from both timings; this isolates NN scoring throughput.
+// the gain from batching alone. Each column grades with its own clone of
+// the model, so each reads only the memos its own earlier generations
+// filled (the scalar pass would otherwise warm the batched one). Gene
+// execution (the interpreter) is excluded from both timings; this isolates
+// NN scoring throughput.
 //
 //   $ ./bench_batch_inference [--population=100] [--generations=30]
 //                             [--length=5] [--seed=2021]
@@ -66,8 +69,10 @@ int main(int argc, char** argv) {
   mc.hiddenDim = 24;
   mc.maxExamples = 3;
   mc.head = fitness::HeadKind::Classifier;
-  auto model = std::make_shared<fitness::NnffModel>(mc);
-  fitness::NeuralFitness fitness(model, "NN_CF");
+  auto scalarModel = std::make_shared<fitness::NnffModel>(mc);
+  std::shared_ptr<fitness::NnffModel> batchModel = scalarModel->clone();
+  fitness::NeuralFitness scalarFitness(scalarModel, "NN_CF");
+  fitness::NeuralFitness batchFitness(batchModel, "NN_CF");
 
   util::Rng rng(seed);
   const dsl::Generator gen;
@@ -109,11 +114,11 @@ int main(int argc, char** argv) {
     std::vector<double> scalarScores;
     scalarScores.reserve(pop.genes.size());
     for (std::size_t b = 0; b < pop.genes.size(); ++b)
-      scalarScores.push_back(fitness.score(pop.genes[b], *contexts[b]));
+      scalarScores.push_back(scalarFitness.score(pop.genes[b], *contexts[b]));
     scalarSeconds += scalarTimer.seconds();
 
     util::Timer batchTimer;
-    const auto batchScores = fitness.scoreBatch(genePtrs, contexts);
+    const auto batchScores = batchFitness.scoreBatch(genePtrs, contexts);
     batchSeconds += batchTimer.seconds();
 
     graded += pop.genes.size();

@@ -79,23 +79,28 @@ std::uint64_t editKey(std::uint64_t traceFp, std::uint64_t outputFp) {
   return key;
 }
 
+/// Key of the empty token prefix, and the chain step that extends a prefix
+/// key by one token: key(p + t) = tokenChain(key(p), t). The splitmix64
+/// finalizer keeps every prefix's key well mixed.
+constexpr std::uint64_t kEmptyPrefixKey = 0x6a09e667f3bcc909ULL;
+
+std::uint64_t tokenChain(std::uint64_t prefixKey, std::size_t token) {
+  std::uint64_t z = prefixKey + 0x9e3779b97f4a7c15ULL * (token + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Two-generation memo lookup: probes the current map, then the previous
 /// one, promoting a previous-generation hit so the working set survives the
 /// next rotation. Node extraction moves the element wholesale — a mapped
-/// vector's heap buffer (and thus a returned reference) stays put.
+/// vector's heap buffer (and thus a returned pointer into it) stays put.
 template <typename Map>
-typename Map::mapped_type* findMemo(Map& cur, Map& prev, std::uint64_t key,
-                                    std::uint64_t& hits,
-                                    std::uint64_t& misses) {
-  if (const auto it = cur.find(key); it != cur.end()) {
-    ++hits;
-    return &it->second;
-  }
-  if (const auto it = prev.find(key); it != prev.end()) {
-    ++hits;
+typename Map::mapped_type* findMemo(Map& cur, Map& prev,
+                                    const typename Map::key_type& key) {
+  if (const auto it = cur.find(key); it != cur.end()) return &it->second;
+  if (const auto it = prev.find(key); it != prev.end())
     return &cur.insert(prev.extract(it)).position->second;
-  }
-  ++misses;
   return nullptr;
 }
 
@@ -249,34 +254,62 @@ nn::Var NnffModel::forward(
   return head(exampleLstm_->encode(His));
 }
 
-const std::vector<float>& NnffModel::memoTraceEncoding(
-    std::uint64_t fp, const TraceCell& c) const {
-  // Keyed by the value's own fingerprint, so a hit skips tokenization too
-  // (two values that clamp/truncate to the same token sequence just occupy
-  // two entries with equal encodings — correct either way).
-  if (auto* hit = findMemo(traceMemo_, traceMemoPrev_, fp,
-                           memoStats_.traceHits, memoStats_.traceMisses))
-    return *hit;
-  // Miss: tokenize straight from the span into a reused scratch buffer —
-  // same token sequence encodeValue would produce for the equivalent Value.
+const float* NnffModel::memoTraceEncoding(const TraceCell& c) const {
+  // Tokenize straight from the span into a reused scratch buffer (the same
+  // token sequence encodeValue would produce for the equivalent Value) and
+  // chain the key of every prefix. The encoder always emits a type marker,
+  // so the sequence is never empty.
   if (c.type == dsl::Type::Int)
     encoder_.encodeIntInto(c.xs[0], tokenScratch_);
   else
     encoder_.encodeListInto(c.xs, c.n, tokenScratch_);
+  const std::size_t n = tokenScratch_.size();
+  prefixKeys_.resize(n + 1);
+  prefixKeys_[0] = kEmptyPrefixKey;
+  for (std::size_t t = 0; t < n; ++t)
+    prefixKeys_[t + 1] = tokenChain(prefixKeys_[t], tokenScratch_[t]);
+
+  if (const auto* hit = findMemo(traceMemo_, traceMemoPrev_, prefixKeys_[n])) {
+    ++memoStats_.traceHits;
+    return hit->data();
+  }
+  ++memoStats_.traceMisses;
   rotateAtCapacity(traceMemo_, traceMemoPrev_, memoCapacity_);
-  std::vector<float> h(config_.hiddenDim);
-  nn::lstmEncodeTokensFast(*traceLstm_, *valueEmb_, tokenScratch_, h.data(),
-                           scratch_);
-  return traceMemo_.emplace(fp, std::move(h)).first->second;
+
+  // Resume from the longest memoized proper prefix (depth 0 is the zero
+  // state) and memoize each prefix stepped through. Stepping on from a
+  // stored (h, c) is exactly what a from-scratch encode would compute.
+  const std::size_t hd = config_.hiddenDim;
+  std::size_t t = n - 1;
+  const float* state = nullptr;
+  for (; t > 0; --t) {
+    if (const auto* e = findMemo(traceMemo_, traceMemoPrev_, prefixKeys_[t])) {
+      state = e->data();
+      break;
+    }
+  }
+  const std::size_t e = valueEmb_->dim();
+  const float* table = valueEmb_->table().data();
+  for (; t < n; ++t) {
+    std::vector<float> next(2 * hd, 0.0f);
+    if (state != nullptr) std::copy(state, state + 2 * hd, next.begin());
+    nn::lstmStepFast(*traceLstm_, table + tokenScratch_[t] * e, next.data(),
+                     next.data() + hd, scratch_);
+    state = traceMemo_.emplace(prefixKeys_[t + 1], std::move(next))
+                .first->second.data();
+  }
+  return state;
 }
 
 std::size_t NnffModel::memoEditDistance(
     std::uint64_t traceFp, const TraceCell& c, std::uint64_t outputFp,
     const std::vector<std::int32_t>& outToks) const {
   const std::uint64_t key = editKey(traceFp, outputFp);
-  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, key,
-                                 memoStats_.editHits, memoStats_.editMisses))
+  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, key)) {
+    ++memoStats_.editHits;
     return *hit;
+  }
+  ++memoStats_.editMisses;
   rotateAtCapacity(editMemo_, editMemoPrev_, memoCapacity_);
   const std::size_t dist =
       editDistanceSpans(c.xs, c.n, outToks.data(), outToks.size());
@@ -286,14 +319,31 @@ std::size_t NnffModel::memoEditDistance(
 
 void NnffModel::setMemoCapacity(std::size_t cap) {
   memoCapacity_ = std::max<std::size_t>(cap, 1);
+  // The next encode or predict syncs and so starts from empty caches.
+  cacheValid_ = false;
+  captureSpec_ = nullptr;
+  memoStats_ = MemoStats{};
+}
+
+void NnffModel::syncCaches(std::uint64_t specFp) const {
+  const std::uint64_t version = params_.version();
+  if (cacheValid_ && cacheVersion_ == version && cacheSpecFp_ == specFp)
+    return;
   traceMemo_.clear();
   traceMemoPrev_.clear();
   editMemo_.clear();
   editMemoPrev_.clear();
-  memoStats_ = MemoStats{};
+  stepMemo_.clear();
+  stepMemoPrev_.clear();
+  stepMemoCalls_ = 0;
+  specStates_.clear();
+  cacheVersion_ = version;
+  cacheSpecFp_ = specFp;
+  cacheValid_ = true;
 }
 
 void NnffModel::beginLaneCapture(const dsl::Spec& spec) const {
+  syncCaches(spec.fingerprint());
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
   outputFps_.resize(m);
   outputToks_.resize(m);
@@ -342,9 +392,9 @@ void NnffModel::encodeCells(const dsl::Spec& spec,
       std::copy(fRow, fRow + e, x);
       std::int32_t scratch = 0;
       const TraceCell c = cellAt(i, k, scratch);
+      const float* tEnc = memoTraceEncoding(c);
+      std::copy(tEnc, tEnc + h, x + e);
       const std::uint64_t tvFp = cellFingerprint(c);
-      const auto& tEnc = memoTraceEncoding(tvFp, c);
-      std::copy(tEnc.begin(), tEnc.end(), x + e);
       const std::size_t dist = memoEditDistance(tvFp, c, outputFp, outToks);
       x[e + h] = 1.0f / (1.0f + static_cast<float>(dist));
       x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
@@ -367,7 +417,8 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
                                 EncodedTrace& out) const {
   if (!config_.useTrace)
     throw std::logic_error("NnffModel::encodeLaneTrace requires useTrace=true");
-  if (&spec != captureSpec_) beginLaneCapture(spec);
+  if (&spec != captureSpec_ || params_.version() != cacheVersion_)
+    beginLaneCapture(spec);
   if (view.steps != candidate.length())
     throw std::invalid_argument("NnffModel: trace length != program length");
   encodeCells(spec, candidate,
@@ -444,124 +495,214 @@ std::vector<std::vector<float>> NnffModel::predictBatch(
     if (encoded[b]->length != candidates[b]->length())
       throw std::invalid_argument("NnffModel: trace length != program length");
   }
-  return predictRows(spec, batch, encoded);
+  return predictRows(spec, candidates, encoded);
 }
 
 std::vector<float> NnffModel::predictIOOnly(const dsl::Spec& spec) const {
   if (config_.useTrace)
     throw std::logic_error("NnffModel::predictIOOnly requires useTrace=false");
-  return predictRows(spec, 1, {})[0];
+  return predictRows(spec, {}, {})[0];
+}
+
+void NnffModel::programStates(
+    const std::vector<const dsl::Program*>& candidates,
+    const std::vector<const EncodedTrace*>& encoded, std::size_t m,
+    std::vector<float>& hProg) const {
+  const std::size_t h = config_.hiddenDim;
+  const std::size_t batch = candidates.size();
+  const std::size_t stepWidth = encoded[0]->stepWidth;
+  const std::size_t w = 2 * h;  // one example's [h | c]
+  if (++stepMemoCalls_ % 2 == 0) {
+    std::swap(stepMemo_, stepMemoPrev_);
+    stepMemo_.clear();
+  }
+  const auto prefixKey = [](const dsl::Program& p, std::size_t depth,
+                            std::string& key) {
+    key.assign(reinterpret_cast<const char*>(p.functions().data()),
+               depth * sizeof(dsl::FuncId));
+  };
+
+  // 1. Every gene's longest memoized prefix: its depth and state (nullptr =
+  //    the zero state at depth 0). All genes are looked up before anything
+  //    is inserted, so no lookup can see an entry this call has yet to
+  //    compute.
+  std::vector<const float*> last(batch, nullptr);
+  std::vector<std::size_t> start(batch, 0);
+  std::string key;
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t d = candidates[b]->length(); d > 0; --d) {
+      prefixKey(*candidates[b], d, key);
+      if (const auto* e = findMemo(stepMemo_, stepMemoPrev_, key)) {
+        last[b] = e->data();
+        start[b] = d;
+        break;
+      }
+    }
+  }
+
+  // 2. Each prefix past a gene's memoized depth becomes one new entry,
+  //    shared by every gene of the batch that has it (phase 1 found none of
+  //    them, so an existing key here was added by an earlier gene of this
+  //    loop). levels[d - 1] lists the new prefixes of length d with the
+  //    state they resume from and the gene whose encoded rows feed them.
+  struct NewPrefix {
+    float* state;
+    const float* parent;
+    std::size_t gene;
+  };
+  std::vector<std::vector<NewPrefix>> levels;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const std::size_t len = candidates[b]->length();
+    if (levels.size() < len) levels.resize(len);
+    for (std::size_t d = start[b] + 1; d <= len; ++d) {
+      prefixKey(*candidates[b], d, key);
+      auto [it, fresh] = stepMemo_.try_emplace(key);
+      if (fresh) {
+        it->second.resize(m * w);
+        levels[d - 1].push_back({it->second.data(), last[b], b});
+      }
+      last[b] = it->second.data();
+    }
+  }
+
+  // 3. Level by level, step every new prefix on every example as one batch
+  //    of rows (prefix n, example i) -> row n * m + i.
+  std::vector<float> x, hs, cs;
+  for (std::size_t d = 1; d <= levels.size(); ++d) {
+    const auto& level = levels[d - 1];
+    const std::size_t rows = level.size() * m;
+    if (rows == 0) continue;
+    x.resize(rows * stepWidth);
+    hs.assign(rows * h, 0.0f);
+    cs.assign(rows * h, 0.0f);
+    for (std::size_t n = 0; n < level.size(); ++n) {
+      const EncodedTrace& et = *encoded[level[n].gene];
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t r = n * m + i;
+        const float* row =
+            et.steps.data() + (i * et.length + d - 1) * stepWidth;
+        std::copy(row, row + stepWidth, x.data() + r * stepWidth);
+        if (const float* p = level[n].parent) {
+          std::copy(p + i * w, p + i * w + h, hs.data() + r * h);
+          std::copy(p + i * w + h, p + (i + 1) * w, cs.data() + r * h);
+        }
+      }
+    }
+    nn::lstmStepBatchFast(*stepLstm_, x.data(), rows, hs.data(), cs.data(),
+                          scratch_);
+    for (std::size_t n = 0; n < level.size(); ++n)
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t r = n * m + i;
+        float* dst = level[n].state + i * w;
+        std::copy(hs.data() + r * h, hs.data() + (r + 1) * h, dst);
+        std::copy(cs.data() + r * h, cs.data() + (r + 1) * h, dst + h);
+      }
+  }
+
+  // 4. hProg row (i * batch + b): gene b's hidden state after its program
+  //    (zero for an empty program).
+  hProg.assign(m * batch * h, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (last[b] == nullptr) continue;
+    for (std::size_t i = 0; i < m; ++i)
+      std::copy(last[b] + i * w, last[b] + i * w + h,
+                hProg.data() + (i * batch + b) * h);
+  }
 }
 
 std::vector<std::vector<float>> NnffModel::predictRows(
-    const dsl::Spec& spec, std::size_t batch,
+    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
     const std::vector<const EncodedTrace*>& encoded) const {
   const std::size_t h = config_.hiddenDim;
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  const std::size_t batch = config_.useTrace ? candidates.size() : 1;
+  syncCaches(spec.fingerprint());
 
-  // His: example-major blocks of B x h (block i feeds exampleLstm step i).
-  std::vector<float> His(std::max<std::size_t>(m, 1) * batch * h);
-  std::vector<float> hProg(batch * h), cProg(batch * h), hMul(batch * h),
-      hFeat(batch * h);
-  std::vector<float> h1s(h), c1s(h), h2s(h), c2s(h);
-  std::vector<float> hC(batch * h), cC(batch * h), h2(batch * h),
-      c2(batch * h);
-
-  // Shared spec encodings, computed once for the whole population and
-  // batched across the m examples.
-  std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
-  std::vector<float> ioFeatsAll(m * kIoFeatureDim);
-  for (std::size_t i = 0; i < m; ++i) {
-    const dsl::IOExample& example = spec.examples[i];
-    inTokens[i] = encoder_.encodeInputs(example.inputs);
-    outTokens[i] = encoder_.encodeValue(example.output);
-    const auto feats = ioSummaryFeatures(example.inputs, example.output);
-    std::copy(feats.begin(), feats.end(),
-              ioFeatsAll.begin() + i * kIoFeatureDim);
+  // Spec cache: per example [hOut | h1 | c1 | h2 | c2], the output encoding
+  // and both combiner LSTMs' states after the three spec-level pieces
+  // (identical for every gene). Computed on the spec's first call, batched
+  // across the m examples.
+  enum : std::size_t { kOut, kH1, kC1, kH2, kC2, kSpecParts };
+  const std::size_t sw = kSpecParts * h;
+  if (specStates_.empty() && m > 0) {
+    std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
+    std::vector<float> ioFeatsAll(m * kIoFeatureDim);
+    for (std::size_t i = 0; i < m; ++i) {
+      const dsl::IOExample& example = spec.examples[i];
+      inTokens[i] = encoder_.encodeInputs(example.inputs);
+      outTokens[i] = encoder_.encodeValue(example.output);
+      const auto feats = ioSummaryFeatures(example.inputs, example.output);
+      std::copy(feats.begin(), feats.end(),
+                ioFeatsAll.begin() + i * kIoFeatureDim);
+    }
+    std::vector<float> pieces(3 * m * h);  // [hIn | hOut | hIoF], m x h each
+    float* hIn = pieces.data();
+    float* hOut = hIn + m * h;
+    float* hIoF = hOut + m * h;
+    nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens, hIn,
+                                  scratch_);
+    nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens, hOut,
+                                  scratch_);
+    nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m, hIoF);
+    for (std::size_t j = 0; j < m * h; ++j) hIoF[j] = std::tanh(hIoF[j]);
+    // Layer 2 consumes layer 1's hidden right after each step (equivalent
+    // to encodeAll + encode, without materializing the l1 sequence).
+    std::vector<float> h1(m * h, 0.0f), c1(m * h, 0.0f), h2(m * h, 0.0f),
+        c2(m * h, 0.0f);
+    for (const float* piece : {hIn, hOut, hIoF}) {
+      nn::lstmStepBatchFast(*combine1_, piece, m, h1.data(), c1.data(),
+                            scratch_);
+      nn::lstmStepBatchFast(*combine2_, h1.data(), m, h2.data(), c2.data(),
+                            scratch_);
+    }
+    specStates_.resize(m * sw);
+    const float* parts[kSpecParts] = {hOut, h1.data(), c1.data(), h2.data(),
+                                      c2.data()};
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t p = 0; p < kSpecParts; ++p)
+        std::copy(parts[p] + i * h, parts[p] + (i + 1) * h,
+                  specStates_.data() + i * sw + p * h);
   }
-  std::vector<float> hInAll(m * h), hOutAll(m * h), hIoFAll(m * h);
-  nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens,
-                                hInAll.data(), scratch_);
-  nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens,
-                                hOutAll.data(), scratch_);
-  nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m,
-                             hIoFAll.data());
-  for (float& v : hIoFAll) v = std::tanh(v);
+  const auto specPart = [&](std::size_t i, std::size_t p) {
+    return specStates_.data() + i * sw + p * h;
+  };
 
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* hIn = hInAll.data() + i * h;
-    const float* hOut = hOutAll.data() + i * h;
-    const float* hIoF = hIoFAll.data() + i * h;
-
-    if (config_.useTrace) {
-      // Program branch, batched over genes: step k runs all genes that are
-      // at least k+1 long through stepLstm as one B x stepWidth block of
-      // the encoded rows, fed verbatim.
-      const std::size_t stepWidth = encoded[0]->stepWidth;
-      std::size_t maxLen = 0;
-      for (std::size_t b = 0; b < batch; ++b)
-        maxLen = std::max(maxLen, encoded[b]->length);
-      std::vector<float> xStep(batch * stepWidth, 0.0f);
-      std::vector<std::uint8_t> active(batch);
-      std::fill(hProg.begin(), hProg.end(), 0.0f);
-      std::fill(cProg.begin(), cProg.end(), 0.0f);
-      for (std::size_t k = 0; k < maxLen; ++k) {
-        for (std::size_t b = 0; b < batch; ++b) {
-          const EncodedTrace& et = *encoded[b];
-          active[b] = k < et.length ? 1 : 0;
-          if (!active[b]) continue;
-          const float* row = et.steps.data() + (i * et.length + k) * stepWidth;
-          std::copy(row, row + stepWidth, xStep.data() + b * stepWidth);
-        }
-        nn::lstmStepBatchFast(*stepLstm_, xStep.data(), batch, hProg.data(),
-                              cProg.data(), scratch_, active.data());
-      }
-      for (std::size_t b = 0; b < batch; ++b)
-        for (std::size_t j = 0; j < h; ++j)
-          hMul[b * h + j] = hOut[j] * hProg[b * h + j];
-      std::vector<float> g(batch * 4);
-      for (std::size_t b = 0; b < batch; ++b)
-        std::copy(encoded[b]->gfeat.data() + i * 4,
-                  encoded[b]->gfeat.data() + (i + 1) * 4, g.data() + b * 4);
-      nn::linearForwardBatchFast(*featProj_, g.data(), batch, hFeat.data());
-      for (float& v : hFeat) v = std::tanh(v);
-    }
-
-    // Stacked combiners. The first three pieces are spec-level — identical
-    // for every gene — so both combiner LSTMs advance through them once on a
-    // single row; the resulting states are broadcast and the gene pieces run
-    // batched. Layer 2 consumes layer 1's hidden right after each step
-    // (equivalent to encodeAll + encode, without materializing the l1
-    // sequence).
-    std::fill(h1s.begin(), h1s.end(), 0.0f);
-    std::fill(c1s.begin(), c1s.end(), 0.0f);
-    std::fill(h2s.begin(), h2s.end(), 0.0f);
-    std::fill(c2s.begin(), c2s.end(), 0.0f);
-    const float* sharedPieces[3] = {hIn, hOut, hIoF};
-    for (const float* piece : sharedPieces) {
-      nn::lstmStepFast(*combine1_, piece, h1s.data(), c1s.data(), scratch_);
-      nn::lstmStepFast(*combine2_, h1s.data(), h2s.data(), c2s.data(),
-                       scratch_);
-    }
-    float* Hi = His.data() + i * batch * h;
-    if (config_.useTrace) {
+  // His: example-major blocks of B x h (block i feeds exampleLstm step i);
+  // row r = i * B + b throughout.
+  const std::size_t rows = m * batch;
+  std::vector<float> His(std::max<std::size_t>(m, 1) * batch * h);
+  if (!config_.useTrace) {
+    for (std::size_t i = 0; i < m; ++i)
+      std::copy(specPart(i, kH2), specPart(i, kH2) + h, His.data() + i * h);
+  } else if (rows > 0) {
+    // Program branch, then the three gene pieces through both combiners,
+    // each resuming from its example's cached spec-level states. Every
+    // (example, gene) row runs in one batch.
+    std::vector<float> hProg;
+    programStates(candidates, encoded, m, hProg);
+    std::vector<float> hMul(rows * h), g(rows * 4), hFeat(rows * h),
+        hC(rows * h), cC(rows * h), c2(rows * h);
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* hOut = specPart(i, kOut);
       for (std::size_t b = 0; b < batch; ++b) {
-        std::copy(h1s.begin(), h1s.end(), hC.begin() + b * h);
-        std::copy(c1s.begin(), c1s.end(), cC.begin() + b * h);
-        std::copy(h2s.begin(), h2s.end(), h2.begin() + b * h);
-        std::copy(c2s.begin(), c2s.end(), c2.begin() + b * h);
+        const std::size_t r = i * batch + b;
+        for (std::size_t j = 0; j < h; ++j)
+          hMul[r * h + j] = hOut[j] * hProg[r * h + j];
+        const float* gf = encoded[b]->gfeat.data() + i * 4;
+        std::copy(gf, gf + 4, g.data() + r * 4);
+        std::copy(specPart(i, kH1), specPart(i, kH1) + h, hC.data() + r * h);
+        std::copy(specPart(i, kC1), specPart(i, kC1) + h, cC.data() + r * h);
+        std::copy(specPart(i, kH2), specPart(i, kH2) + h, His.data() + r * h);
+        std::copy(specPart(i, kC2), specPart(i, kC2) + h, c2.data() + r * h);
       }
-      const float* genePieces[3] = {hProg.data(), hMul.data(), hFeat.data()};
-      for (const float* piece : genePieces) {
-        nn::lstmStepBatchFast(*combine1_, piece, batch, hC.data(), cC.data(),
-                              scratch_);
-        nn::lstmStepBatchFast(*combine2_, hC.data(), batch, h2.data(),
-                              c2.data(), scratch_);
-      }
-      std::copy(h2.begin(), h2.end(), Hi);
-    } else {
-      for (std::size_t b = 0; b < batch; ++b)
-        std::copy(h2s.begin(), h2s.end(), Hi + b * h);
+    }
+    nn::linearForwardBatchFast(*featProj_, g.data(), rows, hFeat.data());
+    for (float& v : hFeat) v = std::tanh(v);
+    for (const float* piece : {hProg.data(), hMul.data(), hFeat.data()}) {
+      nn::lstmStepBatchFast(*combine1_, piece, rows, hC.data(), cC.data(),
+                            scratch_);
+      nn::lstmStepBatchFast(*combine2_, hC.data(), rows, His.data(),
+                            c2.data(), scratch_);
     }
   }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -116,8 +117,9 @@ class NnffModel {
   /// buffers); clone the model per worker thread.
   ///
   /// beginLaneCapture caches per-example output fingerprints and token spans
-  /// for `spec`; encodeLaneTrace then fills `out` straight from the SoA lane
-  /// blocks of `view`, with no Value materialized anywhere.
+  /// for `spec` (first dropping the inference caches if the spec's contents
+  /// or the weights changed); encodeLaneTrace then fills `out` straight from
+  /// the SoA lane blocks of `view`, with no Value materialized anywhere.
   void beginLaneCapture(const dsl::Spec& spec) const;
   void encodeLaneTrace(const dsl::Spec& spec, const dsl::Program& candidate,
                        const dsl::LaneTraceView& view,
@@ -134,10 +136,10 @@ class NnffModel {
 
   /// Population-batched forward pass: row b of the result is the logits of
   /// candidates[b], graded from `encoded[b]` (encoded for that candidate
-  /// against the same spec). Spec encodings are computed once per example
-  /// instead of once per gene, and every LSTM/linear layer runs the whole
-  /// population as one matrix-matrix product. A batch of one is the
-  /// single-gene path.
+  /// against the same spec). Spec encodings are cached per spec (by its
+  /// fingerprint), each program prefix's stepLstm state is memoized per
+  /// spec, and every LSTM/linear layer runs the whole population as one
+  /// matrix-matrix product. A batch of one is the single-gene path.
   std::vector<std::vector<float>> predictBatch(
       const dsl::Spec& spec,
       const std::vector<const dsl::Program*>& candidates,
@@ -148,16 +150,19 @@ class NnffModel {
 
   /// Hit/miss counters of the trace-encoding and edit-distance memos, for
   /// tests and service stats (proves the two-generation eviction keeps the
-  /// hit rate high when the working set sits at the capacity boundary).
+  /// hit rate high when the working set sits at the capacity boundary). A
+  /// trace lookup is one per trace cell: a hit found the cell's whole token
+  /// sequence memoized.
   struct MemoStats {
     std::uint64_t traceHits = 0, traceMisses = 0;
     std::uint64_t editHits = 0, editMisses = 0;
   };
   MemoStats memoStats() const { return memoStats_; }
 
-  /// Test hook: shrinks the memo capacity (entries per generation map) so
-  /// boundary behavior is testable without 32k distinct values. Clears both
-  /// memos and the counters.
+  /// Test hook: shrinks the memo capacity (entries per generation map; the
+  /// trace memo counts token-prefix entries) so boundary behavior is
+  /// testable without 32k distinct values. Clears the memos and the
+  /// counters.
   void setMemoCapacity(std::size_t cap);
 
   /// Deep copy with identical parameters and its own scratch/memo buffers —
@@ -183,13 +188,11 @@ class NnffModel {
 
   nn::Var head(const nn::Var& h) const;
 
-  /// Memoized traceLstm encoding of one trace cell, keyed by its
-  /// fingerprint `fp` (computed once per step by the caller and shared with
-  /// memoEditDistance). The encoding is a pure function of the value, so
-  /// entries never go stale. Bounded by a two-generation scheme (see the
-  /// memo members below).
-  const std::vector<float>& memoTraceEncoding(std::uint64_t fp,
-                                              const TraceCell& c) const;
+  /// traceLstm encoding (hiddenDim floats) of one trace cell, through the
+  /// token-prefix memo: a whole-value hit is one probe of the full token
+  /// sequence; a miss resumes from the longest memoized prefix and memoizes
+  /// every new prefix it steps through.
+  const float* memoTraceEncoding(const TraceCell& c) const;
 
   /// Memoized edit distance between a trace cell and an example output (the
   /// cached token span from beginLaneCapture). Trace values recur heavily
@@ -212,11 +215,23 @@ class NnffModel {
                        std::size_t count, const TraceAt& traceAt,
                        EncodedTrace& out) const;
 
-  /// Shared core of predictBatch and predictIOOnly: `batch` rows, the
-  /// program/trace branch fed from `encoded` iff useTrace.
+  /// Shared core of predictBatch and predictIOOnly: one row per candidate
+  /// (one row, no program branch, when `candidates` is empty).
   std::vector<std::vector<float>> predictRows(
-      const dsl::Spec& spec, std::size_t batch,
+      const dsl::Spec& spec,
+      const std::vector<const dsl::Program*>& candidates,
       const std::vector<const EncodedTrace*>& encoded) const;
+
+  /// Drops every inference cache when the weights (params_.version()) or
+  /// the spec being graded (its fingerprint) changed since they were built.
+  void syncCaches(std::uint64_t specFp) const;
+
+  /// stepLstm state of every example after each candidate's full program,
+  /// through the program-prefix memo: `hProg` gets row (i * B + b) =
+  /// hidden state of candidates[b] on example i.
+  void programStates(const std::vector<const dsl::Program*>& candidates,
+                     const std::vector<const EncodedTrace*>& encoded,
+                     std::size_t m, std::vector<float>& hProg) const;
 
   NnffConfig config_;
   const dsl::Domain* resolvedDomain_;  ///< config_.domain, null -> list
@@ -236,19 +251,33 @@ class NnffModel {
   std::unique_ptr<nn::Linear> fc1_;
   std::unique_ptr<nn::Linear> fc2_;
   mutable nn::InferenceScratch scratch_;  ///< inference buffers
-  /// Trace-value encoding memo, keyed by a 64-bit FNV-1a fingerprint of the
-  /// value (GA populations re-produce the same intermediate values across
-  /// genes and generations). The fingerprint replaces a per-lookup
-  /// heap-allocated string key; a collision could only substitute one
-  /// value's encoding for another's in the fitness signal, and at < 2^32
-  /// distinct trace values per run is negligible.
+
+  // Inference caches. Each LSTM prefix is computed once: the spec pieces per
+  // spec, a trace value's token prefixes, a program's step prefixes. All of
+  // them derive from the weights, so syncCaches drops them when
+  // params_.version() moves; they are also scoped to one spec (dropped when
+  // its fingerprint changes), which keeps memory at one task's working set.
+  mutable std::uint64_t cacheVersion_ = 0;
+  mutable std::uint64_t cacheSpecFp_ = 0;
+  mutable bool cacheValid_ = false;
+
+  /// Spec cache (predictRows): per encoded example, the output encoding and
+  /// the combine1/combine2 [h1 | c1 | h2 | c2] after the three spec pieces
+  /// (hIn, hOut, hIoF): 5 x hiddenDim floats. Empty until the spec is first
+  /// graded.
+  mutable std::vector<float> specStates_;
+
+  /// Token-prefix trace memo: a chained 64-bit hash of a token prefix ->
+  /// the traceLstm [h | c] after it. Equal token sequences encode equally,
+  /// so a key names its encoding; a hash collision could only substitute one
+  /// prefix's state for another's, which at < 2^32 prefixes per spec is
+  /// negligible.
   ///
-  /// Bounding is two-generation: when the current map reaches capacity it
-  /// becomes the previous generation and a fresh map starts; lookups probe
-  /// current then previous, promoting previous-generation hits. A working
-  /// set sitting at the capacity boundary therefore keeps hitting (the old
-  /// wholesale clear() thrashed it to a 0% hit rate every generation), live
-  /// memory stays <= 2x capacity, and stale-but-cold entries still age out.
+  /// Bounding is two-generation: when the current map reaches capacity (in
+  /// prefix entries) it becomes the previous generation and a fresh map
+  /// starts; lookups probe current then previous, promoting previous hits.
+  /// A working set at the capacity boundary therefore keeps hitting, and
+  /// live memory stays <= 2x capacity.
   mutable std::unordered_map<std::uint64_t, std::vector<float>> traceMemo_;
   mutable std::unordered_map<std::uint64_t, std::vector<float>>
       traceMemoPrev_;
@@ -259,6 +288,15 @@ class NnffModel {
   std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation map
   mutable MemoStats memoStats_;
 
+  /// Program-prefix step memo: the packed FuncId prefix (exact, no hash) ->
+  /// the stepLstm [h | c] of every example after that prefix. A step row is
+  /// a function of the prefix and the spec alone (a statement reads only
+  /// earlier statements and the inputs), and the memo is scoped to one spec.
+  /// Two generations, rotated every second predictRows call.
+  mutable std::unordered_map<std::string, std::vector<float>> stepMemo_;
+  mutable std::unordered_map<std::string, std::vector<float>> stepMemoPrev_;
+  mutable std::size_t stepMemoCalls_ = 0;
+
   // Capture state (beginLaneCapture): per-example output fingerprints and
   // full token spans, so the encoders compute them once per spec instead of
   // once per candidate. The spec pointer detects capture context switches;
@@ -266,7 +304,8 @@ class NnffModel {
   mutable const dsl::Spec* captureSpec_ = nullptr;
   mutable std::vector<std::uint64_t> outputFps_;
   mutable std::vector<std::vector<std::int32_t>> outputToks_;
-  mutable std::vector<std::size_t> tokenScratch_;  ///< memo-miss tokens
+  mutable std::vector<std::size_t> tokenScratch_;  ///< a trace cell's tokens
+  mutable std::vector<std::uint64_t> prefixKeys_;  ///< its prefix hashes
 };
 
 }  // namespace netsyn::fitness

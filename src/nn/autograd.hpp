@@ -159,8 +159,16 @@ class ParamStore {
   /// Scales all gradients so the global norm is at most `max_norm`.
   void clipGradNorm(float max_norm);
 
+  /// Weight generation: bumped by every in-place weight update (optimizer
+  /// steps, loadParams; code writing values directly must call bumpVersion
+  /// itself). Inference caches derived from the weights compare it to know
+  /// when they went stale.
+  std::uint64_t version() const { return version_; }
+  void bumpVersion() { ++version_; }
+
  private:
   std::vector<Var> params_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace netsyn::nn

@@ -20,6 +20,7 @@ void Sgd::step() {
       p.value().at(i) -= lr_ * vel.at(i);
     }
   }
+  store_.bumpVersion();
 }
 
 Adam::Adam(ParamStore& store, float lr, float beta1, float beta2, float eps)
@@ -48,6 +49,7 @@ void Adam::step() {
       p.value().at(i) -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
+  store_.bumpVersion();
 }
 
 }  // namespace netsyn::nn

@@ -53,6 +53,9 @@ void loadParams(ParamStore& store, const std::string& path) {
   if (count != store.params().size())
     throw std::runtime_error("loadParams: parameter count mismatch in " +
                              path);
+  // Bumped before the reads so even a load that fails part-way through
+  // invalidates caches built on the old weights.
+  store.bumpVersion();
   for (const auto& p : store.params()) {
     const auto rows = readPod<std::uint64_t>(f);
     const auto cols = readPod<std::uint64_t>(f);

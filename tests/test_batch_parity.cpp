@@ -7,8 +7,10 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <set>
 
 #include "core/evaluator.hpp"
+#include "core/ga.hpp"
 #include "core/synthesizer.hpp"
 #include "dsl/generator.hpp"
 #include "fitness/edit.hpp"
@@ -16,6 +18,8 @@
 #include "fitness/model.hpp"
 #include "fitness/neural_fitness.hpp"
 #include "nn/inference.hpp"
+#include "nn/optim.hpp"
+#include "nn/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace nc = netsyn::core;
@@ -44,26 +48,43 @@ struct PopulationFixture {
   std::vector<std::vector<nd::ExecResult>> runs;  // per gene, per example
 };
 
+/// Replaces fx's genes with `genes`, each run on every example of fx.spec.
+void setGenes(PopulationFixture& fx, std::vector<nd::Program> genes) {
+  fx.genes = std::move(genes);
+  fx.runs.clear();
+  for (const auto& g : fx.genes) {
+    std::vector<nd::ExecResult> runs;
+    for (const auto& ex : fx.spec.examples)
+      runs.push_back(nd::run(g, ex.inputs));
+    fx.runs.push_back(std::move(runs));
+  }
+}
+
+/// `count` random genes for `spec`.
+PopulationFixture populationOn(const nd::Spec& spec, std::size_t count,
+                               Rng& rng, bool mixedLengths = false) {
+  const nd::Generator gen;
+  PopulationFixture fx;
+  fx.spec = spec;
+  const nd::InputSignature sig = fx.spec.signature();
+  std::vector<nd::Program> genes;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t length = mixedLengths ? 3 + (i % 4) : 5;
+    auto prog = gen.randomProgram(length, sig, rng);
+    EXPECT_TRUE(prog.has_value());
+    genes.push_back(std::move(*prog));
+  }
+  setGenes(fx, std::move(genes));
+  return fx;
+}
+
 PopulationFixture makePopulation(std::size_t count, std::uint64_t seed,
                                  bool mixedLengths = false) {
   Rng rng(seed);
   const nd::Generator gen;
   const auto tc = gen.randomTestCase(5, 4, false, rng);
   EXPECT_TRUE(tc.has_value());
-  PopulationFixture fx;
-  fx.spec = tc->spec;
-  const nd::InputSignature sig = fx.spec.signature();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t length = mixedLengths ? 3 + (i % 4) : 5;
-    auto prog = gen.randomProgram(length, sig, rng);
-    EXPECT_TRUE(prog.has_value());
-    std::vector<nd::ExecResult> runs;
-    for (const auto& ex : fx.spec.examples)
-      runs.push_back(nd::run(*prog, ex.inputs));
-    fx.genes.push_back(std::move(*prog));
-    fx.runs.push_back(std::move(runs));
-  }
-  return fx;
+  return populationOn(tc->spec, count, rng, mixedLengths);
 }
 
 std::vector<const nd::Program*> genePtrs(const PopulationFixture& fx) {
@@ -83,6 +104,16 @@ std::vector<std::vector<float>> predictAll(const nf::NnffModel& model,
     ptrs.push_back(&encoded[b]);
   }
   return model.predictBatch(fx.spec, genePtrs(fx), ptrs);
+}
+
+void expectSameLogits(const std::vector<std::vector<float>>& a,
+                      const std::vector<std::vector<float>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    ASSERT_EQ(a[g].size(), b[g].size());
+    for (std::size_t j = 0; j < a[g].size(); ++j)
+      EXPECT_EQ(a[g][j], b[g][j]) << "gene " << g << " logit " << j;
+  }
 }
 
 /// Gene b's logits through a batch of one.
@@ -253,27 +284,42 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   // over an already-encoded population started cold. Two-generation
   // eviction demotes the full map to "previous" instead, and hits there
   // promote back — a working set that fits in one generation survives the
-  // boundary.
+  // boundary. The trace memo holds one entry per token prefix, so capacity
+  // counts prefixes.
   nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
   const auto fx = makePopulation(12, 62);
 
-  // Measure the unique-span working set at the default (ample) capacity...
+  // The working set in memo entries, counted independently of the model:
+  // every distinct token prefix of the encoded examples' trace cells.
+  std::set<std::vector<std::size_t>> prefixes, values;
+  for (const auto& runs : fx.runs)
+    for (std::size_t i = 0; i < model.config().maxExamples; ++i)
+      for (const auto& v : runs[i].trace) {
+        const auto toks = model.encoder().encodeValue(v);
+        values.insert(toks);
+        for (std::size_t d = 1; d <= toks.size(); ++d)
+          prefixes.emplace(toks.begin(), toks.begin() + d);
+      }
+  ASSERT_GT(prefixes.size(), values.size()) << "no prefix is shared";
+  // A value whose tokens prefix an earlier value's hits, so misses can
+  // undercount distinct values, never exceed them.
   (void)predictAll(model, fx);
-  const std::size_t unique = model.memoStats().traceMisses;
-  ASSERT_GT(unique, 4u) << "fixture too small to exercise rotation";
+  const std::size_t unbounded = model.memoStats().traceMisses;
+  EXPECT_LE(unbounded, values.size());
 
-  // ...then make the capacity exactly that working set, so the cold pass
-  // fills the current generation to the brim without rotating.
-  // setMemoCapacity clears the memos and stats.
-  model.setMemoCapacity(unique);
+  // Capacity exactly that working set: the cold pass fills the current
+  // generation to the brim without rotating. setMemoCapacity clears the
+  // memos and stats.
+  model.setMemoCapacity(prefixes.size());
   const auto cold = predictAll(model, fx);
   const auto first = model.memoStats();
-  EXPECT_EQ(first.traceMisses, unique) << "capacity changed the key space";
+  EXPECT_EQ(first.traceMisses, unbounded) << "capacity changed the key space";
 
-  // A second, smaller population pushes the memo over capacity: its first
-  // novel span rotates generations, demoting everything the first pass
-  // encoded.
-  const auto fxB = makePopulation(2, 63);
+  // A second, smaller population on the same spec pushes the memo over
+  // capacity: its first novel value rotates generations, demoting
+  // everything the first pass encoded.
+  Rng rng(63);
+  const auto fxB = populationOn(fx.spec, 2, rng);
   (void)predictAll(model, fxB);
   const auto mid = model.memoStats();
   ASSERT_GT(mid.traceMisses, first.traceMisses) << "no rotation was forced";
@@ -288,10 +334,119 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   EXPECT_GT(second.traceHits, mid.traceHits);
 
   // Eviction policy must never change scores — only recompute them.
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t b = 0; b < cold.size(); ++b)
-    for (std::size_t j = 0; j < cold[b].size(); ++j)
-      EXPECT_EQ(cold[b][j], warm[b][j]) << "gene " << b << " logit " << j;
+  expectSameLogits(cold, warm);
+}
+
+// ------------------------------------------------ prefix caches -----------
+
+TEST(PrefixCaches, WarmModelMatchesFreshCloneOnBredPopulations) {
+  // The GA's real workload: each generation is bred from the last, so its
+  // trace values and program prefixes mostly repeat ones graded before. A
+  // model whose memos earlier generations filled must grade exactly like a
+  // cold clone.
+  const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  Rng rng(91);
+  auto fx = makePopulation(24, 91);
+  const nd::Generator gen;
+  const nd::InputSignature sig = fx.spec.signature();
+  nc::GaConfig ga;
+  ga.populationSize = fx.genes.size();
+  for (std::size_t g = 0; g < 6; ++g) {
+    const auto warm = predictAll(model, fx);
+    const auto fresh = predictAll(*model.clone(), fx);
+    expectSameLogits(warm, fresh);
+    nc::Population scored;
+    for (std::size_t b = 0; b < fx.genes.size(); ++b)
+      scored.push_back(nc::Individual{fx.genes[b], warm[b][0]});
+    setGenes(fx, nc::breed(scored, ga, sig, gen, rng, nullptr));
+  }
+}
+
+TEST(PrefixCaches, GenesSharingAnUncachedPrefixInOneBatch) {
+  // Regression for a placeholder hazard: if a batch inserted its new
+  // prefixes while still looking genes up, a sibling could "hit" an entry
+  // not yet computed. Here every gene shares a prefix no earlier call
+  // cached: P, P with its last step changed, P's length-3 prefix, and P
+  // again.
+  const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  auto fx = makePopulation(2, 92);
+  const auto& p = fx.genes[0].functions();
+  auto q = p;
+  q.back() = fx.genes[1].functions().back() != p.back()
+                 ? fx.genes[1].functions().back()
+                 : static_cast<nd::FuncId>(p.back() == 0 ? 1 : 0);
+  setGenes(fx, {nd::Program(p), nd::Program(q),
+                nd::Program(std::vector<nd::FuncId>(p.begin(), p.begin() + 3)),
+                nd::Program(p)});
+
+  const auto batched = predictAll(model, fx);
+  std::vector<std::vector<float>> single;
+  for (std::size_t b = 0; b < fx.genes.size(); ++b)
+    single.push_back(predictOne(*model.clone(), fx, b));
+  expectSameLogits(batched, single);
+  // A batch of one walks the same prefix machinery, so also pin the batch
+  // to the autograd oracle, which has none.
+  for (std::size_t b = 0; b < fx.genes.size(); ++b) {
+    std::vector<std::vector<nd::Value>> traces;
+    for (const auto& run : fx.runs[b]) traces.push_back(run.trace);
+    const auto oracle = model.forward(fx.spec, fx.genes[b], traces);
+    for (std::size_t j = 0; j < batched[b].size(); ++j)
+      EXPECT_NEAR(batched[b][j], oracle->value().at(j), 1e-5f)
+          << "gene " << b << " logit " << j;
+  }
+  // And once more, now that every prefix is cached.
+  expectSameLogits(predictAll(model, fx), single);
+}
+
+TEST(PrefixCaches, InvalidateWhenSpecContentsChangeAtSameAddress) {
+  // One spec object whose contents are replaced in place: the address stays
+  // the same, so caches keyed by address would serve spec A's encodings
+  // (and A's program-prefix states for the same genes) for spec B.
+  const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  auto fx = makePopulation(6, 93);
+  const auto before = predictAll(model, fx);
+  fx.spec = makePopulation(1, 94).spec;
+  setGenes(fx, fx.genes);
+  const auto after = predictAll(model, fx);
+  expectSameLogits(after, predictAll(*model.clone(), fx));
+  EXPECT_NE(before[0], after[0]) << "the specs grade alike; test is moot";
+
+  const nf::NnffModel fp(smallConfig(nf::HeadKind::Multilabel));
+  nd::Spec spec = makePopulation(1, 95).spec;
+  const auto mapA = fp.predictIOOnly(spec);
+  spec = fx.spec;
+  EXPECT_EQ(fp.predictIOOnly(spec), fp.clone()->predictIOOnly(spec));
+  EXPECT_NE(fp.predictIOOnly(spec), mapA);
+}
+
+TEST(PrefixCaches, WeightUpdateDropsStaleEncodings) {
+  // Every inference cache derives from the weights. After an optimizer
+  // step (as RankTrainer::train takes between its per-epoch accuracy
+  // checks) the model must grade like a fresh clone with the new weights,
+  // not from encodings memoized under the old ones.
+  nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  const auto fx = makePopulation(8, 96);
+  (void)predictAll(model, fx);
+  netsyn::nn::Adam adam(model.params(), 1e-2f);
+  for (const auto& p : model.params().params()) p->grad().fill(0.5f);
+  adam.step();
+  expectSameLogits(predictAll(model, fx), predictAll(*model.clone(), fx));
+}
+
+TEST(PrefixCaches, LoadParamsDropsStaleEncodings) {
+  nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  auto other = smallConfig(nf::HeadKind::Classifier);
+  other.seed = 8;
+  const nf::NnffModel donor(other);
+  const std::string path =
+      ::testing::TempDir() + "prefix_caches_load_params.bin";
+  donor.save(path);
+
+  const auto fx = makePopulation(8, 97);
+  (void)predictAll(model, fx);
+  model.load(path);
+  expectSameLogits(predictAll(model, fx), predictAll(donor, fx));
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------ ProbMap cache fix --------
