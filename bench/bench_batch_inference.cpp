@@ -9,12 +9,18 @@
 // the model, so each reads only the memos its own earlier generations
 // filled (the scalar pass would otherwise warm the batched one). Gene
 // execution (the interpreter) is excluded from both timings; this isolates
-// NN scoring throughput.
+// NN scoring throughput. One breed-and-grade loop at CI settings is ~25 ms
+// per column, too short for a stable ratio, so the whole loop repeats
+// kRepeats times from fresh clones of one model and the same seed, and the
+// gated `speedup` is the median repetition's (min and max alongside).
 //
 //   $ ./bench_batch_inference [--population=100] [--generations=30]
 //                             [--length=5] [--seed=2021]
+#include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/ga.hpp"
@@ -28,6 +34,8 @@
 using namespace netsyn;
 
 namespace {
+
+constexpr std::size_t kRepeats = 5;
 
 struct GradedPopulation {
   std::vector<dsl::Program> genes;
@@ -46,6 +54,76 @@ GradedPopulation execute(const std::vector<dsl::Program>& genes,
     out.runs.push_back(std::move(runs));
   }
   return out;
+}
+
+/// One breed-and-grade loop: seconds spent in each column and genes graded.
+struct Repetition {
+  double scalarSeconds = 0.0;
+  double batchSeconds = 0.0;
+  std::size_t graded = 0;
+  double speedup() const { return scalarSeconds / batchSeconds; }
+};
+
+/// Evolves a population from `seed` for `generations`, grading every
+/// generation per gene and as one batch, each column on its own fresh clone
+/// of `model`. Empty when no test case can be generated.
+std::optional<Repetition> runOnce(const fitness::NnffModel& model,
+                                  std::size_t population,
+                                  std::size_t generations, std::size_t length,
+                                  std::uint64_t seed) {
+  std::shared_ptr<fitness::NnffModel> scalarModel = model.clone();
+  std::shared_ptr<fitness::NnffModel> batchModel = model.clone();
+  fitness::NeuralFitness scalarFitness(scalarModel, "NN_CF");
+  fitness::NeuralFitness batchFitness(batchModel, "NN_CF");
+
+  util::Rng rng(seed);
+  const dsl::Generator gen;
+  const auto tc = gen.randomTestCase(length, 5, false, rng);
+  if (!tc) return std::nullopt;
+  const dsl::InputSignature sig = tc->spec.signature();
+
+  // Initial random population.
+  std::vector<dsl::Program> genes;
+  genes.reserve(population);
+  for (std::size_t i = 0; i < population; ++i)
+    genes.push_back(*gen.randomProgram(length, sig, rng));
+
+  Repetition rep;
+  core::GaConfig gaConfig;
+  gaConfig.populationSize = population;
+
+  for (std::size_t g = 0; g < generations; ++g) {
+    const GradedPopulation pop = execute(genes, tc->spec);
+    std::deque<fitness::EvalContext> store;
+    std::vector<const fitness::EvalContext*> contexts;
+    std::vector<const dsl::Program*> genePtrs;
+    for (std::size_t b = 0; b < pop.genes.size(); ++b) {
+      store.push_back(fitness::EvalContext{tc->spec, pop.runs[b]});
+      contexts.push_back(&store.back());
+      genePtrs.push_back(&pop.genes[b]);
+    }
+
+    util::Timer scalarTimer;
+    std::vector<double> scalarScores;
+    scalarScores.reserve(pop.genes.size());
+    for (std::size_t b = 0; b < pop.genes.size(); ++b)
+      scalarScores.push_back(scalarFitness.score(pop.genes[b], *contexts[b]));
+    rep.scalarSeconds += scalarTimer.seconds();
+
+    util::Timer batchTimer;
+    const auto batchScores = batchFitness.scoreBatch(genePtrs, contexts);
+    rep.batchSeconds += batchTimer.seconds();
+
+    rep.graded += pop.genes.size();
+
+    // Evolve with the batched scores so later generations look like the
+    // GA's real workload (shared ancestry, recurring trace values).
+    core::Population scored;
+    for (std::size_t b = 0; b < pop.genes.size(); ++b)
+      scored.push_back(core::Individual{pop.genes[b], batchScores[b]});
+    genes = core::breed(scored, gaConfig, sig, gen, rng, nullptr);
+  }
+  return rep;
 }
 
 }  // namespace
@@ -69,75 +147,37 @@ int main(int argc, char** argv) {
   mc.hiddenDim = 24;
   mc.maxExamples = 3;
   mc.head = fitness::HeadKind::Classifier;
-  auto scalarModel = std::make_shared<fitness::NnffModel>(mc);
-  std::shared_ptr<fitness::NnffModel> batchModel = scalarModel->clone();
-  fitness::NeuralFitness scalarFitness(scalarModel, "NN_CF");
-  fitness::NeuralFitness batchFitness(batchModel, "NN_CF");
-
-  util::Rng rng(seed);
-  const dsl::Generator gen;
-  const auto tc = gen.randomTestCase(length, 5, false, rng);
-  if (!tc) {
-    std::fprintf(stderr, "could not generate a test case\n");
-    return 1;
-  }
-  const dsl::InputSignature sig = tc->spec.signature();
+  const fitness::NnffModel model(mc);
 
   std::printf("=== bench_batch_inference ===\n");
-  std::printf("population=%zu generations=%zu length=%zu hidden=%zu\n\n",
-              population, generations, length, mc.hiddenDim);
+  std::printf("population=%zu generations=%zu length=%zu hidden=%zu "
+              "repeats=%zu\n\n",
+              population, generations, length, mc.hiddenDim, kRepeats);
 
-  // Initial random population.
-  std::vector<dsl::Program> genes;
-  genes.reserve(population);
-  for (std::size_t i = 0; i < population; ++i)
-    genes.push_back(*gen.randomProgram(length, sig, rng));
-
-  double scalarSeconds = 0.0;
-  double batchSeconds = 0.0;
-  std::size_t graded = 0;
-  core::GaConfig gaConfig;
-  gaConfig.populationSize = population;
-
-  for (std::size_t g = 0; g < generations; ++g) {
-    const GradedPopulation pop = execute(genes, tc->spec);
-    std::deque<fitness::EvalContext> store;
-    std::vector<const fitness::EvalContext*> contexts;
-    std::vector<const dsl::Program*> genePtrs;
-    for (std::size_t b = 0; b < pop.genes.size(); ++b) {
-      store.push_back(fitness::EvalContext{tc->spec, pop.runs[b]});
-      contexts.push_back(&store.back());
-      genePtrs.push_back(&pop.genes[b]);
+  std::vector<Repetition> reps;
+  for (std::size_t r = 0; r < kRepeats; ++r) {
+    const auto rep = runOnce(model, population, generations, length, seed);
+    if (!rep) {
+      std::fprintf(stderr, "could not generate a test case\n");
+      return 1;
     }
-
-    util::Timer scalarTimer;
-    std::vector<double> scalarScores;
-    scalarScores.reserve(pop.genes.size());
-    for (std::size_t b = 0; b < pop.genes.size(); ++b)
-      scalarScores.push_back(scalarFitness.score(pop.genes[b], *contexts[b]));
-    scalarSeconds += scalarTimer.seconds();
-
-    util::Timer batchTimer;
-    const auto batchScores = batchFitness.scoreBatch(genePtrs, contexts);
-    batchSeconds += batchTimer.seconds();
-
-    graded += pop.genes.size();
-
-    // Evolve with the batched scores so later generations look like the
-    // GA's real workload (shared ancestry, recurring trace values).
-    core::Population scored;
-    for (std::size_t b = 0; b < pop.genes.size(); ++b)
-      scored.push_back(core::Individual{pop.genes[b], batchScores[b]});
-    genes = core::breed(scored, gaConfig, sig, gen, rng, nullptr);
+    reps.push_back(*rep);
   }
-
-  const double scalarRate = static_cast<double>(graded) / scalarSeconds;
-  const double batchRate = static_cast<double>(graded) / batchSeconds;
+  std::sort(reps.begin(), reps.end(),
+            [](const Repetition& a, const Repetition& b) {
+              return a.speedup() < b.speedup();
+            });
+  const Repetition& med = reps[kRepeats / 2];
+  const std::size_t graded = med.graded;
+  const double scalarRate = static_cast<double>(graded) / med.scalarSeconds;
+  const double batchRate = static_cast<double>(graded) / med.batchSeconds;
+  std::printf("median of %zu repetitions:\n", kRepeats);
   std::printf("scalar  score():     %8.0f genes/sec (%.3fs for %zu)\n",
-              scalarRate, scalarSeconds, graded);
+              scalarRate, med.scalarSeconds, graded);
   std::printf("batched scoreBatch:  %8.0f genes/sec (%.3fs for %zu)\n",
-              batchRate, batchSeconds, graded);
-  std::printf("speedup:             %8.2fx\n", batchRate / scalarRate);
+              batchRate, med.batchSeconds, graded);
+  std::printf("speedup:             %8.2fx (min %.2fx, max %.2fx)\n",
+              med.speedup(), reps.front().speedup(), reps.back().speedup());
 
   // Machine-readable record so CI can track the NN-scoring perf trajectory.
   const std::string jsonPath = args.getString("json", "BENCH_nn.json");
@@ -147,9 +187,12 @@ int main(int argc, char** argv) {
                    "{\"bench\": \"nn_scoring\", \"population\": %zu, "
                    "\"generations\": %zu, \"length\": %zu, \"graded\": %zu, "
                    "\"scalar_genes_per_sec\": %.1f, "
-                   "\"batched_genes_per_sec\": %.1f, \"speedup\": %.3f}\n",
+                   "\"batched_genes_per_sec\": %.1f, \"repeats\": %zu, "
+                   "\"speedup\": %.3f, \"speedup_min\": %.3f, "
+                   "\"speedup_max\": %.3f}\n",
                    population, generations, length, graded, scalarRate,
-                   batchRate, batchRate / scalarRate);
+                   batchRate, kRepeats, med.speedup(),
+                   reps.front().speedup(), reps.back().speedup());
       std::fclose(f);
       std::printf("[json written to %s]\n", jsonPath.c_str());
     }

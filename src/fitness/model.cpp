@@ -7,6 +7,7 @@
 #include "dsl/domain.hpp"
 #include "dsl/interpreter.hpp"
 #include "fitness/edit.hpp"
+#include "nn/gates.hpp"
 
 namespace netsyn::fitness {
 
@@ -644,7 +645,7 @@ std::vector<std::vector<float>> NnffModel::predictRows(
     nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens, hOut,
                                   scratch_);
     nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m, hIoF);
-    for (std::size_t j = 0; j < m * h; ++j) hIoF[j] = std::tanh(hIoF[j]);
+    nn::tanhInPlace(hIoF, m * h);
     // Layer 2 consumes layer 1's hidden right after each step (equivalent
     // to encodeAll + encode, without materializing the l1 sequence).
     std::vector<float> h1(m * h, 0.0f), c1(m * h, 0.0f), h2(m * h, 0.0f),
@@ -697,7 +698,7 @@ std::vector<std::vector<float>> NnffModel::predictRows(
       }
     }
     nn::linearForwardBatchFast(*featProj_, g.data(), rows, hFeat.data());
-    for (float& v : hFeat) v = std::tanh(v);
+    nn::tanhInPlace(hFeat.data(), hFeat.size());
     for (const float* piece : {hProg.data(), hMul.data(), hFeat.data()}) {
       nn::lstmStepBatchFast(*combine1_, piece, rows, hC.data(), cC.data(),
                             scratch_);

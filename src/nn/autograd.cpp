@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "nn/gates.hpp"
+
 namespace netsyn::nn {
 
 Var constant(Matrix value) {
@@ -115,11 +117,7 @@ Var tanhOp(const Var& a) {
 
 Var sigmoidOp(const Var& a) {
   Matrix out = a->value();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const float x = out.at(i);
-    out.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = sigmoid(out.at(i));
   return makeNode(std::move(out), {a}, [a](Node& n) {
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);
@@ -214,8 +212,7 @@ Var bceWithLogits(const Var& logits, const Matrix& targets) {
     const float t = targets.at(i);
     // Stable: max(x,0) - x*t + log(1 + exp(-|x|)).
     loss += std::max(x, 0.0f) - x * t + std::log1p(std::exp(-std::fabs(x)));
-    sig.at(i) = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                          : std::exp(x) / (1.0f + std::exp(x));
+    sig.at(i) = sigmoid(x);
   }
   Matrix out(1, 1);
   out.at(0) = loss * inv;

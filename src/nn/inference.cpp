@@ -1,28 +1,18 @@
 #include "nn/inference.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
-// What bounds an LSTM step here is the gate transcendentals, not the
-// matmul. At hiddenDim 32 a step makes 3x32 sigmoid (expf) and 2x32 tanhf
-// calls: about 2 us on a 4-core x86 Xeon container with glibc (tanhf ~24
-// ns, expf ~5 ns a call), against about 0.5 us of multiply-adds. So
-// hand-vectorizing addVecMatBatch or batching the trace-memo misses buys
-// at most ~10%; the lever is running fewer steps, which is what the prefix
-// memos in fitness/model.cpp do.
+#include "nn/gates.hpp"
+
+// Cost of an LSTM step at hiddenDim 32 (4-core x86 container, glibc 2.36):
+// the 3x32 sigmoids and 2x32 tanhs take ~0.6 us through the 8-wide gate
+// kernels of gates.hpp (~2.6 us as scalar expf/tanhf calls), against ~0.5
+// us of multiply-adds here, so the matmul is now about half a step.
 
 namespace netsyn::nn {
 namespace {
-
-/// One exp per call on either branch (gcc does not merge the two calls of
-/// exp(x) / (1 + exp(x))); the value is the same expression, bit for bit.
-inline float sigmoidf(float x) {
-  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
-  const float e = std::exp(x);
-  return e / (1.0f + e);
-}
 
 /// z += x * W for row-major W (in x out).
 inline void addVecMat(const float* x, std::size_t in, const Matrix& w,
@@ -105,15 +95,7 @@ void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,
   std::memcpy(z, lstm.biasRaw().data(), g4 * sizeof(float));
   addVecMat(x, lstm.inDim(), lstm.weightX(), z);
   addVecMat(h, hd, lstm.weightH(), z);
-  // Gate layout [i | f | g | o], as in Lstm::step.
-  for (std::size_t j = 0; j < hd; ++j) {
-    const float ig = sigmoidf(z[j]);
-    const float fg = sigmoidf(z[hd + j]);
-    const float gg = std::tanh(z[2 * hd + j]);
-    const float og = sigmoidf(z[3 * hd + j]);
-    c[j] = fg * c[j] + ig * gg;
-    h[j] = og * std::tanh(c[j]);
-  }
+  lstmGates(z, h, c, hd);
 }
 
 void lstmEncodeTokensFast(const Lstm& lstm, const Embedding& embedding,
@@ -165,17 +147,7 @@ void lstmStepBatchFast(const Lstm& lstm, const float* x, std::size_t batch,
   addVecMatBatch(h, hd, batch, hd, lstm.weightH(), z, g4, active);
   for (std::size_t b = 0; b < batch; ++b) {
     if (active != nullptr && active[b] == 0) continue;
-    float* zb = z + b * g4;
-    float* hb = h + b * hd;
-    float* cb = c + b * hd;
-    for (std::size_t j = 0; j < hd; ++j) {
-      const float ig = sigmoidf(zb[j]);
-      const float fg = sigmoidf(zb[hd + j]);
-      const float gg = std::tanh(zb[2 * hd + j]);
-      const float og = sigmoidf(zb[3 * hd + j]);
-      cb[j] = fg * cb[j] + ig * gg;
-      hb[j] = og * std::tanh(cb[j]);
-    }
+    lstmGates(z + b * g4, h + b * hd, c + b * hd, hd);
   }
 }
 
