@@ -18,39 +18,71 @@ std::size_t Trainer::classLabel(const NnffModel& model,
   return std::min(raw, model.config().numClasses - 1);
 }
 
-nn::Var Trainer::sampleLoss(const NnffModel& model,
+namespace {
+
+/// Multilabel targets of `sample` for a head `out` wide: per-function
+/// presence, or adjacent-pair presence for the bigram model (§5.3.1).
+std::vector<float> multilabelTargets(const Sample& sample, std::size_t out) {
+  if (out == sample.funcPresence.size()) return sample.funcPresence;
+  auto pairs = bigramTargets(sample.target);
+  if (pairs.size() != out)
+    throw std::invalid_argument("unsupported multilabel width");
+  return pairs;
+}
+
+/// Fraction of the multilabel head's functions whose (p >= 0.5) matches
+/// their presence in the target.
+double multilabelHitRate(const nn::Matrix& logits,
+                         const std::vector<float>& targets) {
+  std::size_t hits = 0;
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    const bool predicted = logits.at(j) >= 0.0f;  // p >= 0.5
+    const bool present = targets[j] >= 0.5f;
+    hits += (predicted == present) ? 1 : 0;
+  }
+  return static_cast<double>(hits) / static_cast<double>(targets.size());
+}
+
+std::size_t argmaxClass(const nn::Matrix& logits) {
+  const auto probs = nn::softmaxValue(logits);
+  std::size_t argmax = 0;
+  for (std::size_t j = 1; j < probs.cols(); ++j)
+    if (probs.at(j) > probs.at(argmax)) argmax = j;
+  return argmax;
+}
+
+}  // namespace
+
+float Trainer::regressionLabel(const Sample& sample) const {
+  return static_cast<float>(
+      config_.labelMetric == BalanceMetric::CF ? sample.cf : sample.lcs);
+}
+
+nn::Var Trainer::headOutput(const NnffModel& model,
                             const Sample& sample) const {
+  if (model.config().head == HeadKind::Multilabel)
+    return model.forwardIOOnly(sample.spec);
+  return model.forward(sample.spec, sample.candidate, sample.traces);
+}
+
+nn::Var Trainer::lossOf(const NnffModel& model, const Sample& sample,
+                        const nn::Var& out) const {
   switch (model.config().head) {
-    case HeadKind::Classifier: {
-      const auto logits = model.forward(sample.spec, sample.candidate,
-                                        sample.traces);
-      return nn::softmaxCrossEntropy(logits, classLabel(model, sample));
-    }
+    case HeadKind::Classifier:
+      return nn::softmaxCrossEntropy(out, classLabel(model, sample));
     case HeadKind::Multilabel: {
-      const auto logits = model.forwardIOOnly(sample.spec);
-      const std::size_t out = model.outDim();
-      nn::Matrix targets(1, out);
-      if (out == sample.funcPresence.size()) {
-        for (std::size_t i = 0; i < out; ++i)
-          targets.at(i) = sample.funcPresence[i];
-      } else {
-        // Bigram model (§5.3.1): adjacent-pair presence of the target.
-        const auto pairs = bigramTargets(sample.target);
-        if (pairs.size() != out)
-          throw std::invalid_argument("unsupported multilabel width");
-        for (std::size_t i = 0; i < out; ++i) targets.at(i) = pairs[i];
-      }
-      return nn::bceWithLogits(logits, targets);
+      const auto targets = multilabelTargets(sample, model.outDim());
+      return nn::bceWithLogits(out, nn::Matrix::row(targets));
     }
-    case HeadKind::Regression: {
-      const auto pred = model.forward(sample.spec, sample.candidate,
-                                      sample.traces);
-      const float label = static_cast<float>(
-          config_.labelMetric == BalanceMetric::CF ? sample.cf : sample.lcs);
-      return nn::mseLoss(pred, nn::Matrix(1, 1, label));
-    }
+    case HeadKind::Regression:
+      return nn::mseLoss(out, nn::Matrix(1, 1, regressionLabel(sample)));
   }
   throw std::logic_error("unknown head");
+}
+
+nn::Var Trainer::sampleLoss(const NnffModel& model,
+                            const Sample& sample) const {
+  return lossOf(model, sample, headOutput(model, sample));
 }
 
 std::vector<EpochStats> Trainer::train(
@@ -109,44 +141,25 @@ std::pair<double, double> Trainer::evaluate(
   double totalLoss = 0.0;
   double correct = 0.0;
   for (const Sample& s : set) {
-    totalLoss += sampleLoss(model, s)->scalar();
+    // One forward per sample: the loss and the accuracy share its output.
+    const nn::Var out = headOutput(model, s);
+    totalLoss += lossOf(model, s, out)->scalar();
     switch (model.config().head) {
-      case HeadKind::Classifier: {
-        const auto logits =
-            model.forward(s.spec, s.candidate, s.traces);
-        const auto probs = nn::softmaxValue(logits->value());
-        std::size_t argmax = 0;
-        for (std::size_t j = 1; j < probs.cols(); ++j)
-          if (probs.at(j) > probs.at(argmax)) argmax = j;
-        correct += (argmax == classLabel(model, s)) ? 1.0 : 0.0;
-        break;
-      }
-      case HeadKind::Multilabel: {
-        const auto logits = model.forwardIOOnly(s.spec);
-        const std::size_t out = model.outDim();
-        const std::vector<float> targets =
-            out == s.funcPresence.size() ? s.funcPresence
-                                         : bigramTargets(s.target);
-        std::size_t hits = 0;
-        for (std::size_t j = 0; j < out; ++j) {
-          const bool predicted = logits->value().at(j) >= 0.0f;  // p >= 0.5
-          const bool present = targets[j] >= 0.5f;
-          hits += (predicted == present) ? 1 : 0;
-        }
-        correct += static_cast<double>(hits) / static_cast<double>(out);
-        break;
-      }
-      case HeadKind::Regression: {
-        const auto pred =
-            model.forward(s.spec, s.candidate, s.traces);
-        const float label = static_cast<float>(
-            config_.labelMetric == BalanceMetric::CF ? s.cf : s.lcs);
-        // "Accurate" when the rounded prediction hits the label.
+      case HeadKind::Classifier:
         correct +=
-            (std::lround(pred->value().at(0)) == std::lround(label)) ? 1.0
-                                                                     : 0.0;
+            (argmaxClass(out->value()) == classLabel(model, s)) ? 1.0 : 0.0;
         break;
-      }
+      case HeadKind::Multilabel:
+        correct += multilabelHitRate(
+            out->value(), multilabelTargets(s, model.outDim()));
+        break;
+      case HeadKind::Regression:
+        // "Accurate" when the rounded prediction hits the label.
+        correct += (std::lround(out->value().at(0)) ==
+                    std::lround(regressionLabel(s)))
+                       ? 1.0
+                       : 0.0;
+        break;
     }
   }
   return {totalLoss / static_cast<double>(set.size()),
@@ -161,11 +174,7 @@ util::ConfusionMatrix Trainer::confusion(const NnffModel& model,
   util::ConfusionMatrix cm(model.config().numClasses);
   for (const Sample& s : set) {
     const auto logits = model.forward(s.spec, s.candidate, s.traces);
-    const auto probs = nn::softmaxValue(logits->value());
-    std::size_t argmax = 0;
-    for (std::size_t j = 1; j < probs.cols(); ++j)
-      if (probs.at(j) > probs.at(argmax)) argmax = j;
-    cm.add(classLabel(model, s), argmax);
+    cm.add(classLabel(model, s), argmaxClass(logits->value()));
   }
   return cm;
 }
@@ -179,17 +188,8 @@ double Trainer::multilabelAccuracy(const NnffModel& model,
   double correct = 0.0;
   for (const Sample& s : set) {
     const auto logits = model.forwardIOOnly(s.spec);
-    const std::size_t out = model.outDim();
-    const std::vector<float> targets = out == s.funcPresence.size()
-                                           ? s.funcPresence
-                                           : bigramTargets(s.target);
-    std::size_t hits = 0;
-    for (std::size_t j = 0; j < out; ++j) {
-      const bool predicted = logits->value().at(j) >= 0.0f;
-      const bool present = targets[j] >= 0.5f;
-      hits += (predicted == present) ? 1 : 0;
-    }
-    correct += static_cast<double>(hits) / static_cast<double>(out);
+    correct += multilabelHitRate(logits->value(),
+                                 multilabelTargets(s, model.outDim()));
   }
   return correct / static_cast<double>(set.size());
 }
@@ -203,9 +203,8 @@ double Trainer::regressionMae(const NnffModel& model,
   double total = 0.0;
   for (const Sample& s : set) {
     const auto pred = model.forward(s.spec, s.candidate, s.traces);
-    const double label = static_cast<double>(
-        config_.labelMetric == BalanceMetric::CF ? s.cf : s.lcs);
-    total += std::fabs(static_cast<double>(pred->value().at(0)) - label);
+    total += std::fabs(static_cast<double>(pred->value().at(0)) -
+                       static_cast<double>(regressionLabel(s)));
   }
   return total / static_cast<double>(set.size());
 }

@@ -63,7 +63,8 @@ class Trainer {
   /// inference mode).
   nn::Var sampleLoss(const NnffModel& model, const Sample& sample) const;
 
-  /// Mean loss + accuracy on a dataset (inference mode).
+  /// Mean loss + accuracy on a dataset (inference mode, one forward per
+  /// sample).
   std::pair<double, double> evaluate(const NnffModel& model,
                                      const std::vector<Sample>& set) const;
 
@@ -84,6 +85,15 @@ class Trainer {
                        const std::vector<Sample>& set) const;
 
  private:
+  /// The head's output for `sample`: forward(), or forwardIOOnly() for the
+  /// multilabel head.
+  nn::Var headOutput(const NnffModel& model, const Sample& sample) const;
+  /// The head's loss on that output.
+  nn::Var lossOf(const NnffModel& model, const Sample& sample,
+                 const nn::Var& out) const;
+  /// Regression target: the sample's metric value.
+  float regressionLabel(const Sample& sample) const;
+
   TrainConfig config_;
 };
 

@@ -1,8 +1,8 @@
 #include "nn/autograd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "nn/gates.hpp"
 
@@ -30,13 +30,17 @@ bool inferenceModeEnabled() { return g_inference_mode; }
 
 Var makeNode(Matrix value, std::vector<Var> parents,
              std::function<void(Node&)> backfn) {
-  if (g_inference_mode) {
-    // Value-only node: no graph retention, backward() is illegal downstream.
-    return std::make_shared<Node>(std::move(value), /*requires_grad=*/false);
+  // Value-only node in inference mode or over constants alone: no graph
+  // retention, and nothing downstream scatters gradient into it.
+  const bool tracked =
+      !g_inference_mode &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const Var& p) { return p->requiresGrad(); });
+  auto node = std::make_shared<Node>(std::move(value), tracked);
+  if (tracked) {
+    node->parents_ = std::move(parents);
+    node->backfn_ = std::move(backfn);
   }
-  auto node = std::make_shared<Node>(std::move(value), /*requires_grad=*/true);
-  node->parents_ = std::move(parents);
-  node->backfn_ = std::move(backfn);
   return node;
 }
 
@@ -49,15 +53,22 @@ void requireSameShape(const Var& a, const Var& b, const char* op) {
                                 b->value().shapeString());
 }
 
+// Backward closures reach their inputs through the node's parents rather
+// than capturing them: a capture-free closure fits std::function's inline
+// buffer, and the tape takes no extra reference counts.
+Node& parent(Node& n, std::size_t i) { return *n.parents()[i]; }
+
 }  // namespace
 
 Var add(const Var& a, const Var& b) {
   requireSameShape(a, b, "add");
   Matrix out = a->value();
   out.addInPlace(b->value());
-  return makeNode(std::move(out), {a, b}, [a, b](Node& n) {
-    a->grad().addInPlace(n.grad());
-    b->grad().addInPlace(n.grad());
+  return makeNode(std::move(out), {a, b}, [](Node& n) {
+    Node& a = parent(n, 0);
+    Node& b = parent(n, 1);
+    if (a.requiresGrad()) a.grad().addInPlace(n.grad());
+    if (b.requiresGrad()) b.grad().addInPlace(n.grad());
   });
 }
 
@@ -65,9 +76,11 @@ Var sub(const Var& a, const Var& b) {
   requireSameShape(a, b, "sub");
   Matrix out = a->value();
   out.axpyInPlace(-1.0f, b->value());
-  return makeNode(std::move(out), {a, b}, [a, b](Node& n) {
-    a->grad().addInPlace(n.grad());
-    b->grad().axpyInPlace(-1.0f, n.grad());
+  return makeNode(std::move(out), {a, b}, [](Node& n) {
+    Node& a = parent(n, 0);
+    Node& b = parent(n, 1);
+    if (a.requiresGrad()) a.grad().addInPlace(n.grad());
+    if (b.requiresGrad()) b.grad().axpyInPlace(-1.0f, n.grad());
   });
 }
 
@@ -75,10 +88,12 @@ Var mulElem(const Var& a, const Var& b) {
   requireSameShape(a, b, "mulElem");
   Matrix out = a->value();
   for (std::size_t i = 0; i < out.size(); ++i) out.at(i) *= b->value().at(i);
-  return makeNode(std::move(out), {a, b}, [a, b](Node& n) {
+  return makeNode(std::move(out), {a, b}, [](Node& n) {
+    Node& a = parent(n, 0);
+    Node& b = parent(n, 1);
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
-      a->grad().at(i) += n.grad().at(i) * b->value().at(i);
-      b->grad().at(i) += n.grad().at(i) * a->value().at(i);
+      if (a.requiresGrad()) a.grad().at(i) += n.grad().at(i) * b.value().at(i);
+      if (b.requiresGrad()) b.grad().at(i) += n.grad().at(i) * a.value().at(i);
     }
   });
 }
@@ -86,8 +101,8 @@ Var mulElem(const Var& a, const Var& b) {
 Var scale(const Var& a, float s) {
   Matrix out = a->value();
   for (std::size_t i = 0; i < out.size(); ++i) out.at(i) *= s;
-  return makeNode(std::move(out), {a}, [a, s](Node& n) {
-    a->grad().axpyInPlace(s, n.grad());
+  return makeNode(std::move(out), {a}, [s](Node& n) {
+    parent(n, 0).grad().axpyInPlace(s, n.grad());
   });
 }
 
@@ -97,20 +112,23 @@ Var matmul(const Var& a, const Var& b) {
                                 a->value().shapeString() + " * " +
                                 b->value().shapeString());
   Matrix out = matmulValue(a->value(), b->value());
-  return makeNode(std::move(out), {a, b}, [a, b](Node& n) {
+  return makeNode(std::move(out), {a, b}, [](Node& n) {
     // dA += dC * B^T ; dB += A^T * dC.
-    addABTranspose(a->grad(), n.grad(), b->value());
-    addATransposeB(b->grad(), a->value(), n.grad());
+    Node& a = parent(n, 0);
+    Node& b = parent(n, 1);
+    if (a.requiresGrad()) addABTranspose(a.grad(), n.grad(), b.value());
+    if (b.requiresGrad()) addATransposeB(b.grad(), a.value(), n.grad());
   });
 }
 
 Var tanhOp(const Var& a) {
   Matrix out = a->value();
   for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = std::tanh(out.at(i));
-  return makeNode(std::move(out), {a}, [a](Node& n) {
+  return makeNode(std::move(out), {a}, [](Node& n) {
+    Matrix& da = parent(n, 0).grad();
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);
-      a->grad().at(i) += n.grad().at(i) * (1.0f - y * y);
+      da.at(i) += n.grad().at(i) * (1.0f - y * y);
     }
   });
 }
@@ -118,10 +136,11 @@ Var tanhOp(const Var& a) {
 Var sigmoidOp(const Var& a) {
   Matrix out = a->value();
   for (std::size_t i = 0; i < out.size(); ++i) out.at(i) = sigmoid(out.at(i));
-  return makeNode(std::move(out), {a}, [a](Node& n) {
+  return makeNode(std::move(out), {a}, [](Node& n) {
+    Matrix& da = parent(n, 0).grad();
     for (std::size_t i = 0; i < n.grad().size(); ++i) {
       const float y = n.value().at(i);
-      a->grad().at(i) += n.grad().at(i) * y * (1.0f - y);
+      da.at(i) += n.grad().at(i) * y * (1.0f - y);
     }
   });
 }
@@ -130,9 +149,10 @@ Var reluOp(const Var& a) {
   Matrix out = a->value();
   for (std::size_t i = 0; i < out.size(); ++i)
     out.at(i) = out.at(i) > 0.0f ? out.at(i) : 0.0f;
-  return makeNode(std::move(out), {a}, [a](Node& n) {
+  return makeNode(std::move(out), {a}, [](Node& n) {
+    Node& a = parent(n, 0);
     for (std::size_t i = 0; i < n.grad().size(); ++i)
-      if (a->value().at(i) > 0.0f) a->grad().at(i) += n.grad().at(i);
+      if (a.value().at(i) > 0.0f) a.grad().at(i) += n.grad().at(i);
   });
 }
 
@@ -143,10 +163,14 @@ Var concatCols(const Var& a, const Var& b) {
   Matrix out(1, na + nb);
   for (std::size_t j = 0; j < na; ++j) out.at(j) = a->value().at(j);
   for (std::size_t j = 0; j < nb; ++j) out.at(na + j) = b->value().at(j);
-  return makeNode(std::move(out), {a, b}, [a, b, na, nb](Node& n) {
-    for (std::size_t j = 0; j < na; ++j) a->grad().at(j) += n.grad().at(j);
-    for (std::size_t j = 0; j < nb; ++j)
-      b->grad().at(j) += n.grad().at(na + j);
+  return makeNode(std::move(out), {a, b}, [na, nb](Node& n) {
+    Node& a = parent(n, 0);
+    Node& b = parent(n, 1);
+    if (a.requiresGrad())
+      for (std::size_t j = 0; j < na; ++j) a.grad().at(j) += n.grad().at(j);
+    if (b.requiresGrad())
+      for (std::size_t j = 0; j < nb; ++j)
+        b.grad().at(j) += n.grad().at(na + j);
   });
 }
 
@@ -155,9 +179,9 @@ Var sliceCols(const Var& a, std::size_t start, std::size_t len) {
     throw std::invalid_argument("sliceCols out of range");
   Matrix out(1, len);
   for (std::size_t j = 0; j < len; ++j) out.at(j) = a->value().at(start + j);
-  return makeNode(std::move(out), {a}, [a, start, len](Node& n) {
-    for (std::size_t j = 0; j < len; ++j)
-      a->grad().at(start + j) += n.grad().at(j);
+  return makeNode(std::move(out), {a}, [start, len](Node& n) {
+    Matrix& da = parent(n, 0).grad();
+    for (std::size_t j = 0; j < len; ++j) da.at(start + j) += n.grad().at(j);
   });
 }
 
@@ -167,9 +191,9 @@ Var selectRow(const Var& a, std::size_t index) {
   const std::size_t m = a->value().cols();
   Matrix out(1, m);
   for (std::size_t j = 0; j < m; ++j) out.at(j) = a->value()(index, j);
-  return makeNode(std::move(out), {a}, [a, index, m](Node& n) {
-    for (std::size_t j = 0; j < m; ++j)
-      a->grad()(index, j) += n.grad().at(j);
+  return makeNode(std::move(out), {a}, [index, m](Node& n) {
+    Matrix& da = parent(n, 0).grad();
+    for (std::size_t j = 0; j < m; ++j) da(index, j) += n.grad().at(j);
   });
 }
 
@@ -179,23 +203,26 @@ Var meanAll(const Var& a) {
   for (std::size_t i = 0; i < a->value().size(); ++i) s += a->value().at(i);
   Matrix out(1, 1);
   out.at(0) = s * inv;
-  return makeNode(std::move(out), {a}, [a, inv](Node& n) {
+  return makeNode(std::move(out), {a}, [inv](Node& n) {
+    Matrix& da = parent(n, 0).grad();
     const float g = n.grad().at(0) * inv;
-    for (std::size_t i = 0; i < a->grad().size(); ++i) a->grad().at(i) += g;
+    for (std::size_t i = 0; i < da.size(); ++i) da.at(i) += g;
   });
 }
 
 Var softmaxCrossEntropy(const Var& logits, std::size_t label) {
   if (logits->value().rows() != 1 || label >= logits->value().cols())
     throw std::invalid_argument("softmaxCrossEntropy: bad label or shape");
-  const Matrix probs = softmaxValue(logits->value());
+  Matrix probs = softmaxValue(logits->value());
   Matrix out(1, 1);
   out.at(0) = -std::log(std::max(probs.at(label), 1e-12f));
-  return makeNode(std::move(out), {logits}, [logits, probs, label](Node& n) {
+  return makeNode(std::move(out), {logits},
+                  [probs = std::move(probs), label](Node& n) {
+    Matrix& dl = parent(n, 0).grad();
     const float g = n.grad().at(0);
     for (std::size_t j = 0; j < probs.cols(); ++j) {
       const float onehot = (j == label) ? 1.0f : 0.0f;
-      logits->grad().at(j) += g * (probs.at(j) - onehot);
+      dl.at(j) += g * (probs.at(j) - onehot);
     }
   });
 }
@@ -216,11 +243,12 @@ Var bceWithLogits(const Var& logits, const Matrix& targets) {
   }
   Matrix out(1, 1);
   out.at(0) = loss * inv;
-  Matrix t = targets;
-  return makeNode(std::move(out), {logits}, [logits, sig, t, inv](Node& nd) {
+  return makeNode(std::move(out), {logits},
+                  [sig = std::move(sig), t = targets, inv](Node& nd) {
+    Matrix& dl = parent(nd, 0).grad();
     const float g = nd.grad().at(0) * inv;
     for (std::size_t i = 0; i < sig.size(); ++i)
-      logits->grad().at(i) += g * (sig.at(i) - t.at(i));
+      dl.at(i) += g * (sig.at(i) - t.at(i));
   });
 }
 
@@ -236,12 +264,11 @@ Var mseLoss(const Var& pred, const Matrix& target) {
   }
   Matrix out(1, 1);
   out.at(0) = loss * inv;
-  Matrix t = target;
-  return makeNode(std::move(out), {pred}, [pred, t, inv](Node& nd) {
+  return makeNode(std::move(out), {pred}, [t = target, inv](Node& nd) {
+    Node& p = parent(nd, 0);
     const float g = nd.grad().at(0) * inv;
     for (std::size_t i = 0; i < t.size(); ++i)
-      pred->grad().at(i) +=
-          g * 2.0f * (pred->value().at(i) - t.at(i));
+      p.grad().at(i) += g * 2.0f * (p.value().at(i) - t.at(i));
   });
 }
 
@@ -250,23 +277,31 @@ void backward(const Var& root) {
     throw std::invalid_argument("backward: root must be a 1x1 loss");
 
   // Iterative post-order topological sort (graphs can be thousands of nodes
-  // deep for long sequences; recursion would overflow the stack).
+  // deep for long sequences; recursion would overflow the stack). Only
+  // interior nodes are pushed and marked: leaves have no backward function,
+  // and parameters, the leaves threads share, are never written here. The
+  // marks are cleared before any backward function runs.
   std::vector<Node*> order;
-  std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, std::size_t>> stack;
-  stack.emplace_back(root.get(), 0);
-  visited.insert(root.get());
+  if (!root->parents_.empty()) {
+    root->visited_ = true;
+    stack.emplace_back(root.get(), 0);
+  }
   while (!stack.empty()) {
     auto& [node, next] = stack.back();
-    if (next < node->parents().size()) {
-      Node* parent = node->parents()[next].get();
+    if (next < node->parents_.size()) {
+      Node* p = node->parents_[next].get();
       ++next;
-      if (visited.insert(parent).second) stack.emplace_back(parent, 0);
+      if (!p->parents_.empty() && !p->visited_) {
+        p->visited_ = true;
+        stack.emplace_back(p, 0);
+      }
     } else {
       order.push_back(node);
       stack.pop_back();
     }
   }
+  for (Node* node : order) node->visited_ = false;
 
   root->grad().fill(1.0f);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {

@@ -2,9 +2,11 @@
 //
 // A tiny tape: every operation builds a `Node` holding its value, its parent
 // nodes, and a closure that scatters the node's output gradient into its
-// parents. `backward(root)` runs a topological sweep. This is the substrate
-// on which the LSTM fitness models of the paper (Figure 2) are built; it
-// replaces the TensorFlow dependency of the original implementation.
+// parents. Only parents that require grad receive gradient: an op over
+// constants alone records nothing and yields a constant. `backward(root)`
+// runs a topological sweep. This is the substrate on which the LSTM fitness
+// models of the paper (Figure 2) are built; it replaces the TensorFlow
+// dependency of the original implementation.
 //
 // Conventions:
 //  - Activations are row vectors (1 x n); parameters are (in x out).
@@ -56,11 +58,11 @@ class Node {
   friend Var constant(Matrix value);
   friend Var parameter(Matrix value);
   friend void backward(const Var& root);
-  friend void zeroGradGraph(const Var& root);
 
   Matrix value_;
   Matrix grad_;
   bool requires_grad_;
+  bool visited_ = false;  // backward()'s sweep mark; set on interior nodes only
   std::vector<Var> parents_;
   std::function<void(Node&)> backfn_;  // scatters grad_ into parents
 };
@@ -72,7 +74,9 @@ Var constant(Matrix value);
 /// register it in a ParamStore so optimizers can find it.
 Var parameter(Matrix value);
 
-/// Internal: interior node factory (exposed for custom ops in tests).
+/// Interior node factory for ops (exposed for custom ops such as the fused
+/// LSTM cell in layers.cpp). Records `parents` and `backfn` only when some
+/// parent requires grad; otherwise the node is a constant.
 Var makeNode(Matrix value, std::vector<Var> parents,
              std::function<void(Node&)> backfn);
 

@@ -4,8 +4,9 @@
 // (up to millions of times per synthesis run at paper scale); building an
 // autograd graph for those forward-only passes wastes most of the time in
 // allocation. These kernels run the same math over raw float buffers held in
-// a reusable `InferenceScratch`. Training keeps using the autograd path; a
-// regression test asserts both paths agree to float precision.
+// a reusable `InferenceScratch`. Training builds an autograd graph, with one
+// fused node per LSTM timestep (layers.hpp); the parity tests pin these
+// kernels to its forward values.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/gates.hpp"
+
 namespace netsyn::nn {
 
 Matrix xavierUniform(std::size_t rows, std::size_t cols, util::Rng& rng) {
@@ -41,26 +43,97 @@ Lstm::Lstm(std::size_t in, std::size_t hidden, ParamStore& store,
   for (std::size_t j = hidden_; j < 2 * hidden_; ++j) b_->value().at(j) = 1.0f;
 }
 
+namespace {
+
+/// One LSTM timestep as a single tape node. Parents, in this order: xw =
+/// x * Wx (its own matmul node, so Wx's gradient contributions still land in
+/// forward time order), the previous packed state [h | c], Wh, and b. Forward
+/// and backward perform exactly the float operations, in the same order, of
+/// the primitive-op composition
+///   z = (xw + h*Wh) + b; i, f, o = sigmoid; g = tanh;
+///   c' = f*c + i*g; h' = o * tanh(c'),
+/// so training through the cell reproduces the op-by-op tape bit for bit.
+Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
+             const Var& b, std::size_t hd) {
+  const std::size_t g4 = 4 * hd;
+  const float* hPrev = prev->value().data();
+  const float* cPrev = hPrev + hd;
+  // Activations [i | f | g | o | tanh(c')], kept for the backward pass.
+  // The first 4H start as h*Wh.
+  std::vector<float> act(5 * hd, 0.0f);
+  addRowTimesMatrix(act.data(), hPrev, wh->value().data(), hd, g4);
+  for (std::size_t j = 0; j < g4; ++j)
+    act[j] = (xw->value().at(j) + act[j]) + b->value().at(j);
+  float* ig = act.data();
+  float* fg = ig + hd;
+  float* gg = ig + 2 * hd;
+  float* og = ig + 3 * hd;
+  float* tc = ig + 4 * hd;
+  sigmoidInPlace(ig, 2 * hd);  // [i | f]
+  tanhInPlace(gg, hd);
+  sigmoidInPlace(og, hd);
+  Matrix out(1, 2 * hd);
+  float* h = out.data();
+  float* c = h + hd;
+  for (std::size_t k = 0; k < hd; ++k) c[k] = fg[k] * cPrev[k] + ig[k] * gg[k];
+  tanhOf(c, tc, hd);
+  for (std::size_t k = 0; k < hd; ++k) h[k] = og[k] * tc[k];
+
+  return makeNode(std::move(out), {xw, prev, wh, b},
+                  [act = std::move(act), hd](Node& n) {
+    Node& xwN = *n.parents()[0];
+    Node& prevN = *n.parents()[1];
+    Node& whN = *n.parents()[2];
+    Node& bN = *n.parents()[3];
+    const std::size_t g4 = 4 * hd;
+    const float* i = act.data();
+    const float* f = i + hd;
+    const float* g = i + 2 * hd;
+    const float* o = i + 3 * hd;
+    const float* tc = i + 4 * hd;
+    const float* dhc = n.grad().data();  // [dh | dc]
+    const float* hPrev = prevN.value().data();
+    const float* cPrev = hPrev + hd;
+    float* dPrev = prevN.requiresGrad() ? prevN.grad().data() : nullptr;
+    // xw feeds only this cell, so after this loop its gradient is dz.
+    float* dz = xwN.grad().data();
+    for (std::size_t k = 0; k < hd; ++k) {
+      const float dh = dhc[k];
+      const float dtc = dh * o[k];
+      const float dc = dhc[hd + k] + dtc * (1.0f - tc[k] * tc[k]);
+      const float di = dc * g[k];
+      const float df = dc * cPrev[k];
+      const float dg = dc * i[k];
+      const float dout = dh * tc[k];
+      dz[k] += di * i[k] * (1.0f - i[k]);
+      dz[hd + k] += df * f[k] * (1.0f - f[k]);
+      dz[2 * hd + k] += dg * (1.0f - g[k] * g[k]);
+      dz[3 * hd + k] += dout * o[k] * (1.0f - o[k]);
+      if (dPrev) dPrev[hd + k] += dc * f[k];
+    }
+    if (bN.requiresGrad()) {
+      float* db = bN.grad().data();
+      for (std::size_t j = 0; j < g4; ++j) db[j] += dz[j];
+    }
+    if (dPrev) addRowTimesTranspose(dPrev, dz, whN.value().data(), hd, g4);
+    if (whN.requiresGrad()) addOuter(whN.grad().data(), hPrev, dz, hd, g4);
+  });
+}
+
+}  // namespace
+
 Lstm::State Lstm::initialState() const {
-  return State{constant(Matrix(1, hidden_, 0.0f)),
-               constant(Matrix(1, hidden_, 0.0f))};
+  return constant(Matrix(1, 2 * hidden_, 0.0f));
 }
 
 Lstm::State Lstm::step(const Var& x, const State& state) const {
-  const Var z = add(add(matmul(x, wx_), matmul(state.h, wh_)), b_);
-  const Var i = sigmoidOp(sliceCols(z, 0, hidden_));
-  const Var f = sigmoidOp(sliceCols(z, hidden_, hidden_));
-  const Var g = tanhOp(sliceCols(z, 2 * hidden_, hidden_));
-  const Var o = sigmoidOp(sliceCols(z, 3 * hidden_, hidden_));
-  const Var c = add(mulElem(f, state.c), mulElem(i, g));
-  const Var h = mulElem(o, tanhOp(c));
-  return State{h, c};
+  return lstmCell(matmul(x, wx_), state, wh_, b_, hidden_);
 }
 
 Var Lstm::encode(const std::vector<Var>& sequence) const {
   State state = initialState();
   for (const Var& x : sequence) state = step(x, state);
-  return state.h;
+  return sliceCols(state, 0, hidden_);
 }
 
 std::vector<Var> Lstm::encodeAll(const std::vector<Var>& sequence) const {
@@ -69,7 +142,7 @@ std::vector<Var> Lstm::encodeAll(const std::vector<Var>& sequence) const {
   State state = initialState();
   for (const Var& x : sequence) {
     state = step(x, state);
-    hs.push_back(state.h);
+    hs.push_back(sliceCols(state, 0, hidden_));
   }
   return hs;
 }

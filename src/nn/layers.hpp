@@ -62,14 +62,17 @@ class Linear {
 /// initialized to +1 (standard remedy for early vanishing gradients).
 /// `encode` runs the cell over a sequence of 1 x in vectors and returns the
 /// final hidden state; an empty sequence encodes to the zero vector.
+///
+/// A timestep is two tape nodes: x * Wx, and one fused cell node whose value
+/// is the packed state [h | c] and whose forward and backward repeat, bit
+/// for bit, the arithmetic of the same step composed from the primitive ops
+/// (tests/test_nn_lstm_cell.cpp keeps that composition as the oracle).
 class Lstm {
  public:
   Lstm(std::size_t in, std::size_t hidden, ParamStore& store, util::Rng& rng);
 
-  struct State {
-    Var h;
-    Var c;
-  };
+  /// Packed cell state [h | c], 1 x 2H; h is sliceCols(state, 0, H).
+  using State = Var;
 
   /// Zero initial state.
   State initialState() const;

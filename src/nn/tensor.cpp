@@ -5,20 +5,42 @@
 
 namespace netsyn::nn {
 
+void addRowTimesMatrix(float* out, const float* x, const float* b,
+                       std::size_t k, std::size_t m) {
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float xv = x[kk];
+    if (xv == 0.0f) continue;
+    const float* brow = b + kk * m;
+    for (std::size_t j = 0; j < m; ++j) out[j] += xv * brow[j];
+  }
+}
+
+void addRowTimesTranspose(float* out, const float* x, const float* b,
+                          std::size_t k, std::size_t m) {
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * m;
+    float acc = 0.0f;
+    for (std::size_t j = 0; j < m; ++j) acc += x[j] * brow[j];
+    out[kk] += acc;
+  }
+}
+
+void addOuter(float* c, const float* a, const float* x, std::size_t k,
+              std::size_t m) {
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float av = a[kk];
+    if (av == 0.0f) continue;
+    float* crow = c + kk * m;
+    for (std::size_t j = 0; j < m; ++j) crow[j] += av * x[j];
+  }
+}
+
 Matrix matmulValue(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   Matrix c(a.rows(), b.cols(), 0.0f);
   const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* arow = a.data() + i * k;
-    float* crow = c.data() + i * m;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b.data() + kk * m;
-      for (std::size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    addRowTimesMatrix(c.data() + i * m, a.data() + i * k, b.data(), k, m);
   return c;
 }
 
@@ -27,16 +49,8 @@ void addATransposeB(Matrix& c, const Matrix& a, const Matrix& b) {
   assert(c.rows() == a.cols() && c.cols() == b.cols() &&
          a.rows() == b.rows());
   const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* arow = a.data() + i * k;
-    const float* brow = b.data() + i * m;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      float* crow = c.data() + kk * m;
-      for (std::size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    addOuter(c.data(), a.data() + i * k, b.data() + i * m, k, m);
 }
 
 void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b) {
@@ -44,16 +58,8 @@ void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b) {
   assert(c.rows() == a.rows() && c.cols() == b.rows() &&
          a.cols() == b.cols());
   const std::size_t n = a.rows(), m = a.cols(), k = b.rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* arow = a.data() + i * m;
-    float* crow = c.data() + i * k;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* brow = b.data() + kk * m;
-      float acc = 0.0f;
-      for (std::size_t j = 0; j < m; ++j) acc += arow[j] * brow[j];
-      crow[kk] += acc;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    addRowTimesTranspose(c.data() + i * k, a.data() + i * m, b.data(), k, m);
 }
 
 Matrix softmaxValue(const Matrix& logits) {

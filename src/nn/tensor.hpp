@@ -83,6 +83,21 @@ class Matrix {
   std::vector<float> data_;
 };
 
+// Row kernels behind the products below. The fused LSTM cell (layers.cpp)
+// calls them on raw rows, so it rounds exactly as the matmul op does.
+
+/// out[0, m) += x[0, k) * B, B k x m row-major; zero entries of x are skipped.
+void addRowTimesMatrix(float* out, const float* x, const float* b,
+                       std::size_t k, std::size_t m);
+
+/// out[0, k) += x[0, m) * B^T, B k x m; one accumulator per output entry.
+void addRowTimesTranspose(float* out, const float* x, const float* b,
+                          std::size_t k, std::size_t m);
+
+/// C += a^T * x for C k x m, a 1 x k, x 1 x m; zero entries of a are skipped.
+void addOuter(float* c, const float* a, const float* x, std::size_t k,
+              std::size_t m);
+
 /// C = A * B. Row-major, (i,k,j) loop order for sequential access.
 Matrix matmulValue(const Matrix& a, const Matrix& b);
 

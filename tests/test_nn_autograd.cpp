@@ -215,6 +215,19 @@ TEST(Autograd, SharedSubgraphVisitedOnce) {
     EXPECT_NEAR(x->grad().at(i), 2.0f * th * (1 - th * th) / 2.0f, 1e-5f);
 }
 
+TEST(Autograd, LaterBackwardSweepsAnInteriorNodeAgain) {
+  // backward() marks interior nodes while it sorts them; the marks must be
+  // cleared, or a later sweep through an already swept node would skip it.
+  auto x = nn::parameter(nn::Matrix(1, 2, 0.5f));
+  auto h = nn::scale(x, 2.0f);  // interior node shared by both losses
+  nn::backward(nn::meanAll(h));
+  EXPECT_EQ(x->grad().at(0), 1.0f);
+  x->grad().fill(0.0f);
+  nn::backward(nn::meanAll(nn::scale(h, 3.0f)));
+  // h's gradient accumulates: 1/2 from the first sweep + 3/2 now.
+  EXPECT_EQ(x->grad().at(0), 4.0f);
+}
+
 TEST(Autograd, DeepChainDoesNotOverflowStack) {
   // 20k-node chain exercises the iterative topological sort.
   auto x = nn::parameter(nn::Matrix(1, 1, 0.01f));

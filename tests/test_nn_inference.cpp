@@ -47,8 +47,8 @@ TEST(FastInference, LstmStepMatchesGraph) {
   nn::lstmStepFast(lstm, x.data(), h.data(), c.data(), scratch);
 
   for (std::size_t j = 0; j < 7; ++j) {
-    EXPECT_NEAR(h[j], state.h->value().at(j), kTol);
-    EXPECT_NEAR(c[j], state.c->value().at(j), kTol);
+    EXPECT_NEAR(h[j], state->value().at(j), kTol);      // packed [h | c]
+    EXPECT_NEAR(c[j], state->value().at(7 + j), kTol);
   }
 }
 

@@ -64,11 +64,11 @@ TEST(Lstm, StepAndEncodeShapes) {
   Rng rng(5);
   nn::ParamStore store;
   nn::Lstm lstm(4, 6, store, rng);
-  auto st = lstm.initialState();
-  EXPECT_EQ(st.h->value().cols(), 6u);
+  auto st = lstm.initialState();  // packed [h | c]
+  EXPECT_EQ(st->value().cols(), 12u);
   st = lstm.step(nn::constant(nn::Matrix(1, 4, 0.5f)), st);
-  EXPECT_EQ(st.h->value().cols(), 6u);
-  EXPECT_EQ(st.c->value().cols(), 6u);
+  EXPECT_EQ(st->value().rows(), 1u);
+  EXPECT_EQ(st->value().cols(), 12u);
 
   std::vector<nn::Var> seq;
   for (int i = 0; i < 5; ++i) seq.push_back(nn::constant(nn::Matrix(1, 4, 0.1f * float(i))));

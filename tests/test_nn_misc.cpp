@@ -63,6 +63,17 @@ TEST(InferenceMode, NodesCarryNoParents) {
   EXPECT_EQ(sum->parents().size(), 2u);
 }
 
+TEST(Autograd, OpsOverConstantsRecordNothing) {
+  auto c = nn::constant(nn::Matrix(1, 2, 3.0f));
+  auto p = nn::parameter(nn::Matrix(1, 2, 2.0f));
+  const auto cc = nn::add(c, c);
+  EXPECT_TRUE(cc->parents().empty());
+  EXPECT_FALSE(cc->requiresGrad());
+  nn::backward(nn::meanAll(nn::mulElem(cc, p)));
+  EXPECT_EQ(p->grad().at(0), 3.0f);  // d/dp mean(6p) = 6/2
+  EXPECT_EQ(c->grad().at(0), 0.0f);  // no gradient scattered into constants
+}
+
 TEST(InferenceMode, ValuesIdenticalWithAndWithoutGraph) {
   Rng rng(3);
   nn::ParamStore store;
