@@ -64,14 +64,16 @@ int main(int argc, char** argv) {
   const auto fpVal =
       harness::buildCorpus(epochsCfg, epochsCfg.validationPrograms,
                            fitness::BalanceMetric::CF, epochsCfg.seed + 71);
-  util::Table epochTable({"epoch", "train loss", "val loss", "val accuracy"});
+  util::Table epochTable(
+      {"epoch", "train loss", "val loss", "val accuracy", "val base rate"});
   fitness::Trainer fpTrainer(epochsCfg.trainConfig);
   fpTrainer.train(*fpModel, fpTrain, fpVal, [&](const fitness::EpochStats& e) {
     epochTable.newRow()
         .addInt(static_cast<long>(e.epoch))
         .addDouble(e.trainLoss, 4)
         .addDouble(e.valLoss, 4)
-        .addDouble(e.valAccuracy, 4);
+        .addDouble(e.valAccuracy, 4)
+        .addDouble(e.valBaseRate, 4);
   });
   std::printf("(c) f_FP accuracy over epochs (%zu training programs):\n",
               epochsCfg.trainingPrograms);

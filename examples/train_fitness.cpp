@@ -56,8 +56,10 @@ int run(int argc, char** argv) {
   tc.labelMetric = metric;
   fitness::Trainer trainer(tc);
   trainer.train(*model, trainSet, valSet, [](const fitness::EpochStats& e) {
-    std::printf("epoch %zu: train loss %.4f, val loss %.4f, val acc %.3f\n",
-                e.epoch, e.trainLoss, e.valLoss, e.valAccuracy);
+    std::printf(
+        "epoch %zu: train loss %.4f, val loss %.4f, val acc %.3f (base "
+        "rate %.3f)\n",
+        e.epoch, e.trainLoss, e.valLoss, e.valAccuracy, e.valBaseRate);
   });
 
   if (head == fitness::HeadKind::Classifier) {

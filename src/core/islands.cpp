@@ -13,12 +13,9 @@
 //   - and with K == 1 the engine degenerates to seed()+step() on the
 //     caller's own RNG — the exact SinglePopulation search.
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -26,105 +23,11 @@
 
 #include "core/search_state.hpp"
 #include "core/synthesizer.hpp"
+#include "util/gang.hpp"
 #include "util/timer.hpp"
 
 namespace netsyn::core {
 namespace {
-
-/// Persistent worker gang for the lockstep rounds: run(n, fn) executes
-/// fn(0..n-1) across the workers and returns when all calls finished. Task
-/// claiming order is racy on purpose — islands are data-isolated, so the
-/// schedule cannot influence results.
-///
-/// Round lifecycle: workers park on `wake_` until the epoch advances, copy
-/// the round's job under the mutex, and register as running. The shared
-/// claim cursor `next_` is only touched by registered workers, and run()
-/// waits for the previous round's workers to deregister before resetting
-/// it — a straggler from round R can therefore never claim a task of round
-/// R+1 (the bug TSan catches if the cursor is reset while a late worker is
-/// mid-claim). All counters are mutex-guarded; the mutex also publishes the
-/// islands' state back to the coordinator at the end of each round.
-class Gang {
- public:
-  explicit Gang(std::size_t threads) {
-    workers_.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t)
-      workers_.emplace_back([this] { workerLoop(); });
-  }
-
-  ~Gang() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    wake_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  void run(std::size_t tasks, const std::function<void(std::size_t)>& fn) {
-    if (tasks == 0) return;
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return running_ == 0; });  // round R-1 fully parked
-    fn_ = &fn;
-    tasks_ = tasks;
-    next_.store(0);
-    pending_ = tasks;
-    ++epoch_;
-    wake_.notify_all();
-    done_.wait(lock, [&] { return pending_ == 0 && running_ == 0; });
-    fn_ = nullptr;
-    if (error_) {
-      auto e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
- private:
-  void workerLoop() {
-    std::uint64_t seen = 0;
-    while (true) {
-      const std::function<void(std::size_t)>* fn = nullptr;
-      std::size_t tasks = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        wake_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        fn = fn_;
-        tasks = tasks_;
-        ++running_;
-      }
-      while (true) {
-        const std::size_t t = next_.fetch_add(1);
-        if (t >= tasks) break;
-        try {
-          (*fn)(t);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (!error_) error_ = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--pending_ == 0) done_.notify_all();
-      }
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--running_ == 0) done_.notify_all();
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;  // guarded by mutex_
-  std::size_t tasks_ = 0;                                 // guarded by mutex_
-  std::atomic<std::size_t> next_{0};  ///< claim cursor; see lifecycle above
-  std::size_t pending_ = 0;           // guarded by mutex_
-  std::size_t running_ = 0;           // guarded by mutex_
-  std::uint64_t epoch_ = 0;           // guarded by mutex_
-  bool stop_ = false;
-  std::exception_ptr error_;
-};
 
 /// The tweak cycle in effect: explicit tweaks win; `heterogeneous` falls
 /// back to a fixed operator-diversity portfolio (island 0 stays the
@@ -214,7 +117,7 @@ SynthesisResult runIslandSearch(
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
     threads = ic.threads == 0 ? std::min(K, hw) : std::min(ic.threads, K);
   }
-  std::optional<Gang> gang;
+  std::optional<util::Gang> gang;
   if (threads > 1) gang.emplace(threads);
 
   std::vector<SearchState::Status> status(K, SearchState::Status::Running);

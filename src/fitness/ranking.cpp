@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fitness/minibatch.hpp"
 #include "nn/optim.hpp"
 
 namespace netsyn::fitness {
@@ -15,6 +16,7 @@ std::vector<RankEpochStats> RankTrainer::train(
     throw std::invalid_argument("RankTrainer requires a Regression head");
   if (trainSet.empty()) throw std::invalid_argument("empty pair set");
 
+  MinibatchRunner runner(model, trainThreads(0, config_.batchSize));
   nn::Adam opt(model.params(), config_.learningRate);
   util::Rng shuffler(config_.shuffleSeed);
   std::vector<std::size_t> order(trainSet.size());
@@ -28,23 +30,17 @@ std::vector<RankEpochStats> RankTrainer::train(
          start += config_.batchSize) {
       const std::size_t end =
           std::min(order.size(), start + config_.batchSize);
-      model.params().zeroGrad();
-      nn::Var batchLoss;
-      for (std::size_t i = start; i < end; ++i) {
-        const PairSample& p = trainSet[order[i]];
-        const nn::Var sa = model.forward(p.spec, p.a, p.tracesA);
-        const nn::Var sb = model.forward(p.spec, p.b, p.tracesB);
-        const nn::Matrix label(1, 1,
-                               p.metricA > p.metricB ? 1.0f : 0.0f);
-        const nn::Var loss = nn::bceWithLogits(nn::sub(sa, sb), label);
-        epochLoss += loss->scalar();
-        batchLoss = batchLoss ? nn::add(batchLoss, loss) : loss;
-      }
-      nn::backward(
-          nn::scale(batchLoss, 1.0f / static_cast<float>(end - start)));
-      if (config_.gradClip > 0.0f)
-        model.params().clipGradNorm(config_.gradClip);
-      opt.step();
+      runner.step(
+          end - start,
+          [&](const NnffModel& m, std::size_t i) {
+            const PairSample& p = trainSet[order[start + i]];
+            const nn::Var sa = m.forward(p.spec, p.a, p.tracesA);
+            const nn::Var sb = m.forward(p.spec, p.b, p.tracesB);
+            const nn::Matrix label(1, 1,
+                                   p.metricA > p.metricB ? 1.0f : 0.0f);
+            return nn::bceWithLogits(nn::sub(sa, sb), label);
+          },
+          config_.gradClip, opt, epochLoss);
     }
 
     RankEpochStats stats;

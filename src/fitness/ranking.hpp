@@ -42,7 +42,9 @@ class RankTrainer {
   const RankTrainConfig& config() const { return config_; }
 
   /// Trains `model` (Regression head required) on ordered pairs; returns
-  /// per-epoch statistics.
+  /// per-epoch statistics. Minibatches run data-parallel on
+  /// trainThreads(0, batchSize) workers, with weights bit-identical to the
+  /// single-threaded sweep (fitness/minibatch.hpp).
   std::vector<RankEpochStats> train(
       NnffModel& model, const std::vector<PairSample>& trainSet,
       const std::vector<PairSample>& valSet,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "fitness/extras.hpp"
+#include "fitness/minibatch.hpp"
 #include "nn/optim.hpp"
 
 namespace netsyn::fitness {
@@ -85,48 +86,47 @@ nn::Var Trainer::sampleLoss(const NnffModel& model,
   return lossOf(model, sample, headOutput(model, sample));
 }
 
+std::size_t Trainer::threads() const {
+  return trainThreads(config_.threads, config_.batchSize);
+}
+
 std::vector<EpochStats> Trainer::train(
     NnffModel& model, const std::vector<Sample>& trainSet,
     const std::vector<Sample>& valSet,
     const std::function<void(const EpochStats&)>& onEpoch) const {
   if (trainSet.empty()) throw std::invalid_argument("empty training set");
 
+  MinibatchRunner runner(model, threads());
   nn::Adam opt(model.params(), config_.learningRate);
   util::Rng shuffler(config_.shuffleSeed);
   std::vector<std::size_t> order(trainSet.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const double valBaseRate = baseRate(model, valSet);
 
   std::vector<EpochStats> history;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     shuffler.shuffle(order);
     double epochLoss = 0.0;
-    std::size_t seen = 0;
     for (std::size_t start = 0; start < order.size();
          start += config_.batchSize) {
       const std::size_t end =
           std::min(order.size(), start + config_.batchSize);
-      model.params().zeroGrad();
-      nn::Var batchLoss;
-      for (std::size_t i = start; i < end; ++i) {
-        const nn::Var loss = sampleLoss(model, trainSet[order[i]]);
-        epochLoss += loss->scalar();
-        batchLoss = batchLoss ? nn::add(batchLoss, loss) : loss;
-      }
-      ++seen;
-      nn::backward(nn::scale(batchLoss,
-                             1.0f / static_cast<float>(end - start)));
-      if (config_.gradClip > 0.0f)
-        model.params().clipGradNorm(config_.gradClip);
-      opt.step();
+      runner.step(
+          end - start,
+          [&](const NnffModel& m, std::size_t i) {
+            return sampleLoss(m, trainSet[order[start + i]]);
+          },
+          config_.gradClip, opt, epochLoss);
     }
 
     EpochStats stats;
     stats.epoch = epoch;
     stats.trainLoss = epochLoss / static_cast<double>(trainSet.size());
     if (!valSet.empty()) {
-      const auto [loss, acc] = evaluate(model, valSet);
+      const auto [loss, acc] = evaluate(runner, valSet);
       stats.valLoss = loss;
       stats.valAccuracy = acc;
+      stats.valBaseRate = valBaseRate;
     }
     history.push_back(stats);
     if (onEpoch) onEpoch(stats);
@@ -137,33 +137,75 @@ std::vector<EpochStats> Trainer::train(
 std::pair<double, double> Trainer::evaluate(
     const NnffModel& model, const std::vector<Sample>& set) const {
   if (set.empty()) return {0.0, 0.0};
-  nn::InferenceModeGuard guard;
-  double totalLoss = 0.0;
-  double correct = 0.0;
-  for (const Sample& s : set) {
-    // One forward per sample: the loss and the accuracy share its output.
+  // A runner holds the model it trains, so a const model is evaluated
+  // through a copy.
+  const auto copy = model.clone();
+  MinibatchRunner runner(*copy, threads());
+  return evaluate(runner, set);
+}
+
+std::pair<double, double> Trainer::evaluate(
+    MinibatchRunner& runner, const std::vector<Sample>& set) const {
+  if (set.empty()) return {0.0, 0.0};
+  // Per sample: its loss and its accuracy credit, from one forward.
+  std::vector<std::pair<float, double>> scored(set.size());
+  runner.forEach(set.size(), [&](const NnffModel& model, std::size_t i) {
+    const Sample& s = set[i];
     const nn::Var out = headOutput(model, s);
-    totalLoss += lossOf(model, s, out)->scalar();
+    double credit = 0.0;
     switch (model.config().head) {
       case HeadKind::Classifier:
-        correct +=
-            (argmaxClass(out->value()) == classLabel(model, s)) ? 1.0 : 0.0;
+        credit = (argmaxClass(out->value()) == classLabel(model, s)) ? 1.0
+                                                                    : 0.0;
         break;
       case HeadKind::Multilabel:
-        correct += multilabelHitRate(
-            out->value(), multilabelTargets(s, model.outDim()));
+        credit = multilabelHitRate(out->value(),
+                                   multilabelTargets(s, model.outDim()));
         break;
       case HeadKind::Regression:
         // "Accurate" when the rounded prediction hits the label.
-        correct += (std::lround(out->value().at(0)) ==
-                    std::lround(regressionLabel(s)))
-                       ? 1.0
-                       : 0.0;
+        credit = (std::lround(out->value().at(0)) ==
+                  std::lround(regressionLabel(s)))
+                     ? 1.0
+                     : 0.0;
         break;
     }
+    scored[i] = {lossOf(model, s, out)->scalar(), credit};
+  });
+  double totalLoss = 0.0;
+  double correct = 0.0;
+  for (const auto& [loss, credit] : scored) {
+    totalLoss += loss;
+    correct += credit;
   }
   return {totalLoss / static_cast<double>(set.size()),
           correct / static_cast<double>(set.size())};
+}
+
+double Trainer::baseRate(const NnffModel& model,
+                         const std::vector<Sample>& set) const {
+  if (set.empty()) return 0.0;
+  const double n = static_cast<double>(set.size());
+  if (model.config().head == HeadKind::Multilabel) {
+    // Predicting every function absent hits exactly the absent ones.
+    double hits = 0.0;
+    for (const Sample& s : set)
+      hits += multilabelHitRate(
+          nn::Matrix(1, model.outDim(), -1.0f),
+          multilabelTargets(s, model.outDim()));
+    return hits / n;
+  }
+  std::vector<std::size_t> counts;
+  for (const Sample& s : set) {
+    const std::size_t label =
+        model.config().head == HeadKind::Classifier
+            ? classLabel(model, s)
+            : static_cast<std::size_t>(std::lround(regressionLabel(s)));
+    if (label >= counts.size()) counts.resize(label + 1, 0);
+    ++counts[label];
+  }
+  return static_cast<double>(*std::max_element(counts.begin(), counts.end())) /
+         n;
 }
 
 util::ConfusionMatrix Trainer::confusion(const NnffModel& model,

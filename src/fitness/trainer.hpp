@@ -19,6 +19,8 @@
 
 namespace netsyn::fitness {
 
+class MinibatchRunner;  // minibatch.hpp
+
 /// How the oracle metric maps onto classifier labels.
 enum class LabelTransform : std::uint8_t {
   Identity,       ///< label = metric value, clamped to numClasses-1
@@ -33,6 +35,11 @@ struct TrainConfig {
   BalanceMetric labelMetric = BalanceMetric::CF;  ///< classifier/regression
   LabelTransform labelTransform = LabelTransform::Identity;
   std::uint64_t shuffleSeed = 7;
+  /// Worker threads for the minibatches and the validation pass (0 =
+  /// min(hardware_concurrency, batchSize)). Purely a throughput knob: the
+  /// trained weights and every statistic are bit-identical for every value
+  /// (fitness/minibatch.hpp), so it is neither serialized nor a CLI flag.
+  std::size_t threads = 0;
 };
 
 struct EpochStats {
@@ -40,6 +47,9 @@ struct EpochStats {
   double trainLoss = 0.0;
   double valLoss = 0.0;
   double valAccuracy = 0.0;  ///< head-appropriate accuracy (see trainer.cpp)
+  /// valAccuracy of a constant predictor (Trainer::baseRate): the floor a
+  /// useful model has to beat.
+  double valBaseRate = 0.0;
 };
 
 class Trainer {
@@ -48,8 +58,14 @@ class Trainer {
 
   const TrainConfig& config() const { return config_; }
 
+  /// Worker threads train() and evaluate() use (TrainConfig::threads, 0
+  /// resolved).
+  std::size_t threads() const;
+
   /// Trains `model` in place; returns per-epoch statistics. `onEpoch` (if
-  /// set) observes each epoch's stats (used by the Figure 7c bench).
+  /// set) observes each epoch's stats (used by the Figure 7c bench). Each
+  /// minibatch runs data-parallel on threads() workers with weights
+  /// bit-identical to the single-threaded sweep (fitness/minibatch.hpp).
   std::vector<EpochStats> train(
       NnffModel& model, const std::vector<Sample>& trainSet,
       const std::vector<Sample>& valSet,
@@ -64,9 +80,15 @@ class Trainer {
   nn::Var sampleLoss(const NnffModel& model, const Sample& sample) const;
 
   /// Mean loss + accuracy on a dataset (inference mode, one forward per
-  /// sample).
+  /// sample, spread over threads() workers and summed in sample order).
   std::pair<double, double> evaluate(const NnffModel& model,
                                      const std::vector<Sample>& set) const;
+
+  /// Accuracy, as evaluate() scores it, of the best constant predictor: the
+  /// majority label's rate for the Classifier and Regression heads, the
+  /// all-absent hit rate for the Multilabel head. Independent of weights.
+  double baseRate(const NnffModel& model,
+                  const std::vector<Sample>& set) const;
 
   /// Row-normalizable confusion matrix over the classifier's classes
   /// (Figure 7a-b). Requires a Classifier head.
@@ -93,6 +115,9 @@ class Trainer {
                  const nn::Var& out) const;
   /// Regression target: the sample's metric value.
   float regressionLabel(const Sample& sample) const;
+  /// evaluate() on `runner`'s workers.
+  std::pair<double, double> evaluate(MinibatchRunner& runner,
+                                     const std::vector<Sample>& set) const;
 
   TrainConfig config_;
 };

@@ -83,13 +83,15 @@ bool loadOrTrain(const ExperimentConfig& config, fitness::NnffModel& model,
   fitness::Trainer trainer(tc);
   trainer.train(model, trainSet, valSet, [&](const fitness::EpochStats& e) {
     if (!quiet)
-      std::printf("[models]   %s epoch %zu: train %.3f val %.3f acc %.3f\n",
-                  tag.c_str(), e.epoch, e.trainLoss, e.valLoss,
-                  e.valAccuracy);
+      std::printf(
+          "[models]   %s epoch %zu: train %.3f val %.3f acc %.3f (base rate "
+          "%.3f)\n",
+          tag.c_str(), e.epoch, e.trainLoss, e.valLoss, e.valAccuracy,
+          e.valBaseRate);
   });
   if (!quiet)
-    std::printf("[models] trained %s in %.1fs\n", tag.c_str(),
-                timer.seconds());
+    std::printf("[models] trained %s in %.1fs on %zu threads\n", tag.c_str(),
+                timer.seconds(), trainer.threads());
 
   std::filesystem::create_directories(config.modelDir);
   model.save(path);

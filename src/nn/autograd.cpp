@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/gates.hpp"
@@ -18,7 +19,98 @@ Var parameter(Matrix value) {
 
 namespace {
 thread_local bool g_inference_mode = false;
+thread_local LeafGradLog* g_leaf_log = nullptr;
 }  // namespace
+
+void Node::checkLeafGradAccess() const {
+  if (g_leaf_log != nullptr)
+    throw std::logic_error(
+        "parameter gradient accessed while a LeafGradLog is active: the "
+        "write must go through accumulate/accumulateRow/accumulateOuter");
+}
+
+LeafGradLogScope::LeafGradLogScope(LeafGradLog& log) : previous_(g_leaf_log) {
+  g_leaf_log = &log;
+}
+
+LeafGradLogScope::~LeafGradLogScope() { g_leaf_log = previous_; }
+
+void LeafGradLog::clear() {
+  entries_.clear();
+  data_.clear();
+  lastSize_ = 0;
+}
+
+std::uint32_t LeafGradLog::slotOf(const Node& p) {
+  if (p.slot() == Node::kNoSlot)
+    throw std::logic_error("LeafGradLog: parameter not in a ParamStore");
+  return p.slot();
+}
+
+std::uint32_t LeafGradLog::store(const float* v, std::size_t n) {
+  if (n == lastSize_ &&
+      std::memcmp(data_.data() + lastOffset_, v, n * sizeof(float)) == 0)
+    return lastOffset_;
+  lastOffset_ = static_cast<std::uint32_t>(data_.size());
+  lastSize_ = n;
+  data_.insert(data_.end(), v, v + n);
+  return lastOffset_;
+}
+
+void LeafGradLog::replay(const std::vector<Var>& params, std::size_t part,
+                         std::size_t parts) const {
+  for (const Entry& e : entries_) {
+    Matrix& g = params[e.slot]->grad();
+    const std::size_t rows = g.rows(), m = g.cols();
+    const std::size_t r0 = part * rows / parts;
+    const std::size_t r1 = (part + 1) * rows / parts;
+    if (e.row == kOuter) {
+      if (r0 < r1)
+        addOuter(g.data() + r0 * m, data_.data() + e.a + r0,
+                 data_.data() + e.x, r1 - r0, m);
+    } else if (e.row >= r0 && e.row < r1) {
+      float* out = g.data() + e.row * m;
+      const float* v = data_.data() + e.a;
+      for (std::size_t j = 0; j < m; ++j) out[j] += v[j];
+    }
+  }
+}
+
+void accumulate(Node& p, const Matrix& g) {
+  if (g_leaf_log == nullptr || !p.isParameter()) {
+    p.grad().addInPlace(g);
+    return;
+  }
+  for (std::size_t r = 0; r < g.rows(); ++r)
+    accumulateRow(p, r, g.data() + r * g.cols());
+}
+
+void accumulateRow(Node& p, std::size_t row, const float* v) {
+  LeafGradLog* log = g_leaf_log;
+  if (log == nullptr || !p.isParameter()) {
+    Matrix& g = p.grad();
+    float* out = g.data() + row * g.cols();
+    for (std::size_t j = 0; j < g.cols(); ++j) out[j] += v[j];
+    return;
+  }
+  const std::uint32_t slot = LeafGradLog::slotOf(p);
+  const std::uint32_t at = log->store(v, p.value().cols());
+  log->entries_.push_back({slot, static_cast<std::uint32_t>(row), at, 0});
+}
+
+void accumulateOuter(Node& p, const float* a, const float* x) {
+  const std::size_t k = p.value().rows(), m = p.value().cols();
+  LeafGradLog* log = g_leaf_log;
+  if (log == nullptr || !p.isParameter()) {
+    addOuter(p.grad().data(), a, x, k, m);
+    return;
+  }
+  const std::uint32_t slot = LeafGradLog::slotOf(p);
+  // x first: the LSTM cell's bias write just stored the same row.
+  const std::uint32_t xAt = log->store(x, m);
+  const std::uint32_t aAt = log->store(a, k);
+  log->entries_.push_back({slot, LeafGradLog::kOuter, aAt, xAt});
+}
 
 InferenceModeGuard::InferenceModeGuard() : previous_(g_inference_mode) {
   g_inference_mode = true;
@@ -67,8 +159,8 @@ Var add(const Var& a, const Var& b) {
   return makeNode(std::move(out), {a, b}, [](Node& n) {
     Node& a = parent(n, 0);
     Node& b = parent(n, 1);
-    if (a.requiresGrad()) a.grad().addInPlace(n.grad());
-    if (b.requiresGrad()) b.grad().addInPlace(n.grad());
+    if (a.requiresGrad()) accumulate(a, n.grad());
+    if (b.requiresGrad()) accumulate(b, n.grad());
   });
 }
 
@@ -117,7 +209,11 @@ Var matmul(const Var& a, const Var& b) {
     Node& a = parent(n, 0);
     Node& b = parent(n, 1);
     if (a.requiresGrad()) addABTranspose(a.grad(), n.grad(), b.value());
-    if (b.requiresGrad()) addATransposeB(b.grad(), a.value(), n.grad());
+    if (b.requiresGrad()) {
+      const std::size_t k = a.value().cols(), m = n.grad().cols();
+      for (std::size_t i = 0; i < a.value().rows(); ++i)
+        accumulateOuter(b, a.value().data() + i * k, n.grad().data() + i * m);
+    }
   });
 }
 
@@ -191,9 +287,8 @@ Var selectRow(const Var& a, std::size_t index) {
   const std::size_t m = a->value().cols();
   Matrix out(1, m);
   for (std::size_t j = 0; j < m; ++j) out.at(j) = a->value()(index, j);
-  return makeNode(std::move(out), {a}, [index, m](Node& n) {
-    Matrix& da = parent(n, 0).grad();
-    for (std::size_t j = 0; j < m; ++j) da(index, j) += n.grad().at(j);
+  return makeNode(std::move(out), {a}, [index](Node& n) {
+    accumulateRow(parent(n, 0), index, n.grad().data());
   });
 }
 
@@ -312,11 +407,14 @@ void backward(const Var& root) {
 
 Var ParamStore::make(Matrix value) {
   Var p = parameter(std::move(value));
-  params_.push_back(p);
+  add(p);
   return p;
 }
 
-void ParamStore::add(Var param) { params_.push_back(std::move(param)); }
+void ParamStore::add(Var param) {
+  param->slot_ = static_cast<std::uint32_t>(params_.size());
+  params_.push_back(std::move(param));
+}
 
 std::size_t ParamStore::totalParameters() const {
   std::size_t n = 0;

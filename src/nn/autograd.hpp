@@ -12,10 +12,14 @@
 //  - Activations are row vectors (1 x n); parameters are (in x out).
 //  - Losses are 1 x 1 scalars.
 //  - Gradients accumulate (+=); call ParamStore::zeroGrad between steps.
+//  - Every write into a parameter's gradient goes through accumulate,
+//    accumulateRow or accumulateOuter, so a LeafGradLog can record it (see
+//    there); a parameter's grad() fails loudly while a log is active.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -36,8 +40,12 @@ class Node {
   Matrix& value() { return value_; }
 
   /// Gradient buffer, allocated lazily (inference-mode forwards never touch
-  /// it, halving allocation traffic in the GA's hot loop).
+  /// it, halving allocation traffic in the GA's hot loop). Throws
+  /// std::logic_error for a parameter while a LeafGradLog is active on the
+  /// calling thread: a write that bypassed the log would be lost from the
+  /// replay, and a read would see a gradient the log has not applied yet.
   Matrix& grad() {
+    if (isParameter()) checkLeafGradAccess();
     if (grad_.size() != value_.size())
       grad_ = Matrix(value_.rows(), value_.cols(), 0.0f);
     return grad_;
@@ -46,6 +54,17 @@ class Node {
     return const_cast<Node*>(this)->grad();
   }
   bool requiresGrad() const { return requires_grad_; }
+
+  /// A gradient-tracking leaf: a weight or bias (interior nodes that track
+  /// gradient always have parents).
+  bool isParameter() const { return requires_grad_ && parents_.empty(); }
+
+  /// Index of this parameter in the ParamStore that registered it (kNoSlot
+  /// when unregistered). Stores built by the same code agree on it, which is
+  /// how a log recorded on one model replica replays onto another.
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t slot() const { return slot_; }
 
   const std::vector<Var>& parents() const { return parents_; }
 
@@ -58,11 +77,15 @@ class Node {
   friend Var constant(Matrix value);
   friend Var parameter(Matrix value);
   friend void backward(const Var& root);
+  friend class ParamStore;
+
+  void checkLeafGradAccess() const;
 
   Matrix value_;
   Matrix grad_;
   bool requires_grad_;
   bool visited_ = false;  // backward()'s sweep mark; set on interior nodes only
+  std::uint32_t slot_ = kNoSlot;
   std::vector<Var> parents_;
   std::function<void(Node&)> backfn_;  // scatters grad_ into parents
 };
@@ -139,6 +162,83 @@ Var bceWithLogits(const Var& logits, const Matrix& targets);
 
 /// Squared error (pred - target)^2 averaged over entries -> 1 x 1.
 Var mseLoss(const Var& pred, const Matrix& target);
+
+// ---- gradient writes ---------------------------------------------------------
+
+// The backward closures write gradients through these. On an interior node,
+// or with no LeafGradLog active, they apply the write at once; on a
+// parameter under an active log they record it instead.
+
+/// grad(p) += g (g has p's shape), one row after another.
+void accumulate(Node& p, const Matrix& g);
+
+/// Row `row` of grad(p) += v[0, cols).
+void accumulateRow(Node& p, std::size_t row, const float* v);
+
+/// grad(p) += a^T x for p k x m: a is 1 x k, x is 1 x m (addOuter, zero
+/// entries of a skipped).
+void accumulateOuter(Node& p, const float* a, const float* x);
+
+/// The parameter-gradient writes of backward passes, recorded as operands
+/// instead of applied. Backward passes over one shared set of weights can
+/// then run on several threads, each on its own model replica and into its
+/// own log, and the caller applies the logs afterwards in the order a
+/// single-threaded sweep would have made the writes. replay() runs the same
+/// kernels on the same operands, so every gradient element receives the
+/// same float additions in the same order: the result is bit-identical.
+/// Parameters are addressed by Node::slot(), so a log recorded on one
+/// replica replays onto any store with the same layout.
+class LeafGradLog {
+ public:
+  /// Drops the entries (and keeps the capacity for the next pass).
+  void clear();
+
+  /// Applies the recorded writes, in recording order, to the gradients of
+  /// `params` (indexed by slot), restricted to rows [part * R / parts,
+  /// (part + 1) * R / parts) of each parameter with R rows. Distinct parts
+  /// touch disjoint rows and may replay concurrently. Every gradient must
+  /// be allocated beforehand (ParamStore::zeroGrad).
+  void replay(const std::vector<Var>& params, std::size_t part,
+              std::size_t parts) const;
+
+ private:
+  friend void accumulateRow(Node& p, std::size_t row, const float* v);
+  friend void accumulateOuter(Node& p, const float* a, const float* x);
+
+  /// Marks an outer-product entry in Entry::row.
+  static constexpr std::uint32_t kOuter =
+      std::numeric_limits<std::uint32_t>::max();
+  struct Entry {
+    std::uint32_t slot;  ///< the parameter
+    std::uint32_t row;   ///< the row added to, or kOuter
+    std::uint32_t a;     ///< offset of the added row (kOuter: of a)
+    std::uint32_t x;     ///< kOuter: offset of x
+  };
+
+  static std::uint32_t slotOf(const Node& p);
+  /// Offset of a copy of v[0, n) in data_. The LSTM cell hands the same
+  /// gradient row to its bias and its Wh write back to back, so a repeat
+  /// of the previous operand's bytes shares that copy.
+  std::uint32_t store(const float* v, std::size_t n);
+
+  std::vector<Entry> entries_;
+  std::vector<float> data_;
+  std::uint32_t lastOffset_ = 0;
+  std::size_t lastSize_ = 0;
+};
+
+/// While alive, parameter-gradient writes on this thread are recorded into
+/// `log`. Scopes nest; the innermost log wins.
+class LeafGradLogScope {
+ public:
+  explicit LeafGradLogScope(LeafGradLog& log);
+  ~LeafGradLogScope();
+  LeafGradLogScope(const LeafGradLogScope&) = delete;
+  LeafGradLogScope& operator=(const LeafGradLogScope&) = delete;
+
+ private:
+  LeafGradLog* previous_;
+};
 
 // ---- engine -----------------------------------------------------------------
 

@@ -111,12 +111,9 @@ Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
       dz[3 * hd + k] += dout * o[k] * (1.0f - o[k]);
       if (dPrev) dPrev[hd + k] += dc * f[k];
     }
-    if (bN.requiresGrad()) {
-      float* db = bN.grad().data();
-      for (std::size_t j = 0; j < g4; ++j) db[j] += dz[j];
-    }
+    if (bN.requiresGrad()) accumulateRow(bN, 0, dz);
     if (dPrev) addRowTimesTranspose(dPrev, dz, whN.value().data(), hd, g4);
-    if (whN.requiresGrad()) addOuter(whN.grad().data(), hPrev, dz, hd, g4);
+    if (whN.requiresGrad()) accumulateOuter(whN, hPrev, dz);
   });
 }
 

@@ -44,15 +44,6 @@ Matrix matmulValue(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void addATransposeB(Matrix& c, const Matrix& a, const Matrix& b) {
-  // c (k x m) += a^T (k x n) * b (n x m), a is n x k.
-  assert(c.rows() == a.cols() && c.cols() == b.cols() &&
-         a.rows() == b.rows());
-  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  for (std::size_t i = 0; i < n; ++i)
-    addOuter(c.data(), a.data() + i * k, b.data() + i * m, k, m);
-}
-
 void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b) {
   // c (n x k) += a (n x m) * b^T (m x k), b is k x m.
   assert(c.rows() == a.rows() && c.cols() == b.rows() &&

@@ -101,9 +101,6 @@ void addOuter(float* c, const float* a, const float* x, std::size_t k,
 /// C = A * B. Row-major, (i,k,j) loop order for sequential access.
 Matrix matmulValue(const Matrix& a, const Matrix& b);
 
-/// C += A^T * B (used by matmul backward for the weight gradient).
-void addATransposeB(Matrix& c, const Matrix& a, const Matrix& b);
-
 /// C += A * B^T (used by matmul backward for the input gradient).
 void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b);
 

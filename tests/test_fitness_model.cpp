@@ -194,6 +194,56 @@ TEST(Trainer, RegressionHeadTrainsAndReportsMae) {
   EXPECT_LT(mae, 4.0);  // labels span 0..4; must beat the worst case
 }
 
+TEST(Trainer, BaseRateIsTheConstantPredictorsAccuracy) {
+  // A hand-built validation set: labels and presence vectors only (the
+  // base rate never runs the model).
+  const auto sample = [](std::size_t cf, std::vector<std::size_t> present) {
+    nf::Sample s;
+    s.cf = cf;
+    s.lcs = cf == 0 ? 0 : 1;
+    s.funcPresence.assign(nd::kNumFunctions, 0.0f);
+    for (std::size_t f : present) s.funcPresence[f] = 1.0f;
+    return s;
+  };
+  const std::vector<nf::Sample> set = {sample(2, {0, 1}), sample(0, {}),
+                                       sample(2, {5}), sample(7, {3, 4, 40}),
+                                       sample(4, {})};
+  nf::Trainer byCf;  // labelMetric CF, Identity
+  // Classifier: labels 2, 0, 2, min(7, 4) = 4, 4 -> two 2s and two 4s.
+  EXPECT_DOUBLE_EQ(
+      byCf.baseRate(nf::NnffModel(tinyConfig(nf::HeadKind::Classifier)), set),
+      2.0 / 5.0);
+  // Regression keeps the raw label: 2 is the majority.
+  EXPECT_DOUBLE_EQ(
+      byCf.baseRate(nf::NnffModel(tinyConfig(nf::HeadKind::Regression)), set),
+      2.0 / 5.0);
+  nf::TrainConfig byLcs;
+  byLcs.labelMetric = nf::BalanceMetric::LCS;
+  EXPECT_DOUBLE_EQ(nf::Trainer(byLcs).baseRate(
+                       nf::NnffModel(tinyConfig(nf::HeadKind::Classifier)), set),
+                   4.0 / 5.0);
+  // Multilabel: the all-absent guess hits every absent function.
+  const double n = static_cast<double>(nd::kNumFunctions);
+  const double want = ((n - 2) / n + 1.0 + (n - 1) / n + (n - 3) / n + 1.0) / 5;
+  const nf::NnffModel fp(tinyConfig(nf::HeadKind::Multilabel, false));
+  EXPECT_DOUBLE_EQ(byCf.baseRate(fp, set), want);
+  EXPECT_EQ(byCf.baseRate(fp, {}), 0.0);
+}
+
+TEST(Trainer, EpochStatsCarryTheValidationBaseRate) {
+  nf::NnffModel model(tinyConfig(nf::HeadKind::Multilabel, false));
+  const auto trainSet = tinyDataset(16, nf::BalanceMetric::CF, 14);
+  const auto valSet = tinyDataset(12, nf::BalanceMetric::CF, 15);
+  nf::TrainConfig tc;
+  tc.epochs = 2;
+  nf::Trainer trainer(tc);
+  const double base = trainer.baseRate(model, valSet);
+  EXPECT_GT(base, 0.8);  // few of 41 functions are present
+  for (const auto& e : trainer.train(model, trainSet, valSet))
+    EXPECT_EQ(e.valBaseRate, base);
+  EXPECT_EQ(trainer.train(model, trainSet, {}).back().valBaseRate, 0.0);
+}
+
 TEST(Trainer, EpochCallbackObservesEveryEpoch) {
   nf::NnffModel model(tinyConfig(nf::HeadKind::Classifier));
   const auto trainSet = tinyDataset(20, nf::BalanceMetric::CF, 13);
