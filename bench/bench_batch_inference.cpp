@@ -4,8 +4,10 @@
 // a number of generations, and every generation is graded twice — once with
 // per-gene FitnessFunction::score calls and once with one scoreBatch call.
 // NeuralFitness::score is a batch of one, so the "scalar" column measures
-// the same encode + predictBatch path run one gene at a time: the speedup is
-// the gain from batching alone. Each column grades with its own clone of
+// the same encode + predictBatch path run one gene at a time, and the batched
+// column grades on one thread: the speedup is the gain from batching alone
+// (sharding a batch over threads is pinned by tests, not timed here). Each
+// column grades with its own clone of
 // the model, so each reads only the memos its own earlier generations
 // filled (the scalar pass would otherwise warm the batched one). Gene
 // execution (the interpreter) is excluded from both timings; this isolates
@@ -74,7 +76,7 @@ std::optional<Repetition> runOnce(const fitness::NnffModel& model,
   std::shared_ptr<fitness::NnffModel> scalarModel = model.clone();
   std::shared_ptr<fitness::NnffModel> batchModel = model.clone();
   fitness::NeuralFitness scalarFitness(scalarModel, "NN_CF");
-  fitness::NeuralFitness batchFitness(batchModel, "NN_CF");
+  fitness::NeuralFitness batchFitness(batchModel, "NN_CF", /*threads=*/1);
 
   util::Rng rng(seed);
   const dsl::Generator gen;

@@ -48,10 +48,7 @@ const NnffModel& MinibatchRunner::replica(std::size_t w) {
   NnffModel& r = *replicas_[w];
   const std::uint64_t version = model_.params().version();
   if (replicaVersion_[w] != version) {
-    const auto& src = model_.params().params();
-    const auto& dst = r.params().params();
-    for (std::size_t i = 0; i < src.size(); ++i)
-      dst[i]->value() = src[i]->value();
+    r.copyWeightsFrom(model_);
     replicaVersion_[w] = version;
   }
   return r;

@@ -727,11 +727,16 @@ std::vector<std::vector<float>> NnffModel::predictRows(
 
 std::unique_ptr<NnffModel> NnffModel::clone() const {
   auto copy = std::make_unique<NnffModel>(config_);
-  const auto& src = params_.params();
-  const auto& dst = copy->params_.params();
+  copy->copyWeightsFrom(*this);
+  return copy;
+}
+
+void NnffModel::copyWeightsFrom(const NnffModel& from) {
+  const auto& src = from.params_.params();
+  const auto& dst = params_.params();
   for (std::size_t i = 0; i < src.size(); ++i)
     dst[i]->value() = src[i]->value();
-  return copy;
+  params_.bumpVersion();
 }
 
 nn::Var NnffModel::forwardIOOnly(const dsl::Spec& spec) const {

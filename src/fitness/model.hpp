@@ -169,6 +169,11 @@ class NnffModel {
   /// the unit of per-worker isolation for the parallel experiment runner.
   std::unique_ptr<NnffModel> clone() const;
 
+  /// Overwrites the parameter values with `from`'s (a model of the same
+  /// config, e.g. the original of this clone) and bumps the version, so
+  /// this model's inference caches drop.
+  void copyWeightsFrom(const NnffModel& from);
+
   void save(const std::string& path) const { nn::saveParams(params_, path); }
   void load(const std::string& path) { nn::loadParams(params_, path); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 namespace netsyn::fitness {
 namespace {
@@ -28,44 +29,108 @@ double expectationFromLogits(const std::vector<float>& logits) {
   return expectation;
 }
 
-/// Logits of every gene: one predictBatch per maximal run of contexts
-/// sharing a spec (in the GA every context shares the generation's spec, so
-/// this is one batch). Lane-encoded contexts are fed as they are; run-backed
-/// ones are first encoded from their ExecResults, read in place, into
-/// `slots` (reused across calls, so steady-state grading allocates no trace
+/// Points encoded[i] at gene i's trace features: its context's lane
+/// encoding, or the encoding of its runs, read in place, into slots[i]
+/// (reused across calls, so steady-state grading allocates no trace
 /// storage).
+void encodeContexts(const NnffModel& model,
+                    const std::vector<const dsl::Program*>& genes,
+                    const std::vector<const EvalContext*>& contexts,
+                    std::vector<EncodedTrace>& slots,
+                    std::vector<const EncodedTrace*>& encoded) {
+  if (slots.size() < genes.size()) slots.resize(genes.size());
+  encoded.resize(genes.size());
+  for (std::size_t i = 0; i < genes.size(); ++i) {
+    const EvalContext& ctx = *contexts[i];
+    if (ctx.encoded == nullptr)
+      model.encodeTrace(ctx.spec, *genes[i], ctx.runs, slots[i]);
+    encoded[i] = ctx.encoded ? ctx.encoded : &slots[i];
+  }
+}
+
+/// out[i] := the logits of gene i for i in [begin, end): one predictBatch
+/// per maximal run of contexts sharing a spec (in the GA every context
+/// shares the generation's spec, so this is one batch).
+void predictRange(const NnffModel& model,
+                  const std::vector<const dsl::Program*>& genes,
+                  const std::vector<const EvalContext*>& contexts,
+                  const std::vector<const EncodedTrace*>& encoded,
+                  std::size_t begin, std::size_t end,
+                  std::vector<std::vector<float>>& out) {
+  while (begin < end) {
+    const dsl::Spec& spec = contexts[begin]->spec;
+    std::size_t stop = begin + 1;
+    while (stop < end && &contexts[stop]->spec == &spec) ++stop;
+    auto logits = model.predictBatch(
+        spec, {genes.begin() + begin, genes.begin() + stop},
+        {encoded.begin() + begin, encoded.begin() + stop});
+    std::move(logits.begin(), logits.end(), out.begin() + begin);
+    begin = stop;
+  }
+}
+
+/// Logits of every gene on the calling thread: the oracle sharded grading
+/// reproduces.
 std::vector<std::vector<float>> batchLogits(
     const NnffModel& model, const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts,
-    std::vector<EncodedTrace>& slots) {
+    std::vector<EncodedTrace>& slots,
+    std::vector<const EncodedTrace*>& encoded) {
   std::vector<std::vector<float>> out(genes.size());
-  if (slots.size() < genes.size()) slots.resize(genes.size());
-  std::size_t begin = 0;
-  while (begin < genes.size()) {
-    const dsl::Spec& spec = contexts[begin]->spec;
-    std::size_t end = begin + 1;
-    while (end < genes.size() && &contexts[end]->spec == &spec) ++end;
-    std::vector<const dsl::Program*> progs(genes.begin() + begin,
-                                           genes.begin() + end);
-    std::vector<const EncodedTrace*> encoded(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (contexts[i]->encoded == nullptr)
-        model.encodeTrace(spec, *genes[i], contexts[i]->runs, slots[i]);
-      encoded[i - begin] =
-          contexts[i]->encoded ? contexts[i]->encoded : &slots[i];
-    }
-    auto logits = model.predictBatch(spec, progs, encoded);
-    std::move(logits.begin(), logits.end(), out.begin() + begin);
-    begin = end;
-  }
+  encodeContexts(model, genes, contexts, slots, encoded);
+  predictRange(model, genes, contexts, encoded, 0, genes.size(), out);
   return out;
 }
 
 }  // namespace
 
+std::size_t gradeThreads(std::size_t searches) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::max<std::size_t>(1, hw / std::max<std::size_t>(1, searches));
+}
+
+BatchGrader::BatchGrader(std::shared_ptr<NnffModel> model,
+                         std::size_t threads)
+    : model_(std::move(model)), threads_(std::max<std::size_t>(1, threads)) {}
+
+std::vector<std::vector<float>> BatchGrader::logits(
+    const std::vector<const dsl::Program*>& genes,
+    const std::vector<const EvalContext*>& contexts) {
+  const std::size_t n = genes.size();
+  const std::size_t shards =
+      std::clamp<std::size_t>(n / kMinGenesPerShard, 1, threads_);
+  if (shards == 1)
+    return batchLogits(*model_, genes, contexts, slots_, encoded_);
+  std::vector<std::vector<float>> out(n);
+  encodeContexts(*model_, genes, contexts, slots_, encoded_);
+  // The gang and the replicas grow to the most shards a call has needed,
+  // not to threads_: workers that no call would feed are never started.
+  if (replicas_.size() < shards - 1)
+    gang_ = std::make_unique<util::Gang>(shards - 1);
+  const std::uint64_t version = model_->params().version();
+  while (replicas_.size() < shards - 1) {
+    replicas_.push_back(model_->clone());
+    replicaVersion_.push_back(version);
+  }
+  for (std::size_t r = 0; r + 1 < shards; ++r) {
+    if (replicaVersion_[r] == version) continue;
+    replicas_[r]->copyWeightsFrom(*model_);
+    replicaVersion_[r] = version;
+  }
+  gang_->runWithCaller(shards, [&](std::size_t s) {
+    const NnffModel& m = s == 0 ? *model_ : *replicas_[s - 1];
+    predictRange(m, genes, contexts, encoded_, n * s / shards,
+                 n * (s + 1) / shards, out);
+  });
+  return out;
+}
+
 NeuralFitness::NeuralFitness(std::shared_ptr<NnffModel> model,
-                             std::string name)
-    : model_(std::move(model)), name_(std::move(name)), sink_(model_.get()) {
+                             std::string name, std::size_t threads)
+    : model_(std::move(model)),
+      name_(std::move(name)),
+      sink_(model_.get()),
+      grader_(model_, threads) {
   if (model_->config().head != HeadKind::Classifier)
     throw std::invalid_argument("NeuralFitness requires a Classifier head");
 }
@@ -73,7 +138,9 @@ NeuralFitness::NeuralFitness(std::shared_ptr<NnffModel> model,
 std::vector<double> NeuralFitness::classProbabilities(
     const dsl::Program& gene, const EvalContext& ctx) const {
   std::vector<EncodedTrace> slot;
-  return softmaxOfLogits(batchLogits(*model_, {&gene}, {&ctx}, slot)[0]);
+  std::vector<const EncodedTrace*> encoded;
+  return softmaxOfLogits(
+      batchLogits(*model_, {&gene}, {&ctx}, slot, encoded)[0]);
 }
 
 double NeuralFitness::score(const dsl::Program& gene,
@@ -84,7 +151,7 @@ double NeuralFitness::score(const dsl::Program& gene,
 std::vector<double> NeuralFitness::scoreBatch(
     const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts) {
-  const auto logits = batchLogits(*model_, genes, contexts, slots_);
+  const auto logits = grader_.logits(genes, contexts);
   std::vector<double> out(logits.size());
   for (std::size_t i = 0; i < logits.size(); ++i)
     out[i] = expectationFromLogits(logits[i]);
@@ -147,8 +214,9 @@ std::vector<double> ProbMapFitness::scoreBatch(
   return out;
 }
 
-RegressionFitness::RegressionFitness(std::shared_ptr<NnffModel> model)
-    : model_(std::move(model)), sink_(model_.get()) {
+RegressionFitness::RegressionFitness(std::shared_ptr<NnffModel> model,
+                                     std::size_t threads)
+    : model_(std::move(model)), sink_(model_.get()), grader_(model_, threads) {
   if (model_->config().head != HeadKind::Regression)
     throw std::invalid_argument("RegressionFitness requires Regression head");
 }
@@ -161,7 +229,7 @@ double RegressionFitness::score(const dsl::Program& gene,
 std::vector<double> RegressionFitness::scoreBatch(
     const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts) {
-  const auto preds = batchLogits(*model_, genes, contexts, slots_);
+  const auto preds = grader_.logits(genes, contexts);
   std::vector<double> out(preds.size());
   for (std::size_t i = 0; i < preds.size(); ++i)
     out[i] = std::max(0.0, static_cast<double>(preds[i][0]));

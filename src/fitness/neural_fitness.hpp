@@ -11,6 +11,11 @@
 // DeepCoder-style baseline, via the ProbMapProvider interface.
 //
 // RegressionFitness wraps the Regression-head ablation model (§5.3.1).
+//
+// The two trace-reading wrappers grade through a BatchGrader, which spreads
+// a scoreBatch call's genes over model replicas on several threads. A gene's
+// logits depend only on the spec, the weights and its own trace features,
+// so the scores are the same bits at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 #include "dsl/domain.hpp"
 #include "fitness/fitness.hpp"
 #include "fitness/model.hpp"
+#include "util/gang.hpp"
 
 namespace netsyn::fitness {
 
@@ -64,15 +70,52 @@ class ModelLaneSink final : public LaneTraceSink {
   std::vector<EncodedTrace> slots_;
 };
 
+/// Grading threads for each of `searches` searches running at once on this
+/// host: max(1, hardware threads / searches).
+std::size_t gradeThreads(std::size_t searches = 1);
+
+/// Logits of a scoreBatch call's genes, on up to `threads` threads.
+/// Run-backed contexts are first encoded on the calling thread
+/// (NnffModel::encodeTrace). The genes are then split into contiguous
+/// shards of at least kMinGenesPerShard genes, one per thread; shard s runs
+/// NnffModel::predictBatch on model s, where model 0 is the primary and the
+/// others are its clones, re-copied whenever the primary's weight version
+/// moves. Per-gene logits are independent of the batch they ride in and of
+/// the models' memo state (pinned by tests/test_batch_parity.cpp), so the
+/// result is bitwise the single-thread one.
+class BatchGrader {
+ public:
+  /// Smallest shard worth a thread. An untuned starting point: waking a
+  /// worker has a fixed cost that a shard must outweigh, but the crossover
+  /// has not been measured.
+  static constexpr std::size_t kMinGenesPerShard = 3;
+
+  BatchGrader(std::shared_ptr<NnffModel> model, std::size_t threads);
+
+  std::vector<std::vector<float>> logits(
+      const std::vector<const dsl::Program*>& genes,
+      const std::vector<const EvalContext*>& contexts);
+
+ private:
+  std::shared_ptr<NnffModel> model_;
+  std::size_t threads_;
+  std::vector<EncodedTrace> slots_;  ///< encodings of run-backed contexts
+  std::vector<const EncodedTrace*> encoded_;  ///< each gene's features
+  std::unique_ptr<util::Gang> gang_;  ///< shards 1, 2, ...; the caller joins
+  std::vector<std::unique_ptr<NnffModel>> replicas_;  ///< models 1, 2, ...
+  std::vector<std::uint64_t> replicaVersion_;  ///< primary version copied
+};
+
 /// f_CF / f_LCS: expectation of the classifier's predicted fitness class.
 class NeuralFitness final : public FitnessFunction {
  public:
-  NeuralFitness(std::shared_ptr<NnffModel> model, std::string name);
+  /// `threads` grade each scoreBatch call (BatchGrader).
+  NeuralFitness(std::shared_ptr<NnffModel> model, std::string name,
+                std::size_t threads = gradeThreads());
 
   /// A batch of one.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;
-  /// One batched forward over the whole population (NnffModel::predictBatch);
-  /// run-backed contexts are encoded first (NnffModel::encodeTrace).
+  /// One batched forward over the whole population (BatchGrader).
   std::vector<double> scoreBatch(
       const std::vector<const dsl::Program*>& genes,
       const std::vector<const EvalContext*>& contexts) override;
@@ -94,7 +137,7 @@ class NeuralFitness final : public FitnessFunction {
   std::shared_ptr<NnffModel> model_;
   std::string name_;
   ModelLaneSink sink_{nullptr};
-  std::vector<EncodedTrace> slots_;  ///< encodings of run-backed contexts
+  BatchGrader grader_;
 };
 
 /// f_FP: sum of learned per-function probabilities over the gene. The map's
@@ -133,7 +176,8 @@ class ProbMapFitness final : public FitnessFunction, public ProbMapProvider {
 /// remains a valid Roulette Wheel weight).
 class RegressionFitness final : public FitnessFunction {
  public:
-  explicit RegressionFitness(std::shared_ptr<NnffModel> model);
+  explicit RegressionFitness(std::shared_ptr<NnffModel> model,
+                             std::size_t threads = gradeThreads());
 
   /// A batch of one, like NeuralFitness.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;
@@ -152,7 +196,7 @@ class RegressionFitness final : public FitnessFunction {
  private:
   std::shared_ptr<NnffModel> model_;
   ModelLaneSink sink_{nullptr};
-  std::vector<EncodedTrace> slots_;  ///< encodings of run-backed contexts
+  BatchGrader grader_;
 };
 
 }  // namespace netsyn::fitness

@@ -1,10 +1,12 @@
 #include "harness/config.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "util/json.hpp"
 
@@ -235,6 +237,11 @@ ExperimentConfig ExperimentConfig::fromArgs(const util::ArgParse& args) {
   // way (thread count never affects island results).
   if (cfg.workers != 1 && !args.has("island-threads")) is.threads = 1;
   return cfg;
+}
+
+std::size_t ExperimentConfig::resolvedWorkers() const {
+  return workers != 0 ? workers
+                      : std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::string ExperimentConfig::toJson() const {

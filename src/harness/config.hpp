@@ -53,6 +53,8 @@ struct ExperimentConfig {
   /// per-(seed, program, run) seeding makes the resulting MethodReport
   /// identical to a sequential run (wall-clock `seconds` aside).
   std::size_t workers = 1;
+  /// `workers` with 0 resolved to the hardware thread count.
+  std::size_t resolvedWorkers() const;
 
   std::uint64_t seed = 2021;
   std::string modelDir = "netsyn_models";  ///< trained-model cache

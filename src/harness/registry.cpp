@@ -8,7 +8,8 @@ namespace {
 
 /// Per-island grading kit for one NetSyn variant: every island gets its own
 /// model clones (NnffModel inference scratch is not thread-safe), exactly
-/// like the per-worker clones of the parallel experiment runner. Invoked
+/// like the per-worker clones of the parallel experiment runner, and grades
+/// on its own thread only (the islands are the parallelism). Invoked
 /// lazily — only Islands-strategy searches ever call it.
 core::IslandFitnessFactory netSynIslandFactory(const TrainedModels& models,
                                                NetSynVariant variant) {
@@ -18,11 +19,11 @@ core::IslandFitnessFactory netSynIslandFactory(const TrainedModels& models,
     switch (variant) {
       case NetSynVariant::CF:
         fit = std::make_shared<fitness::NeuralFitness>(models.cf->clone(),
-                                                       "NN_CF");
+                                                       "NN_CF", 1);
         break;
       case NetSynVariant::LCS:
         fit = std::make_shared<fitness::NeuralFitness>(models.lcs->clone(),
-                                                       "NN_LCS");
+                                                       "NN_LCS", 1);
         break;
       case NetSynVariant::FP:
         fit = fp;
@@ -58,16 +59,21 @@ baselines::MethodPtr makeNetSyn(const ExperimentConfig& config,
 
   auto fpProvider = std::make_shared<fitness::ProbMapFitness>(models.fp);
   const auto islandFactory = netSynIslandFactory(models, variant);
+  // The experiment runner runs config.resolvedWorkers() searches at once;
+  // each grades on its share of the cores.
+  const std::size_t threads = fitness::gradeThreads(config.resolvedWorkers());
   switch (variant) {
     case NetSynVariant::CF:
       return std::make_shared<baselines::SynthesizerMethod>(
           "NetSyn_CF", sc,
-          std::make_shared<fitness::NeuralFitness>(models.cf, "NN_CF"),
+          std::make_shared<fitness::NeuralFitness>(models.cf, "NN_CF",
+                                                   threads),
           fpProvider, islandFactory);
     case NetSynVariant::LCS:
       return std::make_shared<baselines::SynthesizerMethod>(
           "NetSyn_LCS", sc,
-          std::make_shared<fitness::NeuralFitness>(models.lcs, "NN_LCS"),
+          std::make_shared<fitness::NeuralFitness>(models.lcs, "NN_LCS",
+                                                   threads),
           fpProvider, islandFactory);
     case NetSynVariant::FP:
       return std::make_shared<baselines::SynthesizerMethod>(

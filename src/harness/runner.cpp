@@ -156,10 +156,7 @@ MethodReport runMethod(baselines::Method& method,
 MethodReport runMethod(const baselines::MethodFactory& makeMethod,
                        const std::vector<TestProgram>& workload,
                        const ExperimentConfig& config, bool verbose) {
-  std::size_t workers = config.workers;
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
+  std::size_t workers = config.resolvedWorkers();
   const std::size_t totalTasks = workload.size() * config.runsPerProgram;
   workers = std::min(workers, std::max<std::size_t>(totalTasks, 1));
 

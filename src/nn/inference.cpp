@@ -2,65 +2,85 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "nn/gates.hpp"
 
-// Cost of an LSTM step at hiddenDim 32 (4-core x86 container, glibc 2.36):
-// the 3x32 sigmoids and 2x32 tanhs take ~0.6 us through the 8-wide gate
-// kernels of gates.hpp (~2.6 us as scalar expf/tanhf calls), against ~0.5
-// us of multiply-adds here, so the matmul is now about half a step.
+#if defined(NETSYN_SIMD) && defined(__AVX2__)
+#define NETSYN_ROWS_AVX2 1
+#include <immintrin.h>
+#endif
+
+// Cost of an LSTM step at hiddenDim 24 with 24 inputs (4-core x86
+// container, gcc 12, -mavx2): ~0.6 us, of which the two 24 x 96 products
+// take ~0.2 us through the row kernel below (~0.5 us through the per-input
+// loops it replaced) and the gate math ~0.4 us (lstmGates).
 
 namespace netsyn::nn {
 namespace {
 
-/// z += x * W for row-major W (in x out).
-inline void addVecMat(const float* x, std::size_t in, const Matrix& w,
-                      float* z) {
-  const std::size_t out = w.cols();
+/// z[j] += x[i] * W[i][j] for the columns j in [from, out) of row-major W
+/// (in x out): ascending i, each product rounded before its add, and an
+/// input equal to zero (either sign) skipped. The scalar kernel, and the
+/// column tail of the AVX2 one.
+inline void addVecMatCols(const float* x, std::size_t in, const float* w,
+                          std::size_t out, std::size_t from, float* z) {
   for (std::size_t i = 0; i < in; ++i) {
     const float xv = x[i];
     if (xv == 0.0f) continue;
-    const float* row = w.data() + i * out;
-    for (std::size_t j = 0; j < out; ++j) z[j] += xv * row[j];
+    const float* row = w + i * out;
+    for (std::size_t j = from; j < out; ++j) z[j] += xv * row[j];
   }
 }
 
-/// Four rows of z += x * W sharing one pass over W: each weight row is
-/// loaded once and accumulated into four outputs held in registers. The
-/// weights in this model are L1-resident, so the win is load-port pressure
-/// and instruction-level parallelism rather than DRAM traffic — but it is
-/// the classic register-blocking shape either way. For every row the
-/// accumulation order (ascending i, one multiply-add per j, skip on exact
-/// zero) is addVecMat's, so results are bitwise identical.
-inline void addVecMat4(const float* x0, const float* x1, const float* x2,
-                       const float* x3, std::size_t in, const Matrix& w,
-                       float* z0, float* z1, float* z2, float* z3) {
-  const std::size_t out = w.cols();
+#if NETSYN_ROWS_AVX2
+/// Column vectors per chunk: 12 of the 16 ymm registers hold accumulators,
+/// the rest the broadcast input and a weight load. 12 covers a 4 x 24 row.
+constexpr std::size_t kChunkVectors = 12;
+
+/// addVecMatCols over the 8 * sizeof...(K) columns at z and w (w's rows
+/// still `out` apart), with those column vectors held in registers across
+/// the whole input loop. Every lane repeats the scalar loop's operations in
+/// its order, and the mul and add never fuse (-ffp-contract=off), so the
+/// result is the scalar loop's bit for bit.
+template <std::size_t... K>
+void addVecMatChunk(std::index_sequence<K...>, const float* x,
+                    std::size_t in, const float* w, std::size_t out,
+                    float* z) {
+  __m256 acc[] = {_mm256_loadu_ps(z + 8 * K)...};
   for (std::size_t i = 0; i < in; ++i) {
-    const float a0 = x0[i], a1 = x1[i], a2 = x2[i], a3 = x3[i];
-    const float* row = w.data() + i * out;
-    if (a0 != 0.0f && a1 != 0.0f && a2 != 0.0f && a3 != 0.0f) {
-      for (std::size_t j = 0; j < out; ++j) {
-        const float r = row[j];
-        z0[j] += a0 * r;
-        z1[j] += a1 * r;
-        z2[j] += a2 * r;
-        z3[j] += a3 * r;
-      }
-    } else {
-      // A zero entry must skip its row's accumulation (addVecMat semantics);
-      // fall back to per-row loops for this i only.
-      if (a0 != 0.0f)
-        for (std::size_t j = 0; j < out; ++j) z0[j] += a0 * row[j];
-      if (a1 != 0.0f)
-        for (std::size_t j = 0; j < out; ++j) z1[j] += a1 * row[j];
-      if (a2 != 0.0f)
-        for (std::size_t j = 0; j < out; ++j) z2[j] += a2 * row[j];
-      if (a3 != 0.0f)
-        for (std::size_t j = 0; j < out; ++j) z3[j] += a3 * row[j];
-    }
+    if (x[i] == 0.0f) continue;
+    const __m256 xb = _mm256_set1_ps(x[i]);
+    const float* row = w + i * out;
+    ((acc[K] = _mm256_add_ps(
+          acc[K], _mm256_mul_ps(xb, _mm256_loadu_ps(row + 8 * K)))),
+     ...);
   }
+  (_mm256_storeu_ps(z + 8 * K, acc[K]), ...);
+}
+
+/// The chunk kernel for n (<= N) column vectors.
+template <std::size_t N = kChunkVectors>
+void addVecMatChunk(std::size_t n, const float* x, std::size_t in,
+                    const float* w, std::size_t out, float* z) {
+  if constexpr (N > 1)
+    if (n < N) return addVecMatChunk<N - 1>(n, x, in, w, out, z);
+  addVecMatChunk(std::make_index_sequence<N>(), x, in, w, out, z);
+}
+#endif
+
+/// z += x * W for row-major W (in x out): the row kernel of every layer.
+inline void addVecMat(const float* x, std::size_t in, const Matrix& w,
+                      float* z) {
+  const std::size_t out = w.cols();
+  std::size_t j = 0;
+#if NETSYN_ROWS_AVX2
+  for (std::size_t n; (n = std::min(kChunkVectors, (out - j) / 8)) > 0;
+       j += 8 * n)
+    addVecMatChunk(n, x, in, w.data() + j, out, z + j);
+#endif
+  addVecMatCols(x, in, w.data(), out, j, z);
 }
 
 }  // namespace
@@ -68,22 +88,9 @@ inline void addVecMat4(const float* x0, const float* x1, const float* x2,
 void addVecMatBatch(const float* x, std::size_t xStride, std::size_t batch,
                     std::size_t in, const Matrix& w, float* z,
                     std::size_t zStride, const std::uint8_t* active) {
-  // Compact active rows into blocks of four so masked-out lanes cost
-  // nothing and ragged tails still get the blocked path where possible.
-  std::size_t idx[4];
-  std::size_t n = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    if (active != nullptr && active[b] == 0) continue;
-    idx[n++] = b;
-    if (n < 4) continue;
-    addVecMat4(x + idx[0] * xStride, x + idx[1] * xStride,
-               x + idx[2] * xStride, x + idx[3] * xStride, in, w,
-               z + idx[0] * zStride, z + idx[1] * zStride,
-               z + idx[2] * zStride, z + idx[3] * zStride);
-    n = 0;
-  }
-  for (std::size_t k = 0; k < n; ++k)
-    addVecMat(x + idx[k] * xStride, in, w, z + idx[k] * zStride);
+  for (std::size_t b = 0; b < batch; ++b)
+    if (active == nullptr || active[b] != 0)
+      addVecMat(x + b * xStride, in, w, z + b * zStride);
 }
 
 void lstmStepFast(const Lstm& lstm, const float* x, float* h, float* c,
@@ -112,16 +119,6 @@ void lstmEncodeTokensFast(const Lstm& lstm, const Embedding& embedding,
   }
 }
 
-void lstmEncodeVectorsFast(const Lstm& lstm,
-                           const std::vector<const float*>& xs, float* h,
-                           InferenceScratch& scratch) {
-  const std::size_t hd = lstm.hiddenDim();
-  float* c = scratch.ensureC(hd);
-  std::memset(c, 0, hd * sizeof(float));
-  std::memset(h, 0, hd * sizeof(float));
-  for (const float* x : xs) lstmStepFast(lstm, x, h, c, scratch);
-}
-
 void linearForwardFast(const Linear& linear, const float* x, float* out) {
   std::memcpy(out, linear.bias().data(), linear.outDim() * sizeof(float));
   addVecMat(x, linear.inDim(), linear.weight(), out);
@@ -135,7 +132,7 @@ void lstmStepBatchFast(const Lstm& lstm, const float* x, std::size_t batch,
   const std::size_t g4 = 4 * hd;
   scratch.ensure(batch * g4);
   float* z = scratch.z.data();
-  // Z = bias broadcast + X * Wx + H * Wh as blocked matrix-matrix products.
+  // Z = bias broadcast + X * Wx + H * Wh, each row through the row kernel.
   // Inactive lanes are skipped end to end: no bias copy, no gate math, no
   // matmul rows — their h/c state (and dead z rows) stay untouched.
   const float* bias = lstm.biasRaw().data();

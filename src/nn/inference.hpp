@@ -55,12 +55,6 @@ void lstmEncodeTokensFast(const Lstm& lstm, const Embedding& embedding,
                           const std::vector<std::size_t>& tokens, float* h,
                           InferenceScratch& scratch);
 
-/// h := final hidden state over a sequence of raw input vectors (each of
-/// length lstm.inDim()); h zero-initialized by this call.
-void lstmEncodeVectorsFast(const Lstm& lstm,
-                           const std::vector<const float*>& xs, float* h,
-                           InferenceScratch& scratch);
-
 /// out := x * W + b for a Linear layer (out length = linear.outDim()).
 void linearForwardFast(const Linear& linear, const float* x, float* out);
 
@@ -69,21 +63,20 @@ void reluFast(float* x, std::size_t n);
 
 // ---- population-batched kernels --------------------------------------------
 //
-// The batched kernels run B rows through one layer at a time as blocked
-// matrix-matrix products (Z = X*Wx + H*Wh + b broadcast): rows are processed
-// in register blocks of four, so every streamed weight row is reused four
-// times from registers instead of being re-read per batch row, and rows
-// masked out by `active` are skipped outright (the block compacts around
-// them). Per-row accumulation order matches the scalar kernels exactly
-// (ascending input index, one fused multiply-add per output), so a batched
-// forward is bitwise identical to B scalar forwards (pinned by
-// tests/test_batch_parity.cpp).
+// The batched kernels run B rows through one layer at a time
+// (Z = X*Wx + H*Wh + b broadcast), each row through the same row kernel as
+// the single-row ones, and skip rows masked out by `active` outright. With
+// AVX2 the row kernel keeps up to 96 output columns in registers across the
+// whole input loop; per output it adds the inputs' products in ascending
+// input order, each product rounded before its add, and skips inputs equal
+// to zero. So a batched forward is bitwise identical to B scalar forwards
+// (pinned by tests/test_batch_parity.cpp), and every backend computes the
+// same floats.
 
-/// Blocked Z += X * W over `batch` rows: X is batch x xStride (first `in`
-/// columns used), Z is batch x zStride (first w.cols() columns used). Rows
-/// with active[b] == 0 are skipped entirely (pass nullptr for all-active).
-/// Bitwise identical per row to calling addVecMat-style accumulation; the
-/// building block behind every batched layer here, exposed for tests.
+/// Z += X * W over `batch` rows: X is batch x xStride (first `in` columns
+/// used), Z is batch x zStride (first w.cols() columns used). Rows with
+/// active[b] == 0 are skipped entirely (pass nullptr for all-active). The
+/// row kernel behind every layer here, exposed for tests.
 void addVecMatBatch(const float* x, std::size_t xStride, std::size_t batch,
                     std::size_t in, const Matrix& w, float* z,
                     std::size_t zStride,

@@ -288,6 +288,7 @@ struct SynthService::Impl {
     std::size_t n = cfg.workers == 0
                         ? std::max(1u, std::thread::hardware_concurrency())
                         : cfg.workers;
+    gradingThreads = fitness::gradeThreads(n);
     workers.reserve(n);
     for (std::size_t w = 0; w < n; ++w)
       workers.emplace_back([this, w] { workerLoop(w); });
@@ -344,6 +345,9 @@ struct SynthService::Impl {
   std::atomic<std::size_t> durableErrors{0};
 
   ModelStore models;  ///< thread-safe on its own lock
+  /// Threads each worker's NN fitness grades on: the worker's share of the
+  /// hardware threads. Set before the workers start.
+  std::size_t gradingThreads = 1;
 
   std::vector<std::thread> workers;
   std::thread watchdog;
@@ -772,10 +776,10 @@ WorkerContext::MethodKit& SynthService::Impl::kitFor(WorkerContext& ctx,
     kit.probMap = fp;
     if (job.method == "NetSyn_CF")
       kit.fitness = std::make_shared<fitness::NeuralFitness>(
-          shared.cf->clone(), "NN_CF");
+          shared.cf->clone(), "NN_CF", gradingThreads);
     else if (job.method == "NetSyn_LCS")
       kit.fitness = std::make_shared<fitness::NeuralFitness>(
-          shared.lcs->clone(), "NN_LCS");
+          shared.lcs->clone(), "NN_LCS", gradingThreads);
     else
       kit.fitness = fp;
   }

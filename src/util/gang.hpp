@@ -1,6 +1,7 @@
 // Persistent worker gang: the thread pool behind the island engine's
-// lockstep rounds (core/islands.cpp) and the trainer's data-parallel
-// minibatches (fitness/minibatch.cpp).
+// lockstep rounds (core/islands.cpp), the trainer's data-parallel
+// minibatches (fitness/minibatch.cpp) and sharded NN grading
+// (fitness/neural_fitness.cpp).
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -157,6 +159,80 @@ TEST(BatchKernels, TokenEncodingMatchesScalarPerRow) {
   }
 }
 
+namespace {
+
+/// The scalar row loop, as a portable build runs it: z += x * W with
+/// ascending i, one rounded product and one add per output, inputs equal to
+/// zero skipped. This file is built with
+/// -ffp-contract=off, so the loop stays unfused under FMA codegen too.
+void referenceAddVecMat(const float* x, std::size_t in,
+                        const netsyn::nn::Matrix& w, float* z) {
+  const std::size_t out = w.cols();
+  for (std::size_t i = 0; i < in; ++i) {
+    const float xv = x[i];
+    if (xv == 0.0f) continue;
+    const float* row = w.data() + i * out;
+    for (std::size_t j = 0; j < out; ++j) z[j] += xv * row[j];
+  }
+}
+
+}  // namespace
+
+TEST(BatchKernels, RowKernelMatchesScalarLoopBitwise) {
+  // Every width the model uses (hiddenDim 24 gates are 96 wide) and the
+  // chunk boundaries around the kernel's 12 x 8 register block: a pure
+  // tail (6), tails after whole vectors (20, 41, 100), one full block
+  // (96), a block plus a partial one (128) and several blocks (256).
+  Rng rng(31);
+  constexpr std::size_t kRows = 9;
+  for (const std::size_t out : {6, 20, 41, 96, 100, 128, 256}) {
+    for (const std::size_t in : {1, 16, 24, 42}) {
+      netsyn::nn::Matrix w(in, out);
+      for (std::size_t i = 0; i < w.size(); ++i)
+        w.at(i) = static_cast<float>(rng.uniformReal(-1, 1));
+      std::vector<float> x(kRows * in), z(kRows * out);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        for (std::size_t i = 0; i < in; ++i) {
+          // Rows 0 and 1 are all +0 and all -0, so a skipped input must
+          // leave a -0 output as -0; other rows sprinkle zeros of both
+          // signs among ordinary values.
+          const std::size_t k = r * in + i;
+          if (r == 0) x[k] = 0.0f;
+          else if (r == 1) x[k] = -0.0f;
+          else if ((k + r) % 5 == 0) x[k] = (k % 2) ? -0.0f : 0.0f;
+          else x[k] = static_cast<float>(rng.uniformReal(-2, 2));
+        }
+        for (std::size_t j = 0; j < out; ++j)
+          z[r * out + j] = (r < 2 || j % 3 == 0)
+                               ? -0.0f
+                               : static_cast<float>(rng.uniformReal(-1, 1));
+      }
+      std::vector<std::uint8_t> active(kRows, 1);
+      active[3] = active[kRows - 1] = 0;  // masked rows stay untouched
+
+      std::vector<float> expected = z;
+      for (std::size_t r = 0; r < kRows; ++r)
+        if (active[r])
+          referenceAddVecMat(x.data() + r * in, in, w,
+                             expected.data() + r * out);
+      std::vector<float> batched = z;
+      netsyn::nn::addVecMatBatch(x.data(), in, kRows, in, w, batched.data(),
+                                 out, active.data());
+      EXPECT_EQ(0, std::memcmp(batched.data(), expected.data(),
+                               z.size() * sizeof(float)))
+          << "batched, in " << in << " out " << out;
+      std::vector<float> single = z;
+      for (std::size_t r = 0; r < kRows; ++r)
+        if (active[r])
+          netsyn::nn::addVecMatBatch(x.data() + r * in, in, 1, in, w,
+                                     single.data() + r * out, out);
+      EXPECT_EQ(0, std::memcmp(single.data(), expected.data(),
+                               z.size() * sizeof(float)))
+          << "single rows, in " << in << " out " << out;
+    }
+  }
+}
+
 // ------------------------------------------------- model-level parity ------
 
 TEST(PredictBatch, BatchOfOneMatchesPopulationRow) {
@@ -228,11 +304,92 @@ void expectScoreBatchParity(nf::FitnessFunction& fit,
 
 }  // namespace
 
+namespace {
+
+using MakeFitness = std::function<std::unique_ptr<nf::FitnessFunction>(
+    std::shared_ptr<nf::NnffModel> model, std::size_t threads)>;
+
+/// Sharded grading is exact: at 1, 2, 3, 4 and 8 threads, scoreBatch calls
+/// of 1 to 37 genes (made in turn on one fitness, so later calls meet warm
+/// memos and a grown gang and replica set) and a call whose contexts span
+/// two specs score bit for bit like
+/// the single-thread path. Explicit thread counts, so the gang really runs
+/// concurrently on any host (and under TSan).
+void expectThreadCountParity(const std::shared_ptr<nf::NnffModel>& model,
+                             const MakeFitness& make) {
+  const auto fxA = makePopulation(37, 25);
+  const auto fxB = makePopulation(12, 26);
+  std::deque<nf::EvalContext> store;
+  std::vector<const nf::EvalContext*> ctxA, mixedCtx;
+  std::vector<const nd::Program*> mixedGenes;
+  for (const auto& runs : fxA.runs) {
+    store.push_back(nf::EvalContext{fxA.spec, runs});
+    ctxA.push_back(&store.back());
+  }
+  // Mixed: 10 genes on spec A, all of B's, then 5 more on A.
+  for (std::size_t i = 0; i < 10; ++i) {
+    mixedGenes.push_back(&fxA.genes[i]);
+    mixedCtx.push_back(ctxA[i]);
+  }
+  for (std::size_t i = 0; i < fxB.genes.size(); ++i) {
+    store.push_back(nf::EvalContext{fxB.spec, fxB.runs[i]});
+    mixedGenes.push_back(&fxB.genes[i]);
+    mixedCtx.push_back(&store.back());
+  }
+  for (std::size_t i = 10; i < 15; ++i) {
+    mixedGenes.push_back(&fxA.genes[i]);
+    mixedCtx.push_back(ctxA[i]);
+  }
+  const std::vector<std::size_t> counts = {1, 2, 5, 12, 37};
+  const auto genesA = genePtrs(fxA);
+  const auto callsOf = [&](nf::FitnessFunction& fit) {
+    std::vector<std::vector<double>> calls;
+    for (const std::size_t n : counts)
+      calls.push_back(fit.scoreBatch({genesA.begin(), genesA.begin() + n},
+                                     {ctxA.begin(), ctxA.begin() + n}));
+    calls.push_back(fit.scoreBatch(mixedGenes, mixedCtx));
+    return calls;
+  };
+  const auto oracle = make(model->clone(), 1);
+  const auto expected = callsOf(*oracle);
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    const auto fit = make(model->clone(), threads);
+    const auto got = callsOf(*fit);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(got[c].size(), expected[c].size());
+      for (std::size_t g = 0; g < got[c].size(); ++g)
+        EXPECT_EQ(got[c][g], expected[c][g])
+            << threads << " threads, call " << c << ", gene " << g;
+    }
+  }
+
+  // Replica refresh: after a weight update the sharded grade must be a
+  // fresh model's, not one of replicas holding the old weights.
+  std::shared_ptr<nf::NnffModel> trained = model->clone();
+  const auto fit = make(trained, 4);
+  (void)fit->scoreBatch(genesA, ctxA);  // builds the replicas
+  netsyn::nn::Adam adam(trained->params(), 1e-2f);
+  for (const auto& p : trained->params().params()) p->grad().fill(0.5f);
+  adam.step();
+  const auto after = fit->scoreBatch(genesA, ctxA);
+  EXPECT_EQ(after, make(trained->clone(), 1)->scoreBatch(genesA, ctxA));
+  EXPECT_NE(after, expected[counts.size() - 1])
+      << "the update did not move the scores; the test is moot";
+}
+
+}  // namespace
+
 TEST(ScoreBatch, NeuralClassifierParity) {
   auto model =
       std::make_shared<nf::NnffModel>(smallConfig(nf::HeadKind::Classifier));
   nf::NeuralFitness fit(model, "NN_CF");
   expectScoreBatchParity(fit, makePopulation(100, 21));
+  expectThreadCountParity(model, [](std::shared_ptr<nf::NnffModel> m,
+                                    std::size_t threads) {
+    return std::make_unique<nf::NeuralFitness>(std::move(m), "NN_CF",
+                                               threads);
+  });
 }
 
 TEST(ScoreBatch, RegressionParity) {
@@ -240,6 +397,10 @@ TEST(ScoreBatch, RegressionParity) {
       std::make_shared<nf::NnffModel>(smallConfig(nf::HeadKind::Regression));
   nf::RegressionFitness fit(model);
   expectScoreBatchParity(fit, makePopulation(50, 22));
+  expectThreadCountParity(model, [](std::shared_ptr<nf::NnffModel> m,
+                                    std::size_t threads) {
+    return std::make_unique<nf::RegressionFitness>(std::move(m), threads);
+  });
 }
 
 TEST(ScoreBatch, ProbMapParity) {
@@ -620,6 +781,23 @@ TEST(SynthesizerParity, LaneAndScatterGradingSearchIdentically) {
                 false, nsKind, 99);
     expectSameResult(lanes, scatter);
   }
+}
+
+TEST(SynthesizerParity, GradingThreadsDoNotChangeTheSearch) {
+  auto model =
+      std::make_shared<nf::NnffModel>(smallConfig(nf::HeadKind::Classifier));
+  Rng rng(53);
+  const nd::Generator gen;
+  const auto tc = gen.randomTestCase(5, 4, false, rng);
+  ASSERT_TRUE(tc.has_value());
+  const auto search = [&](std::size_t threads) {
+    return runOnce(tc->spec,
+                   std::make_shared<nf::NeuralFitness>(model->clone(),
+                                                       "NN_CF", threads),
+                   true, nc::NsKind::BFS, 98);
+  };
+  const auto serial = search(1);
+  expectSameResult(search(3), serial);
 }
 
 TEST(SynthesizerParity, EditFitnessUnaffectedByExecutor) {
