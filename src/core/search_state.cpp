@@ -116,8 +116,9 @@ std::size_t SearchState::gradePopulation(
 
   // Lane-view grading: when lane execution is on, the spec fits one lane
   // group, and the fitness can consume encoded traces, each pending gene is
-  // executed through the lane executor and its trace is encoded in place —
-  // no per-Value scatter, no trace copy. Budget consumption, dedup, and the
+  // executed through the lane executor and its trace cells are captured
+  // straight off the lane blocks — no per-Value scatter. The fitness
+  // encodes them when it grades the batch. Budget consumption, dedup, and the
   // early-exit points below are identical to evaluateBatch (and the scores
   // are bitwise-identical, pinned by the differential fuzz suite).
   fitness::LaneTraceSink* sink =
@@ -211,7 +212,7 @@ std::vector<double> SearchState::nsBatchScore(
   std::deque<fitness::EvalContext> contextStore;
   std::vector<const fitness::EvalContext*> contexts;
   // Same lane-view gate as gradePopulation; the NS descent's out-of-budget
-  // runs then skip the trace scatter too. Each view is encoded before the
+  // runs then skip the trace scatter too. Each view is captured before the
   // next execution overwrites the SoA blocks.
   fitness::LaneTraceSink* sink =
       evaluator_.laneViewCapable() ? fitness_->laneSink() : nullptr;

@@ -25,9 +25,10 @@ struct EncodedTrace;  // model.hpp
 /// shares the runs with the fitness function, so graders never re-execute.
 ///
 /// When the synthesizer graded the gene through the lane executor, `encoded`
-/// points at the candidate's pre-encoded trace features (produced by a
-/// LaneTraceSink while the SoA lane blocks were still live) and `runs` is
-/// empty — the grader never sees a materialized trace.
+/// points at the candidate's trace features in a LaneTraceSink slot
+/// (captured while the SoA lane blocks were still live, encoded by the
+/// grader at the latest) and `runs` is empty — the grader never sees a
+/// materialized trace.
 struct EvalContext {
   const dsl::Spec& spec;
   const std::vector<dsl::ExecResult>& runs;  // one per spec example
@@ -41,16 +42,21 @@ inline const std::vector<dsl::ExecResult> kNoRuns{};
 /// Receiver of lane-trace views on the synthesizer's batched grading path.
 /// The synthesizer calls beginCapture once per generation, then capture()
 /// for each gene while that gene's SoA lane blocks are still live — the sink
-/// must consume the view before the call returns (the next execution reuses
-/// the blocks). Trace-reading fitness functions expose one via laneSink().
+/// must have copied what it needs of the view before the call returns (the
+/// next execution reuses the blocks). It then passes at(slot) to the
+/// owning fitness's scoreBatch. The sink may defer the encoding itself to
+/// that call: the features in at(slot) are complete once a scoreBatch of
+/// the fitness that exposes the sink has graded the slot. Trace-reading
+/// fitness functions expose one via laneSink().
 class LaneTraceSink {
  public:
   virtual ~LaneTraceSink() = default;
   virtual void beginCapture(const dsl::Spec& spec, std::size_t count) = 0;
   virtual void capture(std::size_t slot, const dsl::Program& candidate,
                        const dsl::LaneTraceView& view) = 0;
-  /// The features captured into `slot`; the reference stays valid until the
-  /// next beginCapture.
+  /// The features of the trace captured into `slot` (see above for when
+  /// they are complete); the reference stays valid until the next
+  /// beginCapture.
   virtual const EncodedTrace& at(std::size_t slot) const = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "dsl/domain.hpp"
@@ -92,28 +93,64 @@ std::uint64_t tokenChain(std::uint64_t prefixKey, std::size_t token) {
   return z ^ (z >> 31);
 }
 
-/// Two-generation memo lookup: probes the current map, then the previous
-/// one, promoting a previous-generation hit so the working set survives the
-/// next rotation. Node extraction moves the element wholesale — a mapped
-/// vector's heap buffer (and thus a returned pointer into it) stays put.
-template <typename Map>
-typename Map::mapped_type* findMemo(Map& cur, Map& prev,
-                                    const typename Map::key_type& key) {
+/// Parts of a spec-cache entry (NnffModel::specStates_), hiddenDim floats
+/// each: the output encoding, then the combiners' [h1 | c1 | h2 | c2].
+enum : std::size_t { kOut, kH1, kC1, kH2, kC2, kSpecParts };
+
+/// Appends `c` to `into`, copying its words into the arena.
+void appendCell(TraceCells& into, const TraceCell& c) {
+  into.cells.push_back({c.type, static_cast<std::uint32_t>(into.words.size()),
+                        static_cast<std::uint32_t>(c.n)});
+  into.words.insert(into.words.end(), c.xs, c.xs + c.n);
+}
+
+/// Lookup in a two-generation memo that workspaces only read: the current
+/// map, then the previous one (a hit there is staged for promotion, so the
+/// working set survives the next rotation), then the workspace's own staged
+/// entries. Nothing moves a mapped value before the next merge, and a merge
+/// moves whole nodes, so a returned pointer into a mapped vector stays put.
+template <typename Map, typename Staged>
+const typename Map::mapped_type* findMemo(const Map& cur, const Map& prev,
+                                          Staged& staged,
+                                          const typename Map::key_type& key) {
   if (const auto it = cur.find(key); it != cur.end()) return &it->second;
-  if (const auto it = prev.find(key); it != prev.end())
-    return &cur.insert(prev.extract(it)).position->second;
+  if (const auto it = prev.find(key); it != prev.end()) {
+    staged.promoted.push_back(key);
+    return &it->second;
+  }
+  if (const auto it = staged.added.find(key); it != staged.added.end())
+    return &it->second;
   return nullptr;
 }
 
-/// Miss-path rotation at capacity: the current map becomes the previous one
-/// (whose stale entries are dropped, their bucket array recycled), so
-/// recently touched entries stay findable instead of being thrown away
-/// wholesale. Live memory is bounded by 2x `cap` entries.
+/// Rotation at capacity: the current map becomes the previous one (whose
+/// stale entries are dropped, their bucket array recycled), so recently
+/// touched entries stay findable instead of being thrown away wholesale.
+/// Live memory is bounded by 2x `cap` entries.
 template <typename Map>
 void rotateAtCapacity(Map& cur, Map& prev, std::size_t cap) {
   if (cur.size() < cap) return;
   std::swap(cur, prev);
   cur.clear();
+}
+
+/// Applies a workspace's staged changes to a two-generation memo:
+/// promotions move previous-generation nodes into the current map, then
+/// new entries move in node by node, each first rotating at capacity. A key
+/// an earlier workspace already added keeps that entry (equal keys name
+/// equal values). Leaves `staged` empty, its buckets kept for reuse.
+template <typename Map, typename Staged>
+void splice(Map& cur, Map& prev, Staged& staged, std::size_t cap) {
+  for (const auto& key : staged.promoted)
+    if (const auto it = prev.find(key); it != prev.end())
+      cur.insert(prev.extract(it));
+  staged.promoted.clear();
+  while (!staged.added.empty()) {
+    auto node = staged.added.extract(staged.added.begin());
+    if (cur.count(node.key()) != 0) continue;
+    rotateAtCapacity(cur, prev, cap);
+    cur.insert(std::move(node));
+  }
 }
 
 }  // namespace
@@ -255,27 +292,30 @@ nn::Var NnffModel::forward(
   return head(exampleLstm_->encode(His));
 }
 
-const float* NnffModel::memoTraceEncoding(const TraceCell& c) const {
+const float* NnffModel::memoTraceEncoding(const TraceCell& c,
+                                          Workspace& ws) const {
   // Tokenize straight from the span into a reused scratch buffer (the same
   // token sequence encodeValue would produce for the equivalent Value) and
   // chain the key of every prefix. The encoder always emits a type marker,
   // so the sequence is never empty.
+  std::vector<std::size_t>& tokens = ws.tokens_;
+  std::vector<std::uint64_t>& keys = ws.prefixKeys_;
   if (c.type == dsl::Type::Int)
-    encoder_.encodeIntInto(c.xs[0], tokenScratch_);
+    encoder_.encodeIntInto(c.xs[0], tokens);
   else
-    encoder_.encodeListInto(c.xs, c.n, tokenScratch_);
-  const std::size_t n = tokenScratch_.size();
-  prefixKeys_.resize(n + 1);
-  prefixKeys_[0] = kEmptyPrefixKey;
+    encoder_.encodeListInto(c.xs, c.n, tokens);
+  const std::size_t n = tokens.size();
+  keys.resize(n + 1);
+  keys[0] = kEmptyPrefixKey;
   for (std::size_t t = 0; t < n; ++t)
-    prefixKeys_[t + 1] = tokenChain(prefixKeys_[t], tokenScratch_[t]);
+    keys[t + 1] = tokenChain(keys[t], tokens[t]);
 
-  if (const auto* hit = findMemo(traceMemo_, traceMemoPrev_, prefixKeys_[n])) {
-    ++memoStats_.traceHits;
+  if (const auto* hit =
+          findMemo(traceMemo_, traceMemoPrev_, ws.trace_, keys[n])) {
+    ++ws.stats_.traceHits;
     return hit->data();
   }
-  ++memoStats_.traceMisses;
-  rotateAtCapacity(traceMemo_, traceMemoPrev_, memoCapacity_);
+  ++ws.stats_.traceMisses;
 
   // Resume from the longest memoized proper prefix (depth 0 is the zero
   // state) and memoize each prefix stepped through. Stepping on from a
@@ -284,7 +324,8 @@ const float* NnffModel::memoTraceEncoding(const TraceCell& c) const {
   std::size_t t = n - 1;
   const float* state = nullptr;
   for (; t > 0; --t) {
-    if (const auto* e = findMemo(traceMemo_, traceMemoPrev_, prefixKeys_[t])) {
+    if (const auto* e =
+            findMemo(traceMemo_, traceMemoPrev_, ws.trace_, keys[t])) {
       state = e->data();
       break;
     }
@@ -294,9 +335,9 @@ const float* NnffModel::memoTraceEncoding(const TraceCell& c) const {
   for (; t < n; ++t) {
     std::vector<float> next(2 * hd, 0.0f);
     if (state != nullptr) std::copy(state, state + 2 * hd, next.begin());
-    nn::lstmStepFast(*traceLstm_, table + tokenScratch_[t] * e, next.data(),
-                     next.data() + hd, scratch_);
-    state = traceMemo_.emplace(prefixKeys_[t + 1], std::move(next))
+    nn::lstmStepFast(*traceLstm_, table + tokens[t] * e, next.data(),
+                     next.data() + hd, ws.scratch_);
+    state = ws.trace_.added.emplace(keys[t + 1], std::move(next))
                 .first->second.data();
   }
   return state;
@@ -304,18 +345,30 @@ const float* NnffModel::memoTraceEncoding(const TraceCell& c) const {
 
 std::size_t NnffModel::memoEditDistance(
     std::uint64_t traceFp, const TraceCell& c, std::uint64_t outputFp,
-    const std::vector<std::int32_t>& outToks) const {
+    const std::vector<std::int32_t>& outToks, Workspace& ws) const {
   const std::uint64_t key = editKey(traceFp, outputFp);
-  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, key)) {
-    ++memoStats_.editHits;
+  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, ws.edit_, key)) {
+    ++ws.stats_.editHits;
     return *hit;
   }
-  ++memoStats_.editMisses;
-  rotateAtCapacity(editMemo_, editMemoPrev_, memoCapacity_);
+  ++ws.stats_.editMisses;
   const std::size_t dist =
       editDistanceSpans(c.xs, c.n, outToks.data(), outToks.size());
-  editMemo_.emplace(key, dist);
+  ws.edit_.added.emplace(key, dist);
   return dist;
+}
+
+void NnffModel::mergeWorkspace(Workspace& ws) const {
+  splice(traceMemo_, traceMemoPrev_, ws.trace_, memoCapacity_);
+  splice(editMemo_, editMemoPrev_, ws.edit_, memoCapacity_);
+  // The step memo rotates by call count (beginPredict), not by size.
+  splice(stepMemo_, stepMemoPrev_, ws.step_,
+         std::numeric_limits<std::size_t>::max());
+  memoStats_.traceHits += ws.stats_.traceHits;
+  memoStats_.traceMisses += ws.stats_.traceMisses;
+  memoStats_.editHits += ws.stats_.editHits;
+  memoStats_.editMisses += ws.stats_.editMisses;
+  ws.stats_ = MemoStats{};
 }
 
 void NnffModel::setMemoCapacity(std::size_t cap) {
@@ -357,10 +410,27 @@ void NnffModel::beginLaneCapture(const dsl::Spec& spec) const {
   captureSpec_ = &spec;
 }
 
-template <typename CellAt>
+void NnffModel::captureLaneCells(const dsl::Spec& spec,
+                                 const dsl::Program& candidate,
+                                 const dsl::LaneTraceView& view,
+                                 TraceCells& into) const {
+  if (!config_.useTrace)
+    throw std::logic_error("NnffModel: lane capture requires useTrace=true");
+  if (view.steps != candidate.length())
+    throw std::invalid_argument("NnffModel: trace length != program length");
+  const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t k = 0; k < view.steps; ++k) {
+      std::int32_t scratch = 0;
+      appendCell(into, laneCell(view, i, k, scratch));
+    }
+}
+
 void NnffModel::encodeCells(const dsl::Spec& spec,
                             const dsl::Program& candidate,
-                            const CellAt& cellAt, EncodedTrace& out) const {
+                            const CapturedCell* cells,
+                            const std::int32_t* words, EncodedTrace& out,
+                            Workspace& ws) const {
   const std::size_t e = config_.embedDim;
   const std::size_t h = config_.hiddenDim;
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
@@ -382,8 +452,8 @@ void NnffModel::encodeCells(const dsl::Spec& spec,
     dsl::Type finalType = dsl::Type::List;
     if (len == 0) {
       const TraceCell empty{dsl::Type::List, nullptr, 0};
-      finalDist =
-          memoEditDistance(cellFingerprint(empty), empty, outputFp, outToks);
+      finalDist = memoEditDistance(cellFingerprint(empty), empty, outputFp,
+                                   outToks, ws);
     }
     std::size_t exactSteps = 0;
     for (std::size_t k = 0; k < len; ++k) {
@@ -391,12 +461,13 @@ void NnffModel::encodeCells(const dsl::Spec& spec,
       const float* fRow =
           funcEmb_->table().data() + funcRow(candidate.at(k)) * e;
       std::copy(fRow, fRow + e, x);
-      std::int32_t scratch = 0;
-      const TraceCell c = cellAt(i, k, scratch);
-      const float* tEnc = memoTraceEncoding(c);
+      const CapturedCell& cell = cells[i * len + k];
+      const TraceCell c{cell.type, words + cell.offset, cell.size};
+      const float* tEnc = memoTraceEncoding(c, ws);
       std::copy(tEnc, tEnc + h, x + e);
       const std::uint64_t tvFp = cellFingerprint(c);
-      const std::size_t dist = memoEditDistance(tvFp, c, outputFp, outToks);
+      const std::size_t dist =
+          memoEditDistance(tvFp, c, outputFp, outToks, ws);
       x[e + h] = 1.0f / (1.0f + static_cast<float>(dist));
       x[e + h + 1] = (dist == 0) ? 1.0f : 0.0f;
       if (dist == 0) ++exactSteps;
@@ -416,24 +487,20 @@ void NnffModel::encodeLaneTrace(const dsl::Spec& spec,
                                 const dsl::Program& candidate,
                                 const dsl::LaneTraceView& view,
                                 EncodedTrace& out) const {
-  if (!config_.useTrace)
-    throw std::logic_error("NnffModel::encodeLaneTrace requires useTrace=true");
+  own_.cells_.clear();
+  captureLaneCells(spec, candidate, view, own_.cells_);
   if (&spec != captureSpec_ || params_.version() != cacheVersion_)
     beginLaneCapture(spec);
-  if (view.steps != candidate.length())
-    throw std::invalid_argument("NnffModel: trace length != program length");
-  encodeCells(spec, candidate,
-              [&view](std::size_t i, std::size_t k, std::int32_t& scratch) {
-                return laneCell(view, i, k, scratch);
-              },
-              out);
+  encodeCells(spec, candidate, own_.cells_.cells.data(),
+              own_.cells_.words.data(), out, own_);
+  mergeWorkspace(own_);
 }
 
 template <typename TraceAt>
 void NnffModel::encodeScattered(const dsl::Spec& spec,
                                 const dsl::Program& candidate,
                                 std::size_t count, const TraceAt& traceAt,
-                                EncodedTrace& out) const {
+                                EncodedTrace& out, Workspace& ws) const {
   if (!config_.useTrace)
     throw std::logic_error("NnffModel::encodeTrace requires useTrace=true");
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
@@ -442,44 +509,72 @@ void NnffModel::encodeScattered(const dsl::Spec& spec,
   for (std::size_t i = 0; i < m; ++i)
     if (traceAt(i).size() != candidate.length())
       throw std::invalid_argument("NnffModel: trace length != program length");
-  // Always refresh: a caller may rebuild a different spec at the same
-  // address between calls, which the lane sink's per-generation
-  // beginCapture covers but a one-off score() does not.
-  beginLaneCapture(spec);
-  encodeCells(spec, candidate,
-              [&traceAt](std::size_t i, std::size_t k, std::int32_t& scratch) {
-                return valueCell(traceAt(i)[k], scratch);
-              },
-              out);
+  ws.cells_.clear();
+  for (std::size_t i = 0; i < m; ++i)
+    for (const dsl::Value& v : traceAt(i)) {
+      std::int32_t scratch = 0;
+      appendCell(ws.cells_, valueCell(v, scratch));
+    }
+  encodeCells(spec, candidate, ws.cells_.cells.data(),
+              ws.cells_.words.data(), out, ws);
 }
 
 void NnffModel::encodeTrace(const dsl::Spec& spec,
                             const dsl::Program& candidate,
                             const std::vector<std::vector<dsl::Value>>& traces,
                             EncodedTrace& out) const {
+  // Always refresh: a caller may rebuild a different spec at the same
+  // address between calls, which the lane sink's per-generation grading
+  // covers but a one-off score() does not.
+  beginLaneCapture(spec);
   encodeScattered(
       spec, candidate, traces.size(),
       [&traces](std::size_t i) -> const std::vector<dsl::Value>& {
         return traces[i];
       },
-      out);
+      out, own_);
+  mergeWorkspace(own_);
 }
 
 void NnffModel::encodeTrace(const dsl::Spec& spec,
                             const dsl::Program& candidate,
                             const std::vector<dsl::ExecResult>& runs,
                             EncodedTrace& out) const {
+  beginLaneCapture(spec);  // see above
+  encodeTrace(spec, candidate, runs, out, own_);
+  mergeWorkspace(own_);
+}
+
+void NnffModel::encodeTrace(const dsl::Spec& spec,
+                            const dsl::Program& candidate,
+                            const std::vector<dsl::ExecResult>& runs,
+                            EncodedTrace& out, Workspace& ws) const {
   encodeScattered(
       spec, candidate, runs.size(),
       [&runs](std::size_t i) -> const std::vector<dsl::Value>& {
         return runs[i].trace;
       },
-      out);
+      out, ws);
+}
+
+void NnffModel::beginGrading(const dsl::Spec& spec) const {
+  beginLaneCapture(spec);
+  beginPredict(spec);
 }
 
 std::vector<std::vector<float>> NnffModel::predictBatch(
     const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
     const std::vector<const EncodedTrace*>& encoded) const {
+  if (candidates.empty()) return {};
+  beginPredict(spec);
+  auto out = predictBatch(spec, candidates, encoded, own_);
+  mergeWorkspace(own_);
+  return out;
+}
+
+std::vector<std::vector<float>> NnffModel::predictBatch(
+    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
+    const std::vector<const EncodedTrace*>& encoded, Workspace& ws) const {
   const std::size_t batch = candidates.size();
   if (batch == 0) return {};
   if (!config_.useTrace)
@@ -496,27 +591,24 @@ std::vector<std::vector<float>> NnffModel::predictBatch(
     if (encoded[b]->length != candidates[b]->length())
       throw std::invalid_argument("NnffModel: trace length != program length");
   }
-  return predictRows(spec, candidates, encoded);
+  return predictRows(spec, candidates, encoded, ws);
 }
 
 std::vector<float> NnffModel::predictIOOnly(const dsl::Spec& spec) const {
   if (config_.useTrace)
     throw std::logic_error("NnffModel::predictIOOnly requires useTrace=false");
-  return predictRows(spec, {}, {})[0];
+  beginPredict(spec);
+  return predictRows(spec, {}, {}, own_)[0];
 }
 
 void NnffModel::programStates(
     const std::vector<const dsl::Program*>& candidates,
     const std::vector<const EncodedTrace*>& encoded, std::size_t m,
-    std::vector<float>& hProg) const {
+    std::vector<float>& hProg, Workspace& ws) const {
   const std::size_t h = config_.hiddenDim;
   const std::size_t batch = candidates.size();
   const std::size_t stepWidth = encoded[0]->stepWidth;
   const std::size_t w = 2 * h;  // one example's [h | c]
-  if (++stepMemoCalls_ % 2 == 0) {
-    std::swap(stepMemo_, stepMemoPrev_);
-    stepMemo_.clear();
-  }
   const auto prefixKey = [](const dsl::Program& p, std::size_t depth,
                             std::string& key) {
     key.assign(reinterpret_cast<const char*>(p.functions().data()),
@@ -533,7 +625,7 @@ void NnffModel::programStates(
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t d = candidates[b]->length(); d > 0; --d) {
       prefixKey(*candidates[b], d, key);
-      if (const auto* e = findMemo(stepMemo_, stepMemoPrev_, key)) {
+      if (const auto* e = findMemo(stepMemo_, stepMemoPrev_, ws.step_, key)) {
         last[b] = e->data();
         start[b] = d;
         break;
@@ -541,10 +633,10 @@ void NnffModel::programStates(
     }
   }
 
-  // 2. Each prefix past a gene's memoized depth becomes one new entry,
-  //    shared by every gene of the batch that has it (phase 1 found none of
-  //    them, so an existing key here was added by an earlier gene of this
-  //    loop). levels[d - 1] lists the new prefixes of length d with the
+  // 2. Each prefix past a gene's memoized depth becomes one new staged
+  //    entry, shared by every gene of the batch that has it (phase 1 found
+  //    none of them, so an existing key here was added by an earlier gene
+  //    of this loop). levels[d - 1] lists the new prefixes of length d with the
   //    state they resume from and the gene whose encoded rows feed them.
   struct NewPrefix {
     float* state;
@@ -557,7 +649,7 @@ void NnffModel::programStates(
     if (levels.size() < len) levels.resize(len);
     for (std::size_t d = start[b] + 1; d <= len; ++d) {
       prefixKey(*candidates[b], d, key);
-      auto [it, fresh] = stepMemo_.try_emplace(key);
+      auto [it, fresh] = ws.step_.added.try_emplace(key);
       if (fresh) {
         it->second.resize(m * w);
         levels[d - 1].push_back({it->second.data(), last[b], b});
@@ -590,7 +682,7 @@ void NnffModel::programStates(
       }
     }
     nn::lstmStepBatchFast(*stepLstm_, x.data(), rows, hs.data(), cs.data(),
-                          scratch_);
+                          ws.scratch_);
     for (std::size_t n = 0; n < level.size(); ++n)
       for (std::size_t i = 0; i < m; ++i) {
         const std::size_t r = n * m + i;
@@ -611,59 +703,67 @@ void NnffModel::programStates(
   }
 }
 
-std::vector<std::vector<float>> NnffModel::predictRows(
-    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
-    const std::vector<const EncodedTrace*>& encoded) const {
-  const std::size_t h = config_.hiddenDim;
-  const std::size_t m = std::min(spec.size(), config_.maxExamples);
-  const std::size_t batch = config_.useTrace ? candidates.size() : 1;
+void NnffModel::beginPredict(const dsl::Spec& spec) const {
   syncCaches(spec.fingerprint());
-
+  if (++stepMemoCalls_ % 2 == 0) {
+    std::swap(stepMemo_, stepMemoPrev_);
+    stepMemo_.clear();
+  }
   // Spec cache: per example [hOut | h1 | c1 | h2 | c2], the output encoding
   // and both combiner LSTMs' states after the three spec-level pieces
   // (identical for every gene). Computed on the spec's first call, batched
   // across the m examples.
-  enum : std::size_t { kOut, kH1, kC1, kH2, kC2, kSpecParts };
-  const std::size_t sw = kSpecParts * h;
-  if (specStates_.empty() && m > 0) {
-    std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
-    std::vector<float> ioFeatsAll(m * kIoFeatureDim);
-    for (std::size_t i = 0; i < m; ++i) {
-      const dsl::IOExample& example = spec.examples[i];
-      inTokens[i] = encoder_.encodeInputs(example.inputs);
-      outTokens[i] = encoder_.encodeValue(example.output);
-      const auto feats = ioSummaryFeatures(example.inputs, example.output);
-      std::copy(feats.begin(), feats.end(),
-                ioFeatsAll.begin() + i * kIoFeatureDim);
-    }
-    std::vector<float> pieces(3 * m * h);  // [hIn | hOut | hIoF], m x h each
-    float* hIn = pieces.data();
-    float* hOut = hIn + m * h;
-    float* hIoF = hOut + m * h;
-    nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens, hIn,
-                                  scratch_);
-    nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens, hOut,
-                                  scratch_);
-    nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m, hIoF);
-    nn::tanhInPlace(hIoF, m * h);
-    // Layer 2 consumes layer 1's hidden right after each step (equivalent
-    // to encodeAll + encode, without materializing the l1 sequence).
-    std::vector<float> h1(m * h, 0.0f), c1(m * h, 0.0f), h2(m * h, 0.0f),
-        c2(m * h, 0.0f);
-    for (const float* piece : {hIn, hOut, hIoF}) {
-      nn::lstmStepBatchFast(*combine1_, piece, m, h1.data(), c1.data(),
-                            scratch_);
-      nn::lstmStepBatchFast(*combine2_, h1.data(), m, h2.data(), c2.data(),
-                            scratch_);
-    }
-    specStates_.resize(m * sw);
-    const float* parts[kSpecParts] = {hOut, h1.data(), c1.data(), h2.data(),
-                                      c2.data()};
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t p = 0; p < kSpecParts; ++p)
-        std::copy(parts[p] + i * h, parts[p] + (i + 1) * h,
-                  specStates_.data() + i * sw + p * h);
+  const std::size_t h = config_.hiddenDim;
+  const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  if (!specStates_.empty() || m == 0) return;
+  nn::InferenceScratch& scratch = own_.scratch_;
+  std::vector<std::vector<std::size_t>> inTokens(m), outTokens(m);
+  std::vector<float> ioFeatsAll(m * kIoFeatureDim);
+  for (std::size_t i = 0; i < m; ++i) {
+    const dsl::IOExample& example = spec.examples[i];
+    inTokens[i] = encoder_.encodeInputs(example.inputs);
+    outTokens[i] = encoder_.encodeValue(example.output);
+    const auto feats = ioSummaryFeatures(example.inputs, example.output);
+    std::copy(feats.begin(), feats.end(),
+              ioFeatsAll.begin() + i * kIoFeatureDim);
   }
+  std::vector<float> pieces(3 * m * h);  // [hIn | hOut | hIoF], m x h each
+  float* hIn = pieces.data();
+  float* hOut = hIn + m * h;
+  float* hIoF = hOut + m * h;
+  nn::lstmEncodeTokensBatchFast(*inputLstm_, *valueEmb_, inTokens, hIn,
+                                scratch);
+  nn::lstmEncodeTokensBatchFast(*outputLstm_, *valueEmb_, outTokens, hOut,
+                                scratch);
+  nn::linearForwardBatchFast(*ioFeatProj_, ioFeatsAll.data(), m, hIoF);
+  nn::tanhInPlace(hIoF, m * h);
+  // Layer 2 consumes layer 1's hidden right after each step (equivalent
+  // to encodeAll + encode, without materializing the l1 sequence).
+  std::vector<float> h1(m * h, 0.0f), c1(m * h, 0.0f), h2(m * h, 0.0f),
+      c2(m * h, 0.0f);
+  for (const float* piece : {hIn, hOut, hIoF}) {
+    nn::lstmStepBatchFast(*combine1_, piece, m, h1.data(), c1.data(),
+                          scratch);
+    nn::lstmStepBatchFast(*combine2_, h1.data(), m, h2.data(), c2.data(),
+                          scratch);
+  }
+  const std::size_t sw = kSpecParts * h;
+  specStates_.resize(m * sw);
+  const float* parts[kSpecParts] = {hOut, h1.data(), c1.data(), h2.data(),
+                                    c2.data()};
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t p = 0; p < kSpecParts; ++p)
+      std::copy(parts[p] + i * h, parts[p] + (i + 1) * h,
+                specStates_.data() + i * sw + p * h);
+}
+
+std::vector<std::vector<float>> NnffModel::predictRows(
+    const dsl::Spec& spec, const std::vector<const dsl::Program*>& candidates,
+    const std::vector<const EncodedTrace*>& encoded, Workspace& ws) const {
+  const std::size_t h = config_.hiddenDim;
+  const std::size_t m = std::min(spec.size(), config_.maxExamples);
+  const std::size_t batch = config_.useTrace ? candidates.size() : 1;
+  const std::size_t sw = kSpecParts * h;
   const auto specPart = [&](std::size_t i, std::size_t p) {
     return specStates_.data() + i * sw + p * h;
   };
@@ -680,7 +780,7 @@ std::vector<std::vector<float>> NnffModel::predictRows(
     // each resuming from its example's cached spec-level states. Every
     // (example, gene) row runs in one batch.
     std::vector<float> hProg;
-    programStates(candidates, encoded, m, hProg);
+    programStates(candidates, encoded, m, hProg, ws);
     std::vector<float> hMul(rows * h), g(rows * 4), hFeat(rows * h),
         hC(rows * h), cC(rows * h), c2(rows * h);
     for (std::size_t i = 0; i < m; ++i) {
@@ -701,9 +801,9 @@ std::vector<std::vector<float>> NnffModel::predictRows(
     nn::tanhInPlace(hFeat.data(), hFeat.size());
     for (const float* piece : {hProg.data(), hMul.data(), hFeat.data()}) {
       nn::lstmStepBatchFast(*combine1_, piece, rows, hC.data(), cC.data(),
-                            scratch_);
+                            ws.scratch_);
       nn::lstmStepBatchFast(*combine2_, hC.data(), rows, His.data(),
-                            c2.data(), scratch_);
+                            c2.data(), ws.scratch_);
     }
   }
 
@@ -711,7 +811,7 @@ std::vector<std::vector<float>> NnffModel::predictRows(
   for (std::size_t i = 0; i < m; ++i) hiPtrs[i] = His.data() + i * batch * h;
   std::vector<float> fused(batch * h);
   nn::lstmEncodeVectorsBatchFast(*exampleLstm_, hiPtrs, batch, fused.data(),
-                                 scratch_);
+                                 ws.scratch_);
   std::vector<float> hidden(batch * fc1_->outDim());
   nn::linearForwardBatchFast(*fc1_, fused.data(), batch, hidden.data());
   nn::reluFast(hidden.data(), hidden.size());

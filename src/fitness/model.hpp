@@ -38,9 +38,30 @@ namespace netsyn::fitness {
 
 struct TraceCell;  // model.cpp: one trace value as a token span
 
-/// One candidate's NN-ready trace features, encoded by
-/// NnffModel::encodeLaneTrace (from a LaneTraceView) or encodeTrace (from
-/// scattered Values): per (example i, step k) the full stepLstm input row
+/// One trace value copied out of a LaneTraceView or a Value: its type and
+/// its span of a word arena (an int is a 1-word span).
+struct CapturedCell {
+  dsl::Type type;
+  std::uint32_t offset;  ///< first word in the arena
+  std::uint32_t size;    ///< words: list elements, or 1 for an int
+};
+
+/// Copied trace cells and the word arena they index. A candidate's cells
+/// are appended example-major: its cell (i * length + k) is step k's value
+/// on example i, for the first min(spec size, maxExamples) examples. Once
+/// copied, a trace no longer depends on the buffers it was read from.
+struct TraceCells {
+  std::vector<CapturedCell> cells;
+  std::vector<std::int32_t> words;
+  void clear() {
+    cells.clear();
+    words.clear();
+  }
+};
+
+/// One candidate's NN-ready trace features, encoded from its captured cells
+/// (NnffModel::encodeCells, behind encodeLaneTrace and encodeTrace): per
+/// (example i, step k) the full stepLstm input row
 /// [funcEmb | trace encoding | match features], plus the four example-level
 /// summary features. predictBatch feeds the rows into the batched LSTMs
 /// directly.
@@ -106,27 +127,88 @@ class NnffModel {
   /// IO-only autograd forward (FP model): logits (1 x outDim).
   nn::Var forwardIOOnly(const dsl::Spec& spec) const;
 
+  /// Hit/miss counters of the trace-encoding and edit-distance memos, for
+  /// tests and service stats (proves the two-generation eviction keeps the
+  /// hit rate high when the working set sits at the capacity boundary). A
+  /// trace lookup is one per trace cell: a hit found the cell's whole token
+  /// sequence memoized.
+  struct MemoStats {
+    std::uint64_t traceHits = 0, traceMisses = 0;
+    std::uint64_t editHits = 0, editMisses = 0;
+  };
+  MemoStats memoStats() const { return memoStats_; }
+
+ private:
+  using TraceMemo = std::unordered_map<std::uint64_t, std::vector<float>>;
+  using EditMemo = std::unordered_map<std::uint64_t, std::size_t>;
+  using StepMemo = std::unordered_map<std::string, std::vector<float>>;
+
+  /// A workspace's changes to one two-generation memo.
+  template <typename Map>
+  struct Staged {
+    Map added;  ///< entries it computed
+    std::vector<typename Map::key_type> promoted;  ///< previous-gen hits
+  };
+
+ public:
+  /// One grading thread's private state: inference scratch, a trace-cell
+  /// copy buffer, and what it did to the model's memos (new entries,
+  /// previous-generation hits to promote, hit/miss counts), staged until
+  /// mergeWorkspace splices them in. Grading threads share the model and
+  /// its memos; each owns only a workspace.
+  class alignas(64) Workspace {
+   private:
+    friend class NnffModel;
+    nn::InferenceScratch scratch_;
+    TraceCells cells_;                     ///< run-backed traces' cells
+    std::vector<std::size_t> tokens_;      ///< a trace cell's tokens
+    std::vector<std::uint64_t> prefixKeys_;  ///< their prefix hashes
+    Staged<TraceMemo> trace_;
+    Staged<EditMemo> edit_;
+    Staged<StepMemo> step_;
+    MemoStats stats_;
+  };
+
   /// Inference runs in two stages: every candidate's trace is first encoded
   /// into an EncodedTrace, then predictBatch grades a whole population in
-  /// one allocation-light pass. Both encoders share one body: fingerprints
-  /// and token spans per trace cell (an int is a 1-element span), memoized
-  /// trace encodings and edit distances, the same float expressions — so a
-  /// lane-encoded and a scatter-encoded trace of the same candidate are
-  /// equal field by field (pinned by the differential fuzz suite). None of
-  /// the inference entry points is thread-safe (they share scratch and memo
-  /// buffers); clone the model per worker thread.
+  /// one allocation-light pass. The encoder reads one form of trace: cells
+  /// copied out of a lane view or out of scattered Values (an int is a
+  /// 1-word span). So a lane-encoded and a scatter-encoded trace of the same
+  /// candidate are equal field by field (pinned by the differential fuzz
+  /// suite). Trace encodings, edit distances and program-prefix step states
+  /// are memoized on the model.
+  ///
+  /// There are two ways to call it:
+  /// - Single-threaded: encodeLaneTrace, encodeTrace and predictBatch each
+  ///   run on the model's own workspace and merge it before they return.
+  ///   None of them is thread-safe.
+  /// - Shared-memo grading (fitness::BatchGrader): beginGrading(spec); then
+  ///   any number of threads run the Workspace overloads, each on its own
+  ///   workspace, which only read the model; then mergeWorkspace for each
+  ///   workspace once no thread uses the model. Memos hold exact states,
+  ///   so they decide what is recomputed, never a value: the logits are the
+  ///   single-threaded ones bit for bit.
   ///
   /// beginLaneCapture caches per-example output fingerprints and token spans
   /// for `spec` (first dropping the inference caches if the spec's contents
-  /// or the weights changed); encodeLaneTrace then fills `out` straight from
-  /// the SoA lane blocks of `view`, with no Value materialized anywhere.
+  /// or the weights changed); encoding reads them.
   void beginLaneCapture(const dsl::Spec& spec) const;
+
+  /// Appends `candidate`'s cells, read off the SoA lane blocks of `view`, to
+  /// `into`; `view` may be reused as soon as this returns. Reads nothing of
+  /// the model but its config, so any thread may call it.
+  void captureLaneCells(const dsl::Spec& spec, const dsl::Program& candidate,
+                        const dsl::LaneTraceView& view,
+                        TraceCells& into) const;
+
+  /// Copies the view's cells, then encodes them into `out`.
   void encodeLaneTrace(const dsl::Spec& spec, const dsl::Program& candidate,
                        const dsl::LaneTraceView& view,
                        EncodedTrace& out) const;
 
   /// Encodes scattered per-example traces (`traces[i]` or `runs[i].trace`
-  /// for example i), read in place. Refreshes the capture cache for `spec`.
+  /// for example i) by the same copy-then-encode. Refreshes the capture
+  /// cache for `spec`.
   void encodeTrace(const dsl::Spec& spec, const dsl::Program& candidate,
                    const std::vector<std::vector<dsl::Value>>& traces,
                    EncodedTrace& out) const;
@@ -148,16 +230,27 @@ class NnffModel {
   /// IO-only models (useTrace = false): the logits row for `spec`.
   std::vector<float> predictIOOnly(const dsl::Spec& spec) const;
 
-  /// Hit/miss counters of the trace-encoding and edit-distance memos, for
-  /// tests and service stats (proves the two-generation eviction keeps the
-  /// hit rate high when the working set sits at the capacity boundary). A
-  /// trace lookup is one per trace cell: a hit found the cell's whole token
-  /// sequence memoized.
-  struct MemoStats {
-    std::uint64_t traceHits = 0, traceMisses = 0;
-    std::uint64_t editHits = 0, editMisses = 0;
-  };
-  MemoStats memoStats() const { return memoStats_; }
+  /// Shared-memo grading, step 1: refreshes the capture cache, the spec
+  /// cache and the step memo's generation for `spec`.
+  void beginGrading(const dsl::Spec& spec) const;
+
+  /// Encodes `candidate`'s captured cells (`cells` indexes `words`, laid out
+  /// as in TraceCells) into `out`.
+  void encodeCells(const dsl::Spec& spec, const dsl::Program& candidate,
+                   const CapturedCell* cells, const std::int32_t* words,
+                   EncodedTrace& out, Workspace& ws) const;
+  /// Copies `runs`' cells into `ws`, then encodes them into `out`.
+  void encodeTrace(const dsl::Spec& spec, const dsl::Program& candidate,
+                   const std::vector<dsl::ExecResult>& runs,
+                   EncodedTrace& out, Workspace& ws) const;
+  std::vector<std::vector<float>> predictBatch(
+      const dsl::Spec& spec,
+      const std::vector<const dsl::Program*>& candidates,
+      const std::vector<const EncodedTrace*>& encoded, Workspace& ws) const;
+
+  /// Shared-memo grading, last step: splices `ws`'s staged memo entries,
+  /// promotions and counts into the model's memos and empties it.
+  void mergeWorkspace(Workspace& ws) const;
 
   /// Test hook: shrinks the memo capacity (entries per generation map; the
   /// trace memo counts token-prefix entries) so boundary behavior is
@@ -196,8 +289,9 @@ class NnffModel {
   /// traceLstm encoding (hiddenDim floats) of one trace cell, through the
   /// token-prefix memo: a whole-value hit is one probe of the full token
   /// sequence; a miss resumes from the longest memoized prefix and memoizes
-  /// every new prefix it steps through.
-  const float* memoTraceEncoding(const TraceCell& c) const;
+  /// every new prefix it steps through. Hits and new entries are staged in
+  /// `ws`.
+  const float* memoTraceEncoding(const TraceCell& c, Workspace& ws) const;
 
   /// Memoized edit distance between a trace cell and an example output (the
   /// cached token span from beginLaneCapture). Trace values recur heavily
@@ -205,38 +299,39 @@ class NnffModel {
   /// O(|a|*|b|).
   std::size_t memoEditDistance(std::uint64_t traceFp, const TraceCell& c,
                                std::uint64_t outputFp,
-                               const std::vector<std::int32_t>& outToks) const;
+                               const std::vector<std::int32_t>& outToks,
+                               Workspace& ws) const;
 
-  /// Shared body of encodeLaneTrace and encodeTrace. `cellAt(i, k, scratch)`
-  /// returns candidate step k's value on example i as a TraceCell.
-  template <typename CellAt>
-  void encodeCells(const dsl::Spec& spec, const dsl::Program& candidate,
-                   const CellAt& cellAt, EncodedTrace& out) const;
-
-  /// encodeTrace's body: `traceAt(i)` is example i's Value trace (`count`
-  /// of them).
+  /// Copies `count` scattered traces' cells into `ws` (`traceAt(i)` is
+  /// example i's Value trace) and encodes them.
   template <typename TraceAt>
   void encodeScattered(const dsl::Spec& spec, const dsl::Program& candidate,
                        std::size_t count, const TraceAt& traceAt,
-                       EncodedTrace& out) const;
+                       EncodedTrace& out, Workspace& ws) const;
 
   /// Shared core of predictBatch and predictIOOnly: one row per candidate
-  /// (one row, no program branch, when `candidates` is empty).
+  /// (one row, no program branch, when `candidates` is empty). Reads the
+  /// caches beginPredict readied.
   std::vector<std::vector<float>> predictRows(
       const dsl::Spec& spec,
       const std::vector<const dsl::Program*>& candidates,
-      const std::vector<const EncodedTrace*>& encoded) const;
+      const std::vector<const EncodedTrace*>& encoded, Workspace& ws) const;
 
   /// Drops every inference cache when the weights (params_.version()) or
   /// the spec being graded (its fingerprint) changed since they were built.
   void syncCaches(std::uint64_t specFp) const;
+
+  /// Readies predictRows for `spec`: syncs the caches, fills the spec cache
+  /// and rotates the step memo every second call.
+  void beginPredict(const dsl::Spec& spec) const;
 
   /// stepLstm state of every example after each candidate's full program,
   /// through the program-prefix memo: `hProg` gets row (i * B + b) =
   /// hidden state of candidates[b] on example i.
   void programStates(const std::vector<const dsl::Program*>& candidates,
                      const std::vector<const EncodedTrace*>& encoded,
-                     std::size_t m, std::vector<float>& hProg) const;
+                     std::size_t m, std::vector<float>& hProg,
+                     Workspace& ws) const;
 
   NnffConfig config_;
   const dsl::Domain* resolvedDomain_;  ///< config_.domain, null -> list
@@ -255,7 +350,7 @@ class NnffModel {
   std::unique_ptr<nn::Lstm> exampleLstm_;
   std::unique_ptr<nn::Linear> fc1_;
   std::unique_ptr<nn::Linear> fc2_;
-  mutable nn::InferenceScratch scratch_;  ///< inference buffers
+  mutable Workspace own_;  ///< the single-threaded entry points' workspace
 
   // Inference caches. Each LSTM prefix is computed once: the spec pieces per
   // spec, a trace value's token prefixes, a program's step prefixes. All of
@@ -283,13 +378,16 @@ class NnffModel {
   /// starts; lookups probe current then previous, promoting previous hits.
   /// A working set at the capacity boundary therefore keeps hitting, and
   /// live memory stays <= 2x capacity.
-  mutable std::unordered_map<std::uint64_t, std::vector<float>> traceMemo_;
-  mutable std::unordered_map<std::uint64_t, std::vector<float>>
-      traceMemoPrev_;
+  ///
+  /// Workspaces read the maps and stage their changes; mergeWorkspace
+  /// applies them: promotions first, then new entries, each rotating the
+  /// generations when the current map is full.
+  mutable TraceMemo traceMemo_;
+  mutable TraceMemo traceMemoPrev_;
   /// Edit-distance memo, keyed by mixed (trace value, output) fingerprints;
   /// same bounding and collision reasoning as traceMemo_.
-  mutable std::unordered_map<std::uint64_t, std::size_t> editMemo_;
-  mutable std::unordered_map<std::uint64_t, std::size_t> editMemoPrev_;
+  mutable EditMemo editMemo_;
+  mutable EditMemo editMemoPrev_;
   std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation map
   mutable MemoStats memoStats_;
 
@@ -297,20 +395,20 @@ class NnffModel {
   /// the stepLstm [h | c] of every example after that prefix. A step row is
   /// a function of the prefix and the spec alone (a statement reads only
   /// earlier statements and the inputs), and the memo is scoped to one spec.
-  /// Two generations, rotated every second predictRows call.
-  mutable std::unordered_map<std::string, std::vector<float>> stepMemo_;
-  mutable std::unordered_map<std::string, std::vector<float>> stepMemoPrev_;
+  /// Two generations, rotated every second beginPredict; staged and merged
+  /// like the trace memo.
+  mutable StepMemo stepMemo_;
+  mutable StepMemo stepMemoPrev_;
   mutable std::size_t stepMemoCalls_ = 0;
 
   // Capture state (beginLaneCapture): per-example output fingerprints and
   // full token spans, so the encoders compute them once per spec instead of
   // once per candidate. The spec pointer detects capture context switches;
-  // encodeLaneTrace refreshes lazily when it changes, encodeTrace always.
+  // encodeLaneTrace refreshes lazily when it changes, encodeTrace and
+  // beginGrading always.
   mutable const dsl::Spec* captureSpec_ = nullptr;
   mutable std::vector<std::uint64_t> outputFps_;
   mutable std::vector<std::vector<std::int32_t>> outputToks_;
-  mutable std::vector<std::size_t> tokenScratch_;  ///< a trace cell's tokens
-  mutable std::vector<std::uint64_t> prefixKeys_;  ///< its prefix hashes
 };
 
 }  // namespace netsyn::fitness

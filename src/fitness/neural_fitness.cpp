@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -29,60 +30,41 @@ double expectationFromLogits(const std::vector<float>& logits) {
   return expectation;
 }
 
-/// Points encoded[i] at gene i's trace features: its context's lane
-/// encoding, or the encoding of its runs, read in place, into slots[i]
-/// (reused across calls, so steady-state grading allocates no trace
-/// storage).
-void encodeContexts(const NnffModel& model,
-                    const std::vector<const dsl::Program*>& genes,
-                    const std::vector<const EvalContext*>& contexts,
-                    std::vector<EncodedTrace>& slots,
-                    std::vector<const EncodedTrace*>& encoded) {
-  if (slots.size() < genes.size()) slots.resize(genes.size());
-  encoded.resize(genes.size());
-  for (std::size_t i = 0; i < genes.size(); ++i) {
-    const EvalContext& ctx = *contexts[i];
-    if (ctx.encoded == nullptr)
-      model.encodeTrace(ctx.spec, *genes[i], ctx.runs, slots[i]);
-    encoded[i] = ctx.encoded ? ctx.encoded : &slots[i];
-  }
-}
-
-/// out[i] := the logits of gene i for i in [begin, end): one predictBatch
-/// per maximal run of contexts sharing a spec (in the GA every context
-/// shares the generation's spec, so this is one batch).
-void predictRange(const NnffModel& model,
-                  const std::vector<const dsl::Program*>& genes,
-                  const std::vector<const EvalContext*>& contexts,
-                  const std::vector<const EncodedTrace*>& encoded,
-                  std::size_t begin, std::size_t end,
-                  std::vector<std::vector<float>>& out) {
-  while (begin < end) {
-    const dsl::Spec& spec = contexts[begin]->spec;
-    std::size_t stop = begin + 1;
-    while (stop < end && &contexts[stop]->spec == &spec) ++stop;
-    auto logits = model.predictBatch(
-        spec, {genes.begin() + begin, genes.begin() + stop},
-        {encoded.begin() + begin, encoded.begin() + stop});
-    std::move(logits.begin(), logits.end(), out.begin() + begin);
-    begin = stop;
-  }
-}
-
-/// Logits of every gene on the calling thread: the oracle sharded grading
-/// reproduces.
-std::vector<std::vector<float>> batchLogits(
-    const NnffModel& model, const std::vector<const dsl::Program*>& genes,
-    const std::vector<const EvalContext*>& contexts,
-    std::vector<EncodedTrace>& slots,
-    std::vector<const EncodedTrace*>& encoded) {
-  std::vector<std::vector<float>> out(genes.size());
-  encodeContexts(model, genes, contexts, slots, encoded);
-  predictRange(model, genes, contexts, encoded, 0, genes.size(), out);
-  return out;
-}
+/// BatchGrader::jobOf_ of a gene whose features are already encoded.
+constexpr std::size_t kReady = static_cast<std::size_t>(-1);
 
 }  // namespace
+
+void ModelLaneSink::beginCapture(const dsl::Spec& spec, std::size_t count) {
+  spec_ = &spec;
+  if (slots_.size() < count) {
+    slots_.resize(count);
+    firstCell_.resize(count);
+    pending_.resize(count);
+  }
+  std::fill(pending_.begin(), pending_.end(), 0);
+  cells_.clear();
+}
+
+void ModelLaneSink::capture(std::size_t slot, const dsl::Program& candidate,
+                            const dsl::LaneTraceView& view) {
+  firstCell_[slot] = cells_.cells.size();
+  model_->captureLaneCells(*spec_, candidate, view, cells_);
+  slots_[slot].stepWidth = 0;  // fits no model until it is encoded
+  pending_[slot] = 1;
+}
+
+ModelLaneSink::Captured ModelLaneSink::take(const EncodedTrace* e) {
+  const std::less<const EncodedTrace*> before;
+  if (slots_.empty() || before(e, slots_.data()) ||
+      !before(e, slots_.data() + slots_.size()))
+    return {};
+  const auto slot = static_cast<std::size_t>(e - slots_.data());
+  if (pending_[slot] == 0) return {};
+  pending_[slot] = 0;
+  return {&slots_[slot], cells_.cells.data() + firstCell_[slot],
+          cells_.words.data()};
+}
 
 std::size_t gradeThreads(std::size_t searches) {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
@@ -90,39 +72,109 @@ std::size_t gradeThreads(std::size_t searches) {
 }
 
 BatchGrader::BatchGrader(std::shared_ptr<NnffModel> model,
-                         std::size_t threads)
-    : model_(std::move(model)), threads_(std::max<std::size_t>(1, threads)) {}
+                         ModelLaneSink* sink, std::size_t threads)
+    : model_(std::move(model)),
+      sink_(sink),
+      threads_(std::max<std::size_t>(1, threads)) {}
 
 std::vector<std::vector<float>> BatchGrader::logits(
     const std::vector<const dsl::Program*>& genes,
     const std::vector<const EvalContext*>& contexts) {
-  const std::size_t n = genes.size();
+  // One round per maximal run of contexts sharing a spec: the memos and the
+  // spec cache hold one spec at a time. In the GA every context shares the
+  // generation's spec, so this is one round.
+  std::vector<std::vector<float>> out(genes.size());
+  std::size_t begin = 0;
+  while (begin < genes.size()) {
+    const dsl::Spec& spec = contexts[begin]->spec;
+    std::size_t end = begin + 1;
+    while (end < genes.size() && &contexts[end]->spec == &spec) ++end;
+    gradeRound(genes, contexts, begin, end, out);
+    begin = end;
+  }
+  return out;
+}
+
+void BatchGrader::gradeRound(const std::vector<const dsl::Program*>& genes,
+                             const std::vector<const EvalContext*>& contexts,
+                             std::size_t begin, std::size_t end,
+                             std::vector<std::vector<float>>& out) {
+  const dsl::Spec& spec = contexts[begin]->spec;
+  const std::size_t n = end - begin;
   const std::size_t shards =
       std::clamp<std::size_t>(n / kMinGenesPerShard, 1, threads_);
-  if (shards == 1)
-    return batchLogits(*model_, genes, contexts, slots_, encoded_);
-  std::vector<std::vector<float>> out(n);
-  encodeContexts(*model_, genes, contexts, slots_, encoded_);
-  // The gang and the replicas grow to the most shards a call has needed,
+
+  // A job per gene whose features are still to be encoded, in gene order.
+  if (slots_.size() < n) slots_.resize(n);
+  encoded_.resize(n);
+  jobOf_.assign(n, kReady);
+  jobs_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const EvalContext& ctx = *contexts[begin + i];
+    const EncodedTrace* e = ctx.encoded;
+    if (e == nullptr) {
+      e = &slots_[i];
+      jobOf_[i] = jobs_.size();
+      jobs_.push_back({&slots_[i], nullptr, nullptr, begin + i});
+    } else if (const auto c =
+                   sink_ ? sink_->take(e) : ModelLaneSink::Captured{};
+               c.out != nullptr) {
+      jobOf_[i] = jobs_.size();
+      jobs_.push_back({c.out, c.cells, c.words, begin + i});
+    } else {
+      // The same slot twice in one call: wait for the first one's job.
+      for (std::size_t j = 0; j < jobs_.size(); ++j)
+        if (jobs_[j].out == e) jobOf_[i] = j;
+    }
+    encoded_[i] = e;
+  }
+  claims_.reset(jobs_.size());
+  // The gang and the workspaces grow to the most shards a call has needed,
   // not to threads_: workers that no call would feed are never started.
-  if (replicas_.size() < shards - 1)
-    gang_ = std::make_unique<util::Gang>(shards - 1);
-  const std::uint64_t version = model_->params().version();
-  while (replicas_.size() < shards - 1) {
-    replicas_.push_back(model_->clone());
-    replicaVersion_.push_back(version);
+  if (workspaces_.size() < shards) {
+    if (shards > 1) gang_ = std::make_unique<util::Gang>(shards - 1);
+    while (workspaces_.size() < shards)
+      workspaces_.push_back(std::make_unique<NnffModel::Workspace>());
   }
-  for (std::size_t r = 0; r + 1 < shards; ++r) {
-    if (replicaVersion_[r] == version) continue;
-    replicas_[r]->copyWeightsFrom(*model_);
-    replicaVersion_[r] = version;
+
+  const NnffModel& model = *model_;
+  model.beginGrading(spec);
+  const auto participant = [&](std::size_t s) {
+    NnffModel::Workspace& ws = *workspaces_[s];
+    const auto encode = [&](std::size_t j) {
+      const Job& job = jobs_[j];
+      if (job.cells != nullptr)
+        model.encodeCells(spec, *genes[job.gene], job.cells, job.words,
+                          *job.out, ws);
+      else
+        model.encodeTrace(spec, *genes[job.gene], contexts[job.gene]->runs,
+                          *job.out, ws);
+    };
+    claims_.help(encode);
+    const std::size_t lo = n * s / shards;
+    const std::size_t hi = n * (s + 1) / shards;
+    for (std::size_t i = lo; i < hi; ++i)
+      if (jobOf_[i] != kReady && !claims_.await(jobOf_[i], encode))
+        return;  // its encoder's exception ends the call
+    auto logits = model.predictBatch(
+        spec, {genes.begin() + begin + lo, genes.begin() + begin + hi},
+        {encoded_.begin() + lo, encoded_.begin() + hi}, ws);
+    std::move(logits.begin(), logits.end(), out.begin() + begin + lo);
+  };
+  const auto mergeAll = [&] {
+    for (std::size_t s = 0; s < shards; ++s)
+      model.mergeWorkspace(*workspaces_[s]);
+  };
+  try {
+    if (shards == 1)
+      participant(0);
+    else
+      gang_->runWithCaller(shards, participant);
+  } catch (...) {
+    mergeAll();
+    throw;
   }
-  gang_->runWithCaller(shards, [&](std::size_t s) {
-    const NnffModel& m = s == 0 ? *model_ : *replicas_[s - 1];
-    predictRange(m, genes, contexts, encoded_, n * s / shards,
-                 n * (s + 1) / shards, out);
-  });
-  return out;
+  mergeAll();
 }
 
 NeuralFitness::NeuralFitness(std::shared_ptr<NnffModel> model,
@@ -130,17 +182,21 @@ NeuralFitness::NeuralFitness(std::shared_ptr<NnffModel> model,
     : model_(std::move(model)),
       name_(std::move(name)),
       sink_(model_.get()),
-      grader_(model_, threads) {
+      grader_(model_, &sink_, threads) {
   if (model_->config().head != HeadKind::Classifier)
     throw std::invalid_argument("NeuralFitness requires a Classifier head");
 }
 
 std::vector<double> NeuralFitness::classProbabilities(
     const dsl::Program& gene, const EvalContext& ctx) const {
-  std::vector<EncodedTrace> slot;
-  std::vector<const EncodedTrace*> encoded;
+  EncodedTrace slot;
+  const EncodedTrace* encoded = ctx.encoded;
+  if (encoded == nullptr) {
+    model_->encodeTrace(ctx.spec, gene, ctx.runs, slot);
+    encoded = &slot;
+  }
   return softmaxOfLogits(
-      batchLogits(*model_, {&gene}, {&ctx}, slot, encoded)[0]);
+      model_->predictBatch(ctx.spec, {&gene}, {encoded})[0]);
 }
 
 double NeuralFitness::score(const dsl::Program& gene,
@@ -216,7 +272,9 @@ std::vector<double> ProbMapFitness::scoreBatch(
 
 RegressionFitness::RegressionFitness(std::shared_ptr<NnffModel> model,
                                      std::size_t threads)
-    : model_(std::move(model)), sink_(model_.get()), grader_(model_, threads) {
+    : model_(std::move(model)),
+      sink_(model_.get()),
+      grader_(model_, &sink_, threads) {
   if (model_->config().head != HeadKind::Regression)
     throw std::invalid_argument("RegressionFitness requires Regression head");
 }

@@ -1,7 +1,8 @@
 // Persistent worker gang: the thread pool behind the island engine's
 // lockstep rounds (core/islands.cpp), the trainer's data-parallel
 // minibatches (fitness/minibatch.cpp) and sharded NN grading
-// (fitness/neural_fitness.cpp).
+// (fitness/neural_fitness.cpp), whose rounds share jobs through
+// HelpFirstJobs.
 #pragma once
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -71,6 +73,75 @@ class Gang {
   std::uint64_t epoch_ = 0;           // guarded by mutex_
   bool stop_ = false;
   std::exception_ptr error_;
+};
+
+/// Job claims for a help-first round on a Gang: every task first helps run
+/// the round's jobs from a shared cursor, then awaits the jobs its own
+/// result needs. A job runs exactly once, on whichever thread claims it. A
+/// task waits only for a job that another thread claimed and is running,
+/// never for one that is unclaimed, so a round finishes even when one thread
+/// runs every task in turn (a gang whose workers never wake in time).
+class HelpFirstJobs {
+ public:
+  /// Starts a round of `jobs` unclaimed jobs. Call between rounds only.
+  void reset(std::size_t jobs) {
+    if (capacity_ < jobs) {
+      state_ = std::make_unique<std::atomic<int>[]>(jobs);
+      capacity_ = jobs;
+    }
+    for (std::size_t j = 0; j < jobs; ++j)
+      state_[j].store(kUnclaimed, std::memory_order_relaxed);
+    jobs_ = jobs;
+    cursor_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Claims and runs jobs (`run(j)`) until every job is claimed.
+  template <typename Run>
+  void help(const Run& run) {
+    for (std::size_t j; (j = cursor_.fetch_add(1)) < jobs_;) tryRun(j, run);
+  }
+
+  /// Returns once job j has finished, running it here if nobody has claimed
+  /// it yet; its writes are then visible to the caller. False if the job
+  /// threw: the exception propagates from the thread that ran it.
+  template <typename Run>
+  bool await(std::size_t j, const Run& run) {
+    if (tryRun(j, run)) return true;
+    int s;
+    while ((s = state_[j].load(std::memory_order_acquire)) == kClaimed)
+      state_[j].wait(s, std::memory_order_acquire);
+    return s == kDone;
+  }
+
+ private:
+  enum : int { kUnclaimed, kClaimed, kDone, kFailed };
+
+  /// Runs job j unless another thread claimed it first.
+  template <typename Run>
+  bool tryRun(std::size_t j, const Run& run) {
+    int expected = kUnclaimed;
+    if (!state_[j].compare_exchange_strong(expected, kClaimed,
+                                           std::memory_order_relaxed))
+      return false;
+    try {
+      run(j);
+    } catch (...) {
+      finish(j, kFailed);
+      throw;
+    }
+    finish(j, kDone);
+    return true;
+  }
+
+  void finish(std::size_t j, int s) {
+    state_[j].store(s, std::memory_order_release);
+    state_[j].notify_all();
+  }
+
+  std::unique_ptr<std::atomic<int>[]> state_;  ///< per job, futex-waitable
+  std::size_t capacity_ = 0;
+  std::size_t jobs_ = 0;
+  std::atomic<std::size_t> cursor_{0};
 };
 
 }  // namespace netsyn::util

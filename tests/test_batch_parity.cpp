@@ -311,7 +311,7 @@ using MakeFitness = std::function<std::unique_ptr<nf::FitnessFunction>(
 
 /// Sharded grading is exact: at 1, 2, 3, 4 and 8 threads, scoreBatch calls
 /// of 1 to 37 genes (made in turn on one fitness, so later calls meet warm
-/// memos and a grown gang and replica set) and a call whose contexts span
+/// memos and a grown gang and workspace set) and a call whose contexts span
 /// two specs score bit for bit like
 /// the single-thread path. Explicit thread counts, so the gang really runs
 /// concurrently on any host (and under TSan).
@@ -364,11 +364,11 @@ void expectThreadCountParity(const std::shared_ptr<nf::NnffModel>& model,
     }
   }
 
-  // Replica refresh: after a weight update the sharded grade must be a
-  // fresh model's, not one of replicas holding the old weights.
+  // Weight update: after an Adam step the sharded grade must be a fresh
+  // model's, not one from memos or spec states of the old weights.
   std::shared_ptr<nf::NnffModel> trained = model->clone();
   const auto fit = make(trained, 4);
-  (void)fit->scoreBatch(genesA, ctxA);  // builds the replicas
+  (void)fit->scoreBatch(genesA, ctxA);  // fills the memos
   netsyn::nn::Adam adam(trained->params(), 1e-2f);
   for (const auto& p : trained->params().params()) p->grad().fill(0.5f);
   adam.step();
@@ -401,6 +401,48 @@ TEST(ScoreBatch, RegressionParity) {
                                     std::size_t threads) {
     return std::make_unique<nf::RegressionFitness>(std::move(m), threads);
   });
+}
+
+TEST(ScoreBatch, ThreadParityUnderMemoPressure) {
+  // At a memo capacity of 8 entries every merge of a grading round rotates
+  // the memo generations, and calls that regrade earlier genes promote
+  // previous-generation entries. Scores must still be the 1-thread scores
+  // bit for bit. A lookup is one per trace cell and per edit distance, so
+  // hits + misses must equal the 1-thread totals too; only the split may
+  // move, when two threads both miss an entry one thread would have hit.
+  auto model =
+      std::make_shared<nf::NnffModel>(smallConfig(nf::HeadKind::Classifier));
+  const auto fx = makePopulation(37, 27);
+  std::deque<nf::EvalContext> store;
+  std::vector<const nf::EvalContext*> ctx;
+  for (const auto& runs : fx.runs) {
+    store.push_back(nf::EvalContext{fx.spec, runs});
+    ctx.push_back(&store.back());
+  }
+  const auto genes = genePtrs(fx);
+  const auto grade = [&](std::size_t threads) {
+    std::shared_ptr<nf::NnffModel> m = model->clone();
+    m->setMemoCapacity(8);
+    nf::NeuralFitness fit(m, "NN_CF", threads);
+    std::vector<std::vector<double>> calls;
+    for (const std::size_t n : {1, 2, 5, 12, 37})
+      calls.push_back(fit.scoreBatch({genes.begin(), genes.begin() + n},
+                                     {ctx.begin(), ctx.begin() + n}));
+    return std::make_pair(calls, m->memoStats());
+  };
+  const auto [expected, serial] = grade(1);
+  ASSERT_GT(serial.traceHits, 0u);
+  ASSERT_GT(serial.traceMisses, 8u) << "the memo never rotated";
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    const auto [got, stats] = grade(threads);
+    EXPECT_EQ(got, expected) << threads << " threads";
+    EXPECT_EQ(stats.traceHits + stats.traceMisses,
+              serial.traceHits + serial.traceMisses)
+        << threads << " threads";
+    EXPECT_EQ(stats.editHits + stats.editMisses,
+              serial.editHits + serial.editMisses)
+        << threads << " threads";
+  }
 }
 
 TEST(ScoreBatch, ProbMapParity) {

@@ -28,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "../bench/legacy_baseline.hpp"
@@ -39,6 +40,7 @@
 #include "dsl/lanes.hpp"
 #include "dsl/program.hpp"
 #include "fitness/model.hpp"
+#include "fitness/neural_fitness.hpp"
 #include "util/rng.hpp"
 
 namespace nd = netsyn::dsl;
@@ -488,6 +490,126 @@ TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// The lane sink copies a view's cells when it captures a gene and encodes
+// them only when the generation is graded, after the executor has run other
+// genes through the same lane buffers. Grading through the sink must equal
+// the eager path (encodeLaneTrace while the view is live, then
+// predictBatch) bit for bit, feature by feature and score by score, on one
+// grading thread and on several. The population has empty programs and
+// Int-typed steps, and the specs range past the model's maxExamples.
+TEST(FuzzDifferential, CapturedCellsAreIndependentOfExecutorBuffers) {
+  nf::NnffConfig cfg;
+  cfg.encoder = {.vmax = 64, .maxValueTokens = 8};
+  cfg.embedDim = 16;
+  cfg.hiddenDim = 24;
+  cfg.maxExamples = 4;
+  cfg.head = nf::HeadKind::Classifier;
+  cfg.useTrace = true;
+  cfg.seed = 11;
+  const nf::NnffModel model(cfg);
+
+  Rng rng(0xCE11);
+  const nd::Generator gen;
+  constexpr std::size_t kGenes = 13;
+  std::size_t intSteps = 0, emptyGenes = 0, wideSpecs = 0;
+  for (std::size_t round = 0; round < 10; ++round) {
+    const std::size_t examples = 3 + round % 5;  // 3..7 vs maxExamples 4
+    const auto tc = gen.randomTestCase(2 + rng.uniform(4), examples, false,
+                                       rng);
+    ASSERT_TRUE(tc.has_value());
+    const nd::Spec& spec = tc->spec;
+    const nd::InputSignature sig = spec.signature();
+    std::vector<const std::vector<nd::Value>*> inputSets;
+    for (const auto& ex : spec.examples) inputSets.push_back(&ex.inputs);
+    if (examples > cfg.maxExamples) ++wideSpecs;
+
+    std::vector<nd::Program> genes(1);  // gene 0: the empty program
+    while (genes.size() < kGenes) {
+      const std::size_t len = 1 + rng.uniform(6);
+      nd::Program program = randomRawProgram(len, rng);
+      if (rng.uniform(2) == 0) {
+        if (auto live = gen.randomProgram(len, sig, rng))
+          program = std::move(*live);
+      }
+      genes.push_back(std::move(program));
+    }
+    std::vector<const nd::Program*> genePtrs;
+    for (const auto& g : genes) genePtrs.push_back(&g);
+
+    nd::Executor exec;
+    exec.setLaneExecution(true);
+    exec.pinExampleInputs(inputSets.data(), examples);
+    nd::LaneTraceView view;
+    const auto execute = [&](const nd::Program& g) {
+      return exec.executeMultiView(exec.planFor(g, sig), inputSets.data(),
+                                   examples, view);
+    };
+
+    // Eager oracle: each view encoded while it is live.
+    const auto eagerModel = model.clone();
+    eagerModel->beginLaneCapture(spec);
+    std::vector<nf::EncodedTrace> eager(kGenes);
+    std::vector<const nf::EncodedTrace*> eagerPtrs;
+    for (std::size_t b = 0; b < kGenes; ++b) {
+      ASSERT_TRUE(execute(genes[b]));
+      for (std::size_t k = 0; k < view.steps; ++k)
+        if (view.stepType(k) == nd::Type::Int) ++intSteps;
+      if (view.steps == 0) ++emptyGenes;
+      eagerModel->encodeLaneTrace(spec, genes[b], view, eager[b]);
+      eagerPtrs.push_back(&eager[b]);
+    }
+    const auto eagerLogits = eagerModel->predictBatch(spec, genePtrs,
+                                                      eagerPtrs);
+    // The same scores through a fitness, from contexts already encoded.
+    std::deque<nf::EvalContext> store;
+    std::vector<const nf::EvalContext*> eagerCtx;
+    for (std::size_t b = 0; b < kGenes; ++b) {
+      store.push_back(nf::EvalContext{spec, nf::kNoRuns, &eager[b]});
+      eagerCtx.push_back(&store.back());
+    }
+    const auto eagerScores =
+        nf::NeuralFitness(model.clone(), "NN", 1).scoreBatch(genePtrs,
+                                                             eagerCtx);
+
+    for (const std::size_t threads : {1, 3}) {
+      nf::NeuralFitness fit(model.clone(), "NN", threads);
+      nf::LaneTraceSink* sink = fit.laneSink();
+      ASSERT_NE(sink, nullptr);
+      sink->beginCapture(spec, kGenes);
+      for (std::size_t b = 0; b < kGenes; ++b) {
+        ASSERT_TRUE(execute(genes[b]));
+        sink->capture(b, genes[b], view);
+      }
+      // Overwrite the lane buffers again before anything is encoded.
+      for (std::size_t b = kGenes; b-- > 0;) ASSERT_TRUE(execute(genes[b]));
+      std::vector<const nf::EvalContext*> ctx;
+      for (std::size_t b = 0; b < kGenes; ++b) {
+        store.push_back(nf::EvalContext{spec, nf::kNoRuns, &sink->at(b)});
+        ctx.push_back(&store.back());
+      }
+      const auto scores = fit.scoreBatch(genePtrs, ctx);
+      for (std::size_t b = 0; b < kGenes; ++b) {
+        ASSERT_EQ(sink->at(b).steps, eager[b].steps)
+            << "round " << round << " gene " << b << ": "
+            << genes[b].toString();
+        ASSERT_EQ(sink->at(b).gfeat, eager[b].gfeat)
+            << "round " << round << " gene " << b;
+        ASSERT_EQ(scores[b], eagerScores[b])
+            << threads << " threads, round " << round << " gene " << b;
+      }
+      // The graded slots are the eager features, so predicting them again
+      // gives the eager logits.
+      std::vector<const nf::EncodedTrace*> slotPtrs;
+      for (std::size_t b = 0; b < kGenes; ++b) slotPtrs.push_back(&sink->at(b));
+      ASSERT_EQ(model.clone()->predictBatch(spec, genePtrs, slotPtrs),
+                eagerLogits);
+    }
+  }
+  EXPECT_GT(intSteps, 0u) << "no Int-typed step was captured";
+  EXPECT_GT(emptyGenes, 0u);
+  EXPECT_GT(wideSpecs, 0u);
 }
 
 // ------------------------------------------------ aliasing lockdown -------

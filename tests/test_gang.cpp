@@ -1,10 +1,15 @@
 // Tests for util::Gang, the persistent worker pool shared by the island
-// engine and the trainer: every task runs exactly once per round, rounds
-// are barriers, and a task's exception surfaces from run() without
-// poisoning the next round — also when the caller joins the round.
+// engine, the trainer and NN grading: every task runs exactly once per
+// round, rounds are barriers, and a task's exception surfaces from run()
+// without poisoning the next round — also when the caller joins the round.
+// And for HelpFirstJobs, the job claims of NN grading's rounds: every job
+// runs once, an awaiter sees its writes, and a round finishes even when one
+// thread runs every task.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -14,6 +19,7 @@
 #include "util/gang.hpp"
 
 using netsyn::util::Gang;
+using netsyn::util::HelpFirstJobs;
 
 TEST(Gang, RunsEveryTaskOnceWithMoreTasksThanThreads) {
   Gang gang(3);
@@ -113,4 +119,93 @@ TEST(Gang, AtExitRunsOnceOnEveryWorkerThread) {
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(exited.size(), 3u);
   EXPECT_EQ(exited.count(std::this_thread::get_id()), 0u);
+}
+
+namespace {
+
+/// One help-first round on `gang`: `tasks` tasks over `n` jobs, task t
+/// awaiting jobs [n * t / tasks, n * (t + 1) / tasks). `job(j)` runs job
+/// j; `seen[j]` is the value each awaiting task read back after await().
+void helpFirstRound(Gang& gang, HelpFirstJobs& jobs, std::size_t tasks,
+                    std::size_t n, bool help,
+                    const std::function<void(std::size_t)>& job,
+                    const std::vector<int>& values, std::vector<int>& seen) {
+  jobs.reset(n);
+  gang.runWithCaller(tasks, [&](std::size_t t) {
+    if (help) jobs.help(job);
+    for (std::size_t j = n * t / tasks; j < n * (t + 1) / tasks; ++j) {
+      if (!jobs.await(j, job)) return;
+      seen[j] = values[j];
+    }
+  });
+}
+
+}  // namespace
+
+TEST(HelpFirstJobs, RoundFinishesWhenTheCallerRunsEveryTask) {
+  // No workers: the caller runs the tasks one after another. Task 0 helps
+  // itself to every job before any other task starts, and a task that
+  // skips helping runs its unclaimed jobs inside await(). Neither may wait
+  // for a task that has not started.
+  Gang none(0);
+  HelpFirstJobs jobs;
+  for (const bool help : {true, false})
+    for (const std::size_t tasks : {1, 3, 8}) {
+      constexpr std::size_t kJobs = 20;
+      std::vector<int> values(kJobs, 0), seen(kJobs, -1), runs(kJobs, 0);
+      helpFirstRound(
+          none, jobs, tasks, kJobs, help,
+          [&](std::size_t j) {
+            ++runs[j];
+            values[j] = static_cast<int>(j) + 1;
+          },
+          values, seen);
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        EXPECT_EQ(runs[j], 1) << "job " << j;
+        EXPECT_EQ(seen[j], static_cast<int>(j) + 1) << "job " << j;
+      }
+    }
+}
+
+TEST(HelpFirstJobs, EveryJobRunsOnceAndAwaitSeesItsWrites) {
+  Gang gang(3);
+  HelpFirstJobs jobs;
+  constexpr std::size_t kJobs = 37;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<int> values(kJobs, 0), seen(kJobs, -1);
+    std::vector<std::atomic<int>> runs(kJobs);
+    helpFirstRound(
+        gang, jobs, 4, kJobs, round % 2 == 0,
+        [&](std::size_t j) {
+          runs[j].fetch_add(1);
+          values[j] = round * 100 + static_cast<int>(j);
+        },
+        values, seen);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+      ASSERT_EQ(runs[j].load(), 1) << "round " << round << " job " << j;
+      ASSERT_EQ(seen[j], round * 100 + static_cast<int>(j));
+    }
+  }
+}
+
+TEST(HelpFirstJobs, AFailedJobEndsItsAwaitersAndTheRoundRethrows) {
+  Gang gang(2);
+  HelpFirstJobs jobs;
+  constexpr std::size_t kJobs = 12;
+  std::vector<int> values(kJobs, 0), seen(kJobs, -1);
+  EXPECT_THROW(helpFirstRound(
+                   gang, jobs, 3, kJobs, true,
+                   [&](std::size_t j) {
+                     if (j == 5) throw std::runtime_error("job 5");
+                     values[j] = 1;
+                   },
+                   values, seen),
+               std::runtime_error);
+  EXPECT_EQ(seen[5], -1);
+  // The next round on the same board works.
+  std::fill(seen.begin(), seen.end(), -1);
+  helpFirstRound(
+      gang, jobs, 3, kJobs, true, [&](std::size_t j) { values[j] = 2; },
+      values, seen);
+  for (int v : seen) EXPECT_EQ(v, 2);
 }
