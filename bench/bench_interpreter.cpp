@@ -1,40 +1,31 @@
 // GA-style candidate-execution throughput: legacy interpreter vs the
-// zero-allocation execution engine.
+// zero-allocation execution engine vs the SIMD lane view.
 //
 // Reproduces the synthesizer's execution hot loop: every generation a
 // population is bred and every gene is executed on every spec example with
-// its trace kept. The same populations are timed twice —
+// its trace kept. The same populations are timed three ways —
 //
 //   legacy: the seed interpreter (recompute the argument plan per call,
 //           copy argument Values into a buffer per statement, allocate a
 //           fresh Value per statement and a fresh trace per example),
 //           reproduced verbatim from the PR 1 code in legacy_baseline.hpp;
-//   engine: dsl::Executor with a cached ExecPlan per (program, signature),
-//           pointer-passed arguments, and pooled trace storage refilled in
-//           place (the scalar statement-major executePlanMulti);
-//   lanes:  the SIMD example-lane executor (executePlanMultiLanes):
-//           structure-of-arrays traces, vectorized function bodies where the
-//           build enables them (Executor::backendName()), per-lane fallback
-//           elsewhere — the path SpecEvaluator::evaluate uses in production
-//           when simd_executor is on (the default).
+//   engine: a cached ExecPlan per (program, signature), pointer-passed
+//           arguments, and pooled trace storage refilled in place (the
+//           scalar statement-major executePlanMulti that
+//           SpecEvaluator::evaluate runs);
+//   lanes:  the SIMD lane executor's trace view (executeMultiView):
+//           structure-of-arrays blocks, vectorized function bodies where
+//           the build enables them (Executor::backendName()), per-lane
+//           fallback elsewhere — the path the NN fitness encoders read.
 //
-// Two further passes time Definition 3.1 equivalence checking (the
-// SpecEvaluator::check hot path, which never reads traces): the scalar
-// check loop (executePlan per example into one reused scratch) vs the
-// output-only lane path (executePlanMultiLanesOutputs — same kernels,
-// pinned ingest, only the final statement's outputs materialized).
-//
-// The check ratio (`lanes_speedup`) is the machine-independent gate for the
-// SIMD executor: both paths run in the same process, interleaved per
-// generation on the same populations, so host-speed drift cancels out of
-// the ratio. The full-trace ratio (`trace_lanes_speedup`) is gated the same
-// way: the lanes slice runs the production trace path — executeMultiView
-// binding a LaneTraceView over the un-scattered SoA blocks, consumed in
-// place — while legacy/engine scatter per-Value traces and then walk them.
-// Every slice folds its trace into the checksum *inside* its timed region,
-// so each path pays exactly the consumption cost the synthesizer pays, and
-// the old near-parity-by-construction (both sides timing the same scatter)
-// is gone.
+// All three run in the same process, interleaved per generation on the
+// same populations, so host-speed drift cancels out of the ratios. The
+// full-trace ratio (`trace_lanes_speedup`) is the machine-independent gate
+// for the lane view: the lanes slice binds a LaneTraceView over the
+// un-scattered SoA blocks and consumes it in place, while legacy/engine
+// build per-Value traces and then walk them. Every slice folds its trace
+// into the checksum *inside* its timed region, so each path pays exactly
+// the consumption cost the synthesizer pays.
 //
 //   $ ./bench_interpreter [--population=100] [--examples=10] [--length=5]
 //                         [--generations=20] [--seed=2021]
@@ -175,9 +166,7 @@ int main(int argc, char** argv) {
       genes.push_back(*gen.randomProgram(length, sig, rng));
 
     dsl::Executor engineExec;
-    engineExec.setLaneExecution(false);
     dsl::Executor lanesExec;
-    lanesExec.setLaneExecution(true);
     // The spec is fixed for the whole pass, so pin its inputs exactly as
     // SpecEvaluator does on construction — the lane pass then ingests the
     // examples once per lifetime instead of once per gene.
@@ -191,17 +180,12 @@ int main(int argc, char** argv) {
     // the seed pipeline materialized a generation's runs.
     std::vector<std::vector<dsl::ExecResult>> results(
         population, std::vector<dsl::ExecResult>(examples));
-    dsl::ExecResult checkScratch;
-    std::vector<dsl::Value> outVals(examples);
-    const auto engineGeneration = [&](dsl::Executor& executor) {
+    const auto engineGeneration = [&] {
       for (std::size_t b = 0; b < genes.size(); ++b) {
         // One cached-plan lookup per gene, then all examples through the
-        // executor's multi-example body — exactly SpecEvaluator::evaluate's
-        // path with the simd_executor flag off (engineExec) or on
-        // (lanesExec).
-        const dsl::ExecPlan& plan = executor.planFor(genes[b], sig);
-        executor.executeMulti(plan, inputSets.data(), examples,
-                              results[b].data());
+        // statement-major body — exactly SpecEvaluator::evaluate's path.
+        dsl::executePlanMulti(engineExec.planFor(genes[b], sig),
+                              inputSets.data(), examples, results[b].data());
       }
     };
     const auto fold = [&](std::uint64_t* sum) {
@@ -213,16 +197,16 @@ int main(int argc, char** argv) {
     // the blocks in place. The walk below is checksum() transliterated onto
     // the view layout, so lanesSum stays bitwise-comparable to the scalar
     // sums. executeMultiView only refuses when examples exceed the lane
-    // block width; fall back to the scattered path there so the bench still
-    // runs (the slice then measures scatter + fold, same as the engine).
+    // limit; those specs run on the scalar engine in production, so the
+    // slice does the same there (and then measures the engine's cost).
     dsl::LaneTraceView view;
     const auto laneViewGeneration = [&](std::uint64_t* sum) {
       for (std::size_t b = 0; b < genes.size(); ++b) {
         const dsl::ExecPlan& plan = lanesExec.planFor(genes[b], sig);
         if (!lanesExec.executeMultiView(plan, inputSets.data(), examples,
                                         view)) {
-          lanesExec.executeMulti(plan, inputSets.data(), examples,
-                                 results[b].data());
+          dsl::executePlanMulti(plan, inputSets.data(), examples,
+                                results[b].data());
           for (const auto& r : results[b]) *sum ^= checksum(r);
           continue;
         }
@@ -273,7 +257,7 @@ int main(int argc, char** argv) {
       }
       {
         util::Timer timer;
-        engineGeneration(engineExec);
+        engineGeneration();
         fold(&sums[1]);
         secs[1] += timer.seconds();
       }
@@ -282,35 +266,6 @@ int main(int argc, char** argv) {
         laneViewGeneration(&sums[2]);
         secs[2] += timer.seconds();
       }
-      // Equivalence-check passes: the scalar production check loop
-      // (executePlan per example into one reused scratch, output read) vs
-      // the output-only lane path. Each reads every example's output into
-      // the checksum inside the timed region — the analogue of check()'s
-      // output comparison — so the work is symmetric and the sums pin the
-      // two paths equal.
-      {
-        util::Timer timer;
-        for (std::size_t b = 0; b < genes.size(); ++b) {
-          const dsl::ExecPlan& plan = engineExec.planFor(genes[b], sig);
-          for (std::size_t j = 0; j < examples; ++j) {
-            dsl::executePlan(plan, *inputSets[j], checkScratch);
-            sums[3] = mixValue(checkScratch.output(), sums[3]);
-          }
-        }
-        secs[3] += timer.seconds();
-      }
-      {
-        util::Timer timer;
-        for (std::size_t b = 0; b < genes.size(); ++b) {
-          const dsl::ExecPlan& plan = lanesExec.planFor(genes[b], sig);
-          lanesExec.executeMultiOutputs(plan, inputSets.data(), examples,
-                                        outVals.data());
-          for (std::size_t j = 0; j < examples; ++j)
-            sums[4] = mixValue(outVals[j], sums[4]);
-        }
-        secs[4] += timer.seconds();
-      }
-
       // Evolve so later generations look like the GA's real workload:
       // shared ancestry, duplicate subsequences, recurring values.
       core::Population scored;
@@ -325,28 +280,20 @@ int main(int argc, char** argv) {
   double legacySeconds = 1e300;
   double engineSeconds = 1e300;
   double lanesSeconds = 1e300;
-  double checkScalarSeconds = 1e300;
-  double checkLanesSeconds = 1e300;
   std::uint64_t legacySum = 0;
   std::uint64_t engineSum = 0;
   std::uint64_t lanesSum = 0;
-  std::uint64_t checkScalarSum = 0;
-  std::uint64_t checkLanesSum = 0;
   // Best-of-N passes: robust against scheduler noise on shared hardware.
   for (std::size_t r = 0; r < repeats; ++r) {
-    double secs[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
-    std::uint64_t sums[5] = {0, 0, 0, 0, 0};
+    double secs[3] = {0.0, 0.0, 0.0};
+    std::uint64_t sums[3] = {0, 0, 0};
     runPass(secs, sums);
     legacySeconds = std::min(legacySeconds, secs[0]);
     engineSeconds = std::min(engineSeconds, secs[1]);
     lanesSeconds = std::min(lanesSeconds, secs[2]);
-    checkScalarSeconds = std::min(checkScalarSeconds, secs[3]);
-    checkLanesSeconds = std::min(checkLanesSeconds, secs[4]);
     legacySum = sums[0];
     engineSum = sums[1];
     lanesSum = sums[2];
-    checkScalarSum = sums[3];
-    checkLanesSum = sums[4];
   }
 
   if (legacySum != engineSum) {
@@ -357,36 +304,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: lane executor diverges from scalar engine\n");
     return 1;
   }
-  if (checkLanesSum != checkScalarSum) {
-    std::fprintf(stderr,
-                 "FATAL: output-only lane path diverges from scalar check\n");
-    return 1;
-  }
 
   const double legacyRate = static_cast<double>(executed) / legacySeconds;
   const double engineRate = static_cast<double>(executed) / engineSeconds;
   const double lanesRate = static_cast<double>(executed) / lanesSeconds;
-  const double checkScalarRate =
-      static_cast<double>(executed) / checkScalarSeconds;
-  const double checkLanesRate =
-      static_cast<double>(executed) / checkLanesSeconds;
   std::printf("legacy interpreter:  %9.0f genes/sec (%.3fs for %zu)\n",
               legacyRate, legacySeconds, executed);
   std::printf("exec engine:         %9.0f genes/sec (%.3fs for %zu)\n",
               engineRate, engineSeconds, executed);
   std::printf("lane executor (%s): %9.0f genes/sec (%.3fs for %zu)\n",
               dsl::Executor::backendName(), lanesRate, lanesSeconds, executed);
-  std::printf("scalar check:        %9.0f genes/sec (%.3fs for %zu)\n",
-              checkScalarRate, checkScalarSeconds, executed);
-  std::printf("lane check (%s):   %9.0f genes/sec (%.3fs for %zu)\n",
-              dsl::Executor::backendName(), checkLanesRate, checkLanesSeconds,
-              executed);
   std::printf("speedup:             %9.2fx (engine vs legacy)\n",
               engineRate / legacyRate);
   std::printf("trace lanes speedup: %9.2fx (lane trace path vs scalar engine)\n",
               lanesRate / engineRate);
-  std::printf("lanes speedup:       %9.2fx (lane check vs scalar check)\n",
-              checkLanesRate / checkScalarRate);
   std::printf("plan compiles:       %9zu (for %zu gene executions)\n",
               planCompiles, executed);
 
@@ -400,15 +331,11 @@ int main(int argc, char** argv) {
                    "\"engine_genes_per_sec\": %.1f, \"speedup\": %.3f, "
                    "\"lanes_genes_per_sec\": %.1f, "
                    "\"trace_lanes_speedup\": %.3f, "
-                   "\"check_scalar_genes_per_sec\": %.1f, "
-                   "\"check_lanes_genes_per_sec\": %.1f, "
-                   "\"lanes_speedup\": %.3f, "
                    "\"simd_backend\": \"%s\", \"plan_compiles\": %zu}\n",
                    population, examples, length, generations, executed,
                    legacyRate, engineRate, engineRate / legacyRate, lanesRate,
-                   lanesRate / engineRate, checkScalarRate, checkLanesRate,
-                   checkLanesRate / checkScalarRate,
-                   dsl::Executor::backendName(), planCompiles);
+                   lanesRate / engineRate, dsl::Executor::backendName(),
+                   planCompiles);
       std::fclose(f);
       std::printf("[json written to %s]\n", jsonPath.c_str());
     }

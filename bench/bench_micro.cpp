@@ -58,20 +58,21 @@ void BM_InterpreterEvalNoTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterEvalNoTrace);
 
-void BM_ExecutorRunInto(benchmark::State& state) {
+void BM_ExecutorPooled(benchmark::State& state) {
   // The zero-allocation engine on the same workload as BM_InterpreterRun:
   // cached plan, pooled result storage refilled in place.
   const auto tc = makeCase(static_cast<std::size_t>(state.range(0)), 1);
   const auto& inputs = tc.spec.examples[0].inputs;
+  const dsl::InputSignature sig = tc.spec.signature();
   dsl::Executor executor;
   dsl::ExecResult pooled;
   for (auto _ : state) {
-    executor.runInto(tc.program, inputs, pooled);
+    dsl::executePlan(executor.planFor(tc.program, sig), inputs, pooled);
     benchmark::DoNotOptimize(pooled);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ExecutorRunInto)->Arg(5)->Arg(10);
+BENCHMARK(BM_ExecutorPooled)->Arg(5)->Arg(10);
 
 void BM_ExecutorPlanCompile(benchmark::State& state) {
   const auto tc = makeCase(static_cast<std::size_t>(state.range(0)), 4);
@@ -87,14 +88,14 @@ BENCHMARK(BM_ExecutorPlanCompile)->Arg(5)->Arg(10);
 // --------------------------------------------- lane-executor breakdown ----
 //
 // Per-function-family throughput, scalar statement-major executePlanMulti
-// vs the SIMD lane executor, on fixed pipelines of one op family at a time.
+// vs the SIMD lane view, on fixed pipelines of one op family at a time.
 // When the aggregate interpreter-bench ratio moves, these rows localize the
 // regression to a kernel family instead of the aggregate number. Arg(n) is
-// the example count per gene execution (8 = one full AVX2 vector, 32 = one
-// full lane group).
+// the example count per gene execution (8 = one full AVX2 vector, 32 = the
+// lane limit).
 
 /// One (program, signature, inputs) workload executed whole-spec at a time,
-/// through either multi-example body.
+/// through either multi-example path.
 class LaneWorkload {
  public:
   LaneWorkload(const char* source, std::size_t examples)
@@ -118,8 +119,10 @@ class LaneWorkload {
     // inputs_ is owned and immutable, so the pinned-ingest fast path is
     // sound — this measures the executor exactly as SpecEvaluator runs it
     // (inputs pinned once per spec).
-    dsl::executePlanMultiLanes(*plan_, inputSets_.data(), inputSets_.size(),
-                               runs_.data(), trace_, /*reuseIngest=*/true);
+    dsl::executePlanMultiLanesView(*plan_, inputSets_.data(),
+                                   inputSets_.size(), view_, trace_,
+                                   /*reuseIngest=*/true);
+    benchmark::DoNotOptimize(view_);
   }
   std::size_t examples() const { return inputSets_.size(); }
 
@@ -132,6 +135,7 @@ class LaneWorkload {
   std::vector<const std::vector<dsl::Value>*> inputSets_;
   std::vector<dsl::ExecResult> runs_;
   dsl::SoATrace trace_;
+  dsl::LaneTraceView view_;
 };
 
 const char* laneFamilySource(int family) {

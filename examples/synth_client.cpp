@@ -427,17 +427,15 @@ int main(int argc, char** argv) {
                 fromCache ? "true" : "false", attached ? "true" : "false");
     const bool warmOk = chaosKill ? (fromCache || attached) : fromCache;
 
-    const util::JsonValue stats = session->request("{\"op\": \"stats\"}");
+    const util::JsonValue metrics = session->request("{\"op\": \"metrics\"}");
     std::printf(
         "[client] session: %llu jobs, %llu tasks, %llu result-cache hits, "
         "plan compiles=%llu hits=%llu\n",
-        static_cast<unsigned long long>(member(stats, "jobs_submitted")),
-        static_cast<unsigned long long>(member(stats, "tasks_executed")),
-        static_cast<unsigned long long>(member(stats, "result_cache_hits")),
-        static_cast<unsigned long long>(member(stats, "plan_compiles")),
-        static_cast<unsigned long long>(member(stats, "plan_hits")));
-
-    const util::JsonValue metrics = session->request("{\"op\": \"metrics\"}");
+        static_cast<unsigned long long>(member(metrics, "jobs_submitted")),
+        static_cast<unsigned long long>(member(metrics, "tasks_executed")),
+        static_cast<unsigned long long>(member(metrics, "result_cache_hits")),
+        static_cast<unsigned long long>(member(metrics, "plan_compiles")),
+        static_cast<unsigned long long>(member(metrics, "plan_hits")));
     std::printf(
         "[client] metrics: queue=%llu retry-waiting=%llu recovered=%llu "
         "ckpt written=%llu loaded=%llu rejected=%llu, fault hits=%llu "

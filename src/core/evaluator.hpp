@@ -83,12 +83,9 @@ class SpecEvaluator {
     ev.runs.resize(spec_.size());
     ev.satisfied = true;
     // One plan lookup per candidate (every example shares the signature);
-    // all examples execute through the executor's configured multi-example
-    // backend — SoA SIMD lanes by default, scalar statement-major when
-    // disabled (see Executor::setLaneExecution). Traces are identical.
-    const dsl::ExecPlan& plan = exec_->planFor(candidate, signature_);
-    exec_->executeMulti(plan, inputSets_.data(), spec_.size(),
-                        ev.runs.data());
+    // all examples execute statement-major through the scalar engine.
+    dsl::executePlanMulti(exec_->planFor(candidate, signature_),
+                          inputSets_.data(), spec_.size(), ev.runs.data());
     for (std::size_t j = 0; j < spec_.size(); ++j) {
       if (!(ev.runs[j].output() == spec_.examples[j].output))
         ev.satisfied = false;
@@ -96,12 +93,10 @@ class SpecEvaluator {
     return ev;
   }
 
-  /// True when evaluateView() can serve this spec: the executor's lane
-  /// backend is on and all examples fit one lane group (the view spans a
-  /// single SoA block set).
+  /// True when evaluateView() can serve this spec: all examples fit one
+  /// lane execution (the view spans a single SoA block set).
   bool laneViewCapable() const {
-    return exec_->laneExecution() && spec_.size() > 0 &&
-           spec_.size() <= dsl::SoATrace::kMaxLanes;
+    return spec_.size() > 0 && spec_.size() <= dsl::SoATrace::kMaxLanes;
   }
 
   /// Runs the candidate on every example through the lane executor and
@@ -154,37 +149,14 @@ class SpecEvaluator {
     evals.clear();
   }
 
-  /// Equivalence check only (early exit on first mismatch, no trace kept).
-  /// nullopt when the budget is exhausted.
+  /// Equivalence check only: examples run one at a time and the check stops
+  /// at the first mismatch; no trace is kept. nullopt when the budget is
+  /// exhausted. Re-examinations are free (not charged) but still executed:
+  /// with fingerprint keys a collision may only mislabel a candidate as
+  /// "seen", so the equivalence test itself must not be short-circuited.
   std::optional<bool> check(const dsl::Program& candidate) {
-    if (dedup_) {
-      // Re-examinations are free (not charged) but still executed: with
-      // fingerprint keys a collision may only mislabel a candidate as
-      // "seen", so the equivalence test itself must not be short-circuited
-      // — a cached-plan check costs ~2µs, cheap insurance against ever
-      // discarding a true solution.
-      const std::uint64_t key = keyOf(candidate);
-      if (seen_.count(key) == 0) {
-        if (!budget_.tryConsume()) return std::nullopt;
-        seen_.insert(key);
-      }
-    } else if (!budget_.tryConsume()) {
-      return std::nullopt;
-    }
+    if (!charge(candidate)) return std::nullopt;
     const dsl::ExecPlan& plan = exec_->planFor(candidate, signature_);
-    if (exec_->laneExecution()) {
-      // Output-only lane execution: all m examples in one SoA pass with the
-      // pinned ingest and no trace materialization — several times faster
-      // than the per-example loop below, with identical verdicts (the
-      // output-only path is fuzz-pinned against the scalar oracle).
-      outScratch_.resize(spec_.size());
-      exec_->executeMultiOutputs(plan, inputSets_.data(), spec_.size(),
-                                 outScratch_.data());
-      for (std::size_t j = 0; j < spec_.size(); ++j) {
-        if (!(outScratch_[j] == spec_.examples[j].output)) return false;
-      }
-      return true;
-    }
     for (const auto& ex : spec_.examples) {
       dsl::executePlan(plan, ex.inputs, checkScratch_);
       if (!(checkScratch_.output() == ex.output)) return false;
@@ -192,15 +164,15 @@ class SpecEvaluator {
     return true;
   }
 
-  /// The execution engine (plan cache + pooled result storage). Exposed so
-  /// callers that execute candidates outside the budget (the DFS
-  /// neighborhood scorer) share the same plan cache.
+  /// The execution engine (plan cache + lane scratch). Exposed so callers
+  /// that execute candidates outside the budget (the DFS neighborhood
+  /// scorer) share the same plan cache.
   dsl::Executor& executor() { return *exec_; }
 
   /// The per-example input pointer array this evaluator pinned into the
   /// executor. Out-of-budget callers (the NS scorer) pass this same array to
-  /// executeMulti so their runs hit the pinned-ingest fast path instead of
-  /// thrashing the pin with a second identical copy.
+  /// executeMultiView so their runs hit the pinned-ingest fast path instead
+  /// of thrashing the pin with a second identical copy.
   const std::vector<const std::vector<dsl::Value>*>& exampleInputSets() const {
     return inputSets_;
   }
@@ -255,8 +227,7 @@ class SpecEvaluator {
   std::unique_ptr<dsl::Executor> ownedExec_;  ///< null when sharing
   dsl::Executor* exec_;                       ///< owned or borrowed engine
   std::vector<Evaluation> pool_;
-  dsl::ExecResult checkScratch_;        ///< reused by check() (scalar path)
-  std::vector<dsl::Value> outScratch_;  ///< reused by check() (lane path)
+  dsl::ExecResult checkScratch_;  ///< reused by check()
 };
 
 }  // namespace netsyn::core

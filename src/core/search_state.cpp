@@ -39,10 +39,6 @@ SearchState::SearchState(SynthesizerConfig config,
   if (!fitness_) throw std::invalid_argument("fitness function required");
   if (config_.fpGuidedMutation && !probMap_)
     throw std::invalid_argument("fpGuidedMutation requires a ProbMapProvider");
-  // Backend selection for candidate execution; results are identical either
-  // way, so reconfiguring a shared (service-worker) executor per search is
-  // safe.
-  evaluator_.executor().setLaneExecution(config_.simdExecutor);
 }
 
 SearchState::SearchState(const Snapshot& snap, fitness::FitnessPtr fitness,
@@ -114,8 +110,8 @@ std::size_t SearchState::gradePopulation(
     pendingOrigin.push_back(i);
   }
 
-  // Lane-view grading: when lane execution is on, the spec fits one lane
-  // group, and the fitness can consume encoded traces, each pending gene is
+  // Lane-view grading: when the spec fits one lane execution and the
+  // fitness can consume encoded traces, each pending gene is
   // executed through the lane executor and its trace cells are captured
   // straight off the lane blocks — no per-Value scatter. The fitness
   // encodes them when it grades the batch. Budget consumption, dedup, and the
@@ -238,11 +234,8 @@ std::vector<double> SearchState::nsBatchScore(
         nsRunsPool_.pop_back();
       }
       runs.resize(spec_.size());
-      // The evaluator's own (pinned) input array — not a private copy — so
-      // these out-of-budget runs share the lane executor's cached ingest.
-      evaluator_.executor().executeMulti(plan,
-                                         evaluator_.exampleInputSets().data(),
-                                         spec_.size(), runs.data());
+      dsl::executePlanMulti(plan, evaluator_.exampleInputSets().data(),
+                            spec_.size(), runs.data());
       pendingRuns.push_back(std::move(runs));
       contextStore.push_back(fitness::EvalContext{spec_, pendingRuns.back()});
     }

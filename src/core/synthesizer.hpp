@@ -38,13 +38,6 @@ struct SynthesizerConfig {
   std::size_t nsTopN = 5;    ///< genes handed to NS
   std::size_t nsWindow = 10; ///< sliding window w of the saturation trigger
   bool fpGuidedMutation = false;  ///< Mutation_FP (needs a ProbMapProvider)
-  /// Execute candidates through the SoA SIMD lane executor (default) or the
-  /// scalar statement-major loop, which also routes NN grading through
-  /// scattered traces instead of lane views. Traces and the whole search
-  /// trajectory are identical either way (the lane path is fuzz-pinned
-  /// against the scalar oracle); the flag exists for ablation and as a
-  /// debugging fallback.
-  bool simdExecutor = true;
   dsl::GeneratorConfig generator;
   /// Record per-generation statistics in SynthesisResult::history (off by
   /// default: the history of a 30,000-generation run is sizeable).

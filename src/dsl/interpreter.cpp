@@ -207,21 +207,9 @@ void executePlanMulti(const ExecPlan& plan,
 }
 
 std::uint64_t Executor::keyOf(const Program& program,
-                              const std::vector<Value>& inputs) {
-  std::uint64_t h = program.hash();
-  h ^= 0xa5;  // domain separator: program bytes vs signature bytes
-  h *= 0x100000001b3ULL;
-  for (const Value& v : inputs) {
-    h ^= static_cast<std::uint64_t>(v.type()) + 1;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t Executor::keyOf(const Program& program,
                               const InputSignature& sig) {
   std::uint64_t h = program.hash();
-  h ^= 0xa5;
+  h ^= 0xa5;  // domain separator: program bytes vs signature bytes
   h *= 0x100000001b3ULL;
   for (Type t : sig) {
     h ^= static_cast<std::uint64_t>(t) + 1;
@@ -230,9 +218,9 @@ std::uint64_t Executor::keyOf(const Program& program,
   return h;
 }
 
-const ExecPlan& Executor::planForKey(std::uint64_t key,
-                                     const Program& program,
-                                     const InputSignature& sig) {
+const ExecPlan& Executor::planFor(const Program& program,
+                                  const InputSignature& sig) {
+  const std::uint64_t key = keyOf(program, sig);
   ++lookups_;
   Slot& slot = slots_[key & (kSlots - 1)];
   // Exact hit test: the fingerprint routes to the slot, the stored function
@@ -252,30 +240,11 @@ const ExecPlan& Executor::planForKey(std::uint64_t key,
   return slot.plan;
 }
 
-const ExecPlan& Executor::planFor(const Program& program,
-                                  const InputSignature& sig) {
-  return planForKey(keyOf(program, sig), program, sig);
-}
-
-void Executor::runInto(const Program& program,
-                       const std::vector<Value>& inputs, ExecResult& out) {
-  sigScratch_.clear();
-  for (const Value& v : inputs) sigScratch_.push_back(v.type());
-  executePlan(planForKey(keyOf(program, inputs), program, sigScratch_),
-              inputs, out);
-}
-
 const char* Executor::backendName() { return simd::backendName(); }
 
 void Executor::clearPlanCache() {
   for (Slot& s : slots_) s.used = false;
   occupied_ = 0;
-}
-
-const Value& Executor::evalInto(const Program& program,
-                                const std::vector<Value>& inputs) {
-  runInto(program, inputs, scratch_);
-  return scratch_.output();
 }
 
 ExecResult run(const Program& program, const std::vector<Value>& inputs) {

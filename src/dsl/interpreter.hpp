@@ -129,10 +129,10 @@ void executePlanMulti(const ExecPlan& plan,
                       std::size_t count, ExecResult* outs);
 
 /// Reusable execution engine: a plan cache keyed by (program, signature)
-/// fingerprint plus pooled result storage. One Executor serves one search
-/// thread (it is not thread-safe); the GA's evaluator keeps one for the
-/// whole synthesis run so plans for elites, duplicates, and re-examined
-/// genes are compiled once instead of once per example.
+/// fingerprint plus the lane executor's scratch trace. One Executor serves
+/// one search thread (it is not thread-safe); the GA's evaluator keeps one
+/// for the whole synthesis run so plans for elites, duplicates, and
+/// re-examined genes are compiled once instead of once per example.
 ///
 /// The cache is direct-mapped (one probe into a fixed power-of-two slot
 /// array, conflicting keys overwrite): a compile is ~100ns, so eviction is
@@ -150,64 +150,17 @@ class Executor {
   /// overwrite the slot).
   const ExecPlan& planFor(const Program& program, const InputSignature& sig);
 
-  /// run() with plan caching and storage reuse: executes `program` on
-  /// `inputs` into `out`, overwriting out's trace slots in place.
-  void runInto(const Program& program, const std::vector<Value>& inputs,
-               ExecResult& out);
-
-  /// Output-only variant reusing one internal result slot; the reference is
-  /// valid until the next Executor call. For equivalence checks.
-  const Value& evalInto(const Program& program,
-                        const std::vector<Value>& inputs);
-
-  /// Executes `plan` over `count` examples through the configured backend:
-  /// the SIMD lane path (executePlanMultiLanes, default) or the scalar
-  /// statement-major path. Both produce identical ExecResult traces — the
-  /// lane path is pinned against the scalar oracle by the differential fuzz
-  /// suite — so callers switch freely via setLaneExecution.
-  void executeMulti(const ExecPlan& plan,
-                    const std::vector<Value>* const* inputSets,
-                    std::size_t count, ExecResult* outs) {
-    if (lanes_)
-      executePlanMultiLanes(
-          plan, inputSets, count, outs, laneScratch_,
-          /*reuseIngest=*/inputSets == pinnedSets_ && count == pinnedCount_);
-    else
-      executePlanMulti(plan, inputSets, count, outs);
-  }
-
-  /// Output-only executeMulti: fills `outs[j]` (refilled in place) with the
-  /// final statement's output for each example, without materializing
-  /// traces. On the lane backend this skips the intermediate-trace scatter
-  /// — the dominant cost of the full-trace path — so equivalence-only
-  /// consumers (SpecEvaluator::check) run several times faster than
-  /// executing per example; the scalar backend loops executePlan into an
-  /// internal scratch as the differential oracle.
-  void executeMultiOutputs(const ExecPlan& plan,
-                           const std::vector<Value>* const* inputSets,
-                           std::size_t count, Value* outs) {
-    if (lanes_) {
-      executePlanMultiLanesOutputs(
-          plan, inputSets, count, outs, laneScratch_,
-          /*reuseIngest=*/inputSets == pinnedSets_ && count == pinnedCount_);
-    } else {
-      for (std::size_t j = 0; j < count; ++j) {
-        executePlan(plan, *inputSets[j], scratch_);
-        outs[j] = scratch_.output();
-      }
-    }
-  }
-
-  /// Lane-view executeMulti: executes `plan` with NO scatter and binds
-  /// `view` over the internal SoA scratch, so trace consumers (the NN
+  /// Lane-view execution: runs `plan` through the SIMD lane executor and
+  /// binds `view` over the internal SoA scratch, so trace consumers (the NN
   /// fitness encoders) read lane blocks in place. Returns false — without
-  /// executing — when the lane backend is off or `count` doesn't fit one
-  /// lane group; the caller then falls back to executeMulti. The view is
-  /// valid until the Executor's next lane execution.
+  /// executing — when `count` does not fit one lane execution
+  /// (0 or more than SoATrace::kMaxLanes); the caller then runs the scalar
+  /// executePlanMulti. The view is valid until the Executor's next lane
+  /// execution.
   bool executeMultiView(const ExecPlan& plan,
                         const std::vector<Value>* const* inputSets,
                         std::size_t count, LaneTraceView& view) {
-    if (!lanes_ || count == 0 || count > SoATrace::kMaxLanes) return false;
+    if (count == 0 || count > SoATrace::kMaxLanes) return false;
     executePlanMultiLanesView(
         plan, inputSets, count, view, laneScratch_,
         /*reuseIngest=*/inputSets == pinnedSets_ && count == pinnedCount_);
@@ -220,7 +173,7 @@ class Executor {
   /// once per spec instead of once per candidate — the dominant fixed cost
   /// at the paper's m=5..10 examples. SpecEvaluator pins its spec on
   /// construction; pin manually only if you own the array's lifetime.
-  /// Unpinned executeMulti calls stay correct and simply re-ingest.
+  /// Unpinned executeMultiView calls stay correct and simply re-ingest.
   void pinExampleInputs(const std::vector<Value>* const* sets,
                         std::size_t count) {
     pinnedSets_ = sets;
@@ -238,26 +191,19 @@ class Executor {
     laneScratch_.pinnedUsed = 0;
   }
 
-  /// Selects the executeMulti backend: true (default) = SoA lane executor,
-  /// false = scalar statement-major loop (the differential-fuzz oracle).
-  void setLaneExecution(bool enabled) { lanes_ = enabled; }
-  bool laneExecution() const { return lanes_; }
-
   /// Compiled SIMD backend of the lane kernels ("avx2" or "scalar"), for
   /// bench records and service stats.
   static const char* backendName();
 
   std::size_t planCacheSize() const { return occupied_; }
   std::size_t planCompiles() const { return compiles_; }
-  /// Total planFor/runInto plan lookups. lookups - compiles = cache hits;
+  /// Total planFor plan lookups. lookups - compiles = cache hits;
   /// the synthesis service resets both counters at the start of each job
   /// (resetCounters) and reads them raw afterwards to report how warm the
   /// cross-request plan cache ran.
   std::size_t planLookups() const { return lookups_; }
   /// Zeroes planCompiles/planLookups without touching the plan cache
-  /// itself: per-job deltas stay exact even across executor reconfiguration
-  /// (e.g. a backend switch between jobs), where carrying before/after
-  /// snapshots would go stale.
+  /// itself, so a shared executor reports exact per-job deltas.
   void resetCounters() {
     compiles_ = 0;
     lookups_ = 0;
@@ -270,11 +216,6 @@ class Executor {
   /// are determined by far fewer than 2^32 distinct (sequence, signature)
   /// pairs in any real run.
   static std::uint64_t keyOf(const Program& program,
-                             const std::vector<Value>& inputs);
-  static std::uint64_t keyOf(const Program& program,
-                             const InputSignature& sig);
-
-  const ExecPlan& planForKey(std::uint64_t key, const Program& program,
                              const InputSignature& sig);
 
   static constexpr std::size_t kSlots = 1u << 12;  ///< direct-mapped slots
@@ -287,15 +228,12 @@ class Executor {
     ExecPlan plan;
   };
   std::vector<Slot> slots_ = std::vector<Slot>(kSlots);
-  ExecResult scratch_;  ///< backing store for evalInto
-  SoATrace laneScratch_;  ///< lane-group storage for executeMulti
-  bool lanes_ = true;     ///< executeMulti backend (see setLaneExecution)
+  SoATrace laneScratch_;  ///< lane storage for executeMultiView
   const std::vector<Value>* const* pinnedSets_ = nullptr;  ///< see pinExampleInputs
   std::size_t pinnedCount_ = 0;
   std::size_t compiles_ = 0;
   std::size_t lookups_ = 0;
   std::size_t occupied_ = 0;
-  InputSignature sigScratch_;  ///< reused by runInto/evalInto cache misses
 };
 
 // LaneTraceView members that need ExecStep (lanes.hpp only forward-declares

@@ -1,7 +1,6 @@
 #include "dsl/lanes.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <cassert>
 
 #include "dsl/interpreter.hpp"
 
@@ -48,190 +47,97 @@ void applyLanesGeneric(const ExecStep& step, SoATrace& t, std::uint32_t a0,
   }
 }
 
-/// What executeLanesImpl materializes after each group executes: the full
-/// per-example trace (the executePlanMultiLanes contract), only the final
-/// statement's outputs (executePlanMultiLanesOutputs), or nothing at all —
-/// the trace stays in SoA form for a LaneTraceView to read in place
-/// (executePlanMultiLanesView).
-enum class ScatterMode { FullTrace, OutputsOnly, None };
-
-/// Shared lane-group driver. kMode selects the scatter phase; everything
-/// else — ingest, pinning, kernel dispatch — is identical, so the three
-/// entry points cannot drift apart.
-template <ScatterMode kMode>
-void executeLanesImpl(const ExecPlan& plan,
-                      const std::vector<Value>* const* inputSets,
-                      std::size_t count, ExecResult* outs, Value* outVals,
-                      SoATrace& t, bool reuseIngest) {
-  const std::size_t n = plan.steps.size();
-  if constexpr (kMode == ScatterMode::FullTrace) {
-    for (std::size_t j = 0; j < count; ++j) outs[j].trace.resize(n);
-  } else if constexpr (kMode == ScatterMode::OutputsOnly) {
-    if (n == 0) {
-      // An empty program's output is the default list (scalar output()).
-      for (std::size_t j = 0; j < count; ++j) outVals[j].makeList().clear();
-    }
-  }
-  if (n == 0 || count == 0) return;
-  const std::size_t numInputs = inputSets[0]->size();
-  const std::uint32_t base =
-      SoATrace::kFixedSlots + static_cast<std::uint32_t>(numInputs);
-  const bool singleGroup = count <= SoATrace::kMaxLanes;
-  Value scratch[kMaxArity + 1];
-
-  for (std::size_t g = 0; g < count; g += SoATrace::kMaxLanes) {
-    const std::size_t lanes = std::min(SoATrace::kMaxLanes, count - g);
-    t.reset(lanes, base + n);
-
-    // Ingest: transpose each program input into its lane block, unless a
-    // pinned ingest of exactly these inputs is still valid (the per-spec
-    // fast path — plans change per candidate, inputs don't). Input types
-    // are uniform across a spec (one signature per plan), so example g
-    // decides int vs list for the whole group.
-    const bool canReuse = reuseIngest && singleGroup &&
-                          t.pinKey == static_cast<const void*>(inputSets) &&
-                          t.pinLanes == lanes && t.pinInputs == numInputs;
-    if (!canReuse) {
-      t.pinKey = nullptr;
-      t.pinnedUsed = 0;
-      t.used = 0;
-      for (std::size_t i = 0; i < numInputs; ++i) {
-        const std::uint32_t slot =
-            SoATrace::kFixedSlots + static_cast<std::uint32_t>(i);
-        if ((*inputSets[g])[i].type() == Type::Int) {
-          std::int32_t* blk = t.intBlock(slot);
-          for (std::size_t j = 0; j < lanes; ++j)
-            blk[j] = (*inputSets[g + j])[i].intUnchecked();
-        } else {
-          std::size_t total = 0;
-          for (std::size_t j = 0; j < lanes; ++j)
-            total += (*inputSets[g + j])[i].listUnchecked().size();
-          std::int32_t* dst = t.grow(total);
-          std::uint32_t* ooff = t.offBlock(slot);
-          std::uint32_t* olen = t.lenBlock(slot);
-          std::uint32_t cursor = static_cast<std::uint32_t>(t.used);
-          for (std::size_t j = 0; j < lanes; ++j) {
-            const std::vector<std::int32_t>& xs =
-                (*inputSets[g + j])[i].listUnchecked();
-            copyLane(dst, xs.data(), xs.size());
-            ooff[j] = cursor;
-            olen[j] = static_cast<std::uint32_t>(xs.size());
-            cursor += olen[j];
-            dst += xs.size();
-          }
-          t.used = cursor;
-        }
-      }
-      if (reuseIngest && singleGroup) {
-        t.pinKey = inputSets;
-        t.pinLanes = lanes;
-        t.pinInputs = numInputs;
-        t.pinnedUsed = t.used;
-      }
-    }
-
-    // Execute statement-major over the whole lane group. Arg slot ids come
-    // straight from the compiled sources; a Default source's payload index
-    // (0 = Int, 1 = List) is by construction the default slot id.
-    const auto slotOf = [base](const ArgSource& src) -> std::uint32_t {
-      switch (src.kind) {
-        case ArgSource::Kind::Statement:
-          return base + src.index;
-        case ArgSource::Kind::Input:
-          return SoATrace::kFixedSlots + src.index;
-        case ArgSource::Kind::Default:
-          break;
-      }
-      return src.index;
-    };
-    for (std::size_t k = 0; k < n; ++k) {
-      const ExecStep& step = plan.steps[k];
-      const std::uint32_t a0 = slotOf(step.args[0]);
-      const std::uint32_t a1 = slotOf(step.args[1]);
-      const std::uint32_t outSlot = base + static_cast<std::uint32_t>(k);
-      if (step.lane)
-        step.lane(t, a0, a1, outSlot);
-      else
-        applyLanesGeneric(step, t, a0, a1, outSlot, scratch);
-    }
-
-    if constexpr (kMode == ScatterMode::FullTrace) {
-      // Scatter: materialize the group's slots into the per-example traces,
-      // refilling retained Value buffers — consumers see exactly the trace
-      // the scalar path produces. Lane-outer: each example's trace Values
-      // are contiguous and its retained list buffers were allocated
-      // together, so walking one lane's statements in order is the
-      // cache-friendly direction (the strided slot-table reads all sit in a
-      // few lines).
-      const std::int32_t* arena = t.arena.data();
-      const std::int32_t* ints = t.ints.data();
-      const std::uint32_t* off = t.off.data();
-      const std::uint32_t* len = t.len.data();
-      const ExecStep* steps = plan.steps.data();
-      for (std::size_t j = 0; j < lanes; ++j) {
-        Value* tr = outs[g + j].trace.data();
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::size_t cell = (base + k) * lanes + j;
-          if (steps[k].ret == Type::Int) {
-            tr[k].setInt(ints[cell]);
-          } else {
-            const std::uint32_t o = off[cell];
-            tr[k].makeList().assign(arena + o, arena + o + len[cell]);
-          }
-        }
-      }
-    } else if constexpr (kMode == ScatterMode::OutputsOnly) {
-      // Output-only scatter: just the final statement's lane block — the
-      // whole point of this variant. Equivalence checks never read the
-      // intermediate trace, and skipping its materialization removes the
-      // per-cell Value refills that dominate the full-trace path.
-      const std::uint32_t last =
-          base + static_cast<std::uint32_t>(n - 1);
-      if (plan.steps[n - 1].ret == Type::Int) {
-        const std::int32_t* blk = t.intBlock(last);
-        for (std::size_t j = 0; j < lanes; ++j)
-          outVals[g + j].setInt(blk[j]);
-      } else {
-        const std::uint32_t* o = t.offBlock(last);
-        const std::uint32_t* l = t.lenBlock(last);
-        const std::int32_t* a = t.arena.data();
-        for (std::size_t j = 0; j < lanes; ++j)
-          outVals[g + j].makeList().assign(a + o[j], a + o[j] + l[j]);
-      }
-    }
-  }
-}
-
 }  // namespace
-
-void executePlanMultiLanes(const ExecPlan& plan,
-                           const std::vector<Value>* const* inputSets,
-                           std::size_t count, ExecResult* outs, SoATrace& t,
-                           bool reuseIngest) {
-  executeLanesImpl<ScatterMode::FullTrace>(plan, inputSets, count, outs,
-                                           nullptr, t, reuseIngest);
-}
-
-void executePlanMultiLanesOutputs(const ExecPlan& plan,
-                                  const std::vector<Value>* const* inputSets,
-                                  std::size_t count, Value* outs, SoATrace& t,
-                                  bool reuseIngest) {
-  executeLanesImpl<ScatterMode::OutputsOnly>(plan, inputSets, count, nullptr,
-                                             outs, t, reuseIngest);
-}
 
 void executePlanMultiLanesView(const ExecPlan& plan,
                                const std::vector<Value>* const* inputSets,
                                std::size_t count, LaneTraceView& view,
                                SoATrace& t, bool reuseIngest) {
-  executeLanesImpl<ScatterMode::None>(plan, inputSets, count, nullptr,
-                                      nullptr, t, reuseIngest);
+  assert(count >= 1 && count <= SoATrace::kMaxLanes);
+  const std::size_t n = plan.steps.size();
+  const std::size_t numInputs = inputSets[0]->size();
+  const std::uint32_t base =
+      SoATrace::kFixedSlots + static_cast<std::uint32_t>(numInputs);
   view.trace = &t;
   view.plan = &plan;
-  view.base = SoATrace::kFixedSlots +
-              static_cast<std::uint32_t>(inputSets[0]->size());
+  view.base = base;
   view.lanes = count;
-  view.steps = plan.steps.size();
+  view.steps = n;
+  if (n == 0) return;
+  t.reset(count, base + n);
+
+  // Ingest: transpose each program input into its lane block, unless a
+  // pinned ingest of exactly these inputs is still valid (the per-spec
+  // fast path — plans change per candidate, inputs don't). Input types are
+  // uniform across a spec (one signature per plan), so example 0 decides
+  // int vs list for every lane.
+  const bool canReuse = reuseIngest &&
+                        t.pinKey == static_cast<const void*>(inputSets) &&
+                        t.pinLanes == count && t.pinInputs == numInputs;
+  if (!canReuse) {
+    t.pinKey = nullptr;
+    t.pinnedUsed = 0;
+    t.used = 0;
+    for (std::size_t i = 0; i < numInputs; ++i) {
+      const std::uint32_t slot =
+          SoATrace::kFixedSlots + static_cast<std::uint32_t>(i);
+      if ((*inputSets[0])[i].type() == Type::Int) {
+        std::int32_t* blk = t.intBlock(slot);
+        for (std::size_t j = 0; j < count; ++j)
+          blk[j] = (*inputSets[j])[i].intUnchecked();
+      } else {
+        std::size_t total = 0;
+        for (std::size_t j = 0; j < count; ++j)
+          total += (*inputSets[j])[i].listUnchecked().size();
+        std::int32_t* dst = t.grow(total);
+        std::uint32_t* ooff = t.offBlock(slot);
+        std::uint32_t* olen = t.lenBlock(slot);
+        std::uint32_t cursor = static_cast<std::uint32_t>(t.used);
+        for (std::size_t j = 0; j < count; ++j) {
+          const std::vector<std::int32_t>& xs =
+              (*inputSets[j])[i].listUnchecked();
+          copyLane(dst, xs.data(), xs.size());
+          ooff[j] = cursor;
+          olen[j] = static_cast<std::uint32_t>(xs.size());
+          cursor += olen[j];
+          dst += xs.size();
+        }
+        t.used = cursor;
+      }
+    }
+    if (reuseIngest) {
+      t.pinKey = inputSets;
+      t.pinLanes = count;
+      t.pinInputs = numInputs;
+      t.pinnedUsed = t.used;
+    }
+  }
+
+  // Execute statement-major over all lanes. Arg slot ids come straight
+  // from the compiled sources; a Default source's payload index (0 = Int,
+  // 1 = List) is by construction the default slot id.
+  const auto slotOf = [base](const ArgSource& src) -> std::uint32_t {
+    switch (src.kind) {
+      case ArgSource::Kind::Statement:
+        return base + src.index;
+      case ArgSource::Kind::Input:
+        return SoATrace::kFixedSlots + src.index;
+      case ArgSource::Kind::Default:
+        break;
+    }
+    return src.index;
+  };
+  Value scratch[kMaxArity + 1];
+  for (std::size_t k = 0; k < n; ++k) {
+    const ExecStep& step = plan.steps[k];
+    const std::uint32_t a0 = slotOf(step.args[0]);
+    const std::uint32_t a1 = slotOf(step.args[1]);
+    const std::uint32_t outSlot = base + static_cast<std::uint32_t>(k);
+    if (step.lane)
+      step.lane(t, a0, a1, outSlot);
+    else
+      applyLanesGeneric(step, t, a0, a1, outSlot, scratch);
+  }
 }
 
 }  // namespace netsyn::dsl

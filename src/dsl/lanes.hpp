@@ -11,7 +11,13 @@
 // single SIMD loop over all examples at once (simd.hpp), instead of m short
 // loops whose tails dominate at the paper's list lengths (~5-10 elements).
 //
-// Slot layout of one SoATrace (lanes = examples in the current group):
+// The lane executor has one job: producing the trace view the NN fitness
+// encoders read (LaneTraceView). Every other execution — Value traces,
+// outputs, Definition 3.1 equivalence checks — runs through the scalar
+// `executePlanMulti` / `executePlan`, which is also the lane executor's
+// oracle.
+//
+// Slot layout of one SoATrace (lanes = examples in the current execution):
 //
 //           lane 0   lane 1  ...  lane L-1
 //   slot 0  [ 0    |  0     | ... | 0     ]   Int default (paper: 0)
@@ -31,15 +37,12 @@
 // state execution allocates nothing, mirroring the Value-slot reuse of the
 // scalar path.
 //
-// Examples are processed in groups of up to kMaxLanes; the tail group just
-// has fewer lanes (no masking — every block op takes an explicit element
-// count). After a group executes, the trace is scattered back into the
-// per-example `ExecResult::trace` slots, so `fitness/` and `core/`
-// consumers read traces unchanged; the SoA form never escapes the executor.
-//
-// The scalar `executePlanMulti` stays intact as the differential-fuzz
-// oracle: tests/test_fuzz_differential.cpp pins both paths trace-equal,
-// slot by slot, over 12k random programs in the list and str domains.
+// One execution covers 1..kMaxLanes examples, one lane each (no masking —
+// every block op takes an explicit element count). Nothing is scattered
+// back into `Value`s: consumers read the executed blocks in place through a
+// LaneTraceView and copy what they keep before the next execution.
+// tests/test_fuzz_differential.cpp pins every view cell to the scalar
+// trace over 12k random programs in the list and str domains.
 #pragma once
 
 #include <cstdint>
@@ -62,12 +65,12 @@ inline void copyLane(std::int32_t* dst, const std::int32_t* src,
   if (n) std::memcpy(dst, src, n * sizeof(std::int32_t));
 }
 
-/// Structure-of-arrays execution trace for one lane group. See the file
+/// Structure-of-arrays execution trace of one lane execution. See the file
 /// comment for the slot layout and the dense invariant.
 struct SoATrace {
-  /// Examples per lane group. One group covers any realistic spec (the
-  /// paper uses m=5..10 examples), so the common case is a single group
-  /// with no tail; larger counts split and reuse the same storage.
+  /// Most examples one execution holds. This covers any realistic spec
+  /// (the paper uses m=5..10 examples); larger specs run on the scalar
+  /// executor.
   static constexpr std::size_t kMaxLanes = 32;
 
   /// Reserved leading slots: 0 = Int default, 1 = List default. Chosen so a
@@ -77,7 +80,7 @@ struct SoATrace {
   static constexpr std::uint32_t kListDefaultSlot = 1;
   static constexpr std::uint32_t kFixedSlots = 2;
 
-  std::size_t lanes = 0;  ///< examples in the current group
+  std::size_t lanes = 0;  ///< examples in the current execution
   std::size_t slots = 0;  ///< kFixedSlots + inputs + plan length
 
   std::vector<std::int32_t> ints;  ///< int payloads, [slot*lanes + lane]
@@ -86,8 +89,8 @@ struct SoATrace {
   std::vector<std::int32_t> arena; ///< list elements, high-water storage
   std::size_t used = 0;            ///< arena elements in use
 
-  // Pinned-ingest bookkeeping (see executePlanMultiLanes' reuseIngest): a
-  // single-group ingest can be kept across calls when the caller guarantees
+  // Pinned-ingest bookkeeping (see executePlanMultiLanesView's reuseIngest):
+  // an ingest can be kept across calls when the caller guarantees
   // the example inputs are byte-stable — the spec of a search never changes,
   // so the transpose is paid once per spec instead of once per candidate.
   // The pinned input payloads occupy arena[0, pinnedUsed); statement
@@ -102,9 +105,9 @@ struct SoATrace {
 
   std::size_t seededLanes = 0;  ///< lane count the default slots are seeded for
 
-  /// Re-shapes for a group, keeping capacity (and any pinned ingest). Seeds
-  /// the two default slots (int lanes = 0, list lanes empty) when the lane
-  /// count changed — their rows are never overwritten, so an unchanged
+  /// Re-shapes for an execution, keeping capacity (and any pinned ingest).
+  /// Seeds the two default slots (int lanes = 0, list lanes empty) when the
+  /// lane count changed — their rows are never overwritten, so an unchanged
   /// shape keeps them; all other slots are written by the ingest/execute
   /// phases before any plan can read them.
   void reset(std::size_t laneCount, std::size_t slotCount) {
@@ -176,13 +179,12 @@ struct SoATrace {
   }
 };
 
-/// Zero-copy, per-statement view over one executed lane group. This is the
-/// seam that lets trace consumers (the NN fitness encoders) read the SoA
-/// blocks in place instead of forcing the executor to scatter every
-/// intermediate value back into per-example `Value`s: `executePlanMultiLanesView`
-/// runs the plan with NO scatter at all and binds one of these over the
-/// scratch trace. Statement k's lane j is `intAt(k, j)` for Int-typed steps
-/// or the arena segment `listAt(k, j, &len)` for List-typed ones.
+/// Zero-copy, per-statement view over one lane execution. This is the seam
+/// that lets trace consumers (the NN fitness encoders) read the SoA blocks
+/// in place instead of per-example `Value`s: `executePlanMultiLanesView`
+/// runs the plan and binds one of these over the scratch trace. Statement
+/// k's lane j is `intAt(k, j)` for Int-typed steps or the arena segment
+/// `listAt(k, j, &len)` for List-typed ones.
 ///
 /// The view aliases the executor's scratch `SoATrace`: it is valid only
 /// until the next execution (or reset) of that trace, so consume-or-copy
@@ -191,7 +193,7 @@ struct LaneTraceView {
   const SoATrace* trace = nullptr;
   const ExecPlan* plan = nullptr;
   std::uint32_t base = 0;  ///< slot id of statement 0 (kFixedSlots + inputs)
-  std::size_t lanes = 0;   ///< examples in the group
+  std::size_t lanes = 0;   ///< examples, one per lane
   std::size_t steps = 0;   ///< plan length (0 for the empty program)
 
   bool empty() const { return steps == 0; }
@@ -224,48 +226,20 @@ struct LaneTraceView {
   bool outputEquals(std::size_t lane, const Value& expected) const;
 };
 
-/// Lane-group counterpart of executePlanMulti: executes `plan` on `count`
-/// input tuples through `trace`, scattering each group's results into
-/// `outs[j].trace` (resized to the plan length, slots overwritten in place
-/// exactly like the scalar path). Results are bitwise-identical to
-/// executePlanMulti — the saturating integer kernels have no
-/// backend-dependent rounding — which the differential fuzz suite pins.
-/// `trace` is caller-owned scratch (the Executor keeps one) so steady-state
-/// execution allocates nothing.
+/// Executes `plan` on `count` input tuples, one per lane, through `trace`
+/// and binds `view` over the executed blocks; nothing is materialized as a
+/// `Value`. Requires 1 <= count <= SoATrace::kMaxLanes. Every cell equals
+/// the scalar executePlanMulti's trace slot — the saturating integer
+/// kernels have no backend-dependent rounding — which the differential fuzz
+/// suite pins. `trace` is caller-owned scratch (the Executor keeps one) so
+/// steady-state execution allocates nothing. The view is valid until
+/// `trace` is next executed or reset.
 ///
 /// `reuseIngest` opts into the pinned-ingest fast path: pass true ONLY when
 /// `inputSets[0..count)` and every pointed-to input tuple are guaranteed
 /// byte-stable since the previous reuseIngest call with the same array
 /// (identity, not content, is what the pin checks — an owner like
 /// SpecEvaluator whose spec is immutable for the search's lifetime).
-/// Single-group counts only; larger counts ingest per group as usual.
-void executePlanMultiLanes(const ExecPlan& plan,
-                           const std::vector<Value>* const* inputSets,
-                           std::size_t count, ExecResult* outs,
-                           SoATrace& trace, bool reuseIngest = false);
-
-/// Output-only variant: runs the same lane-group kernels but materializes
-/// only the final statement's output per example into `outs[j]` (refilled in
-/// place), skipping the intermediate-trace scatter entirely. That scatter is
-/// the dominant cost of the full-trace path at the paper's list lengths, so
-/// this is the fast path for consumers that only test Definition 3.1
-/// equivalence (SpecEvaluator::check) and never read the trace. An empty
-/// plan yields the default list for every example, matching
-/// ExecResult::output(). Same `reuseIngest` contract as above.
-void executePlanMultiLanesOutputs(const ExecPlan& plan,
-                                  const std::vector<Value>* const* inputSets,
-                                  std::size_t count, Value* outs,
-                                  SoATrace& trace, bool reuseIngest = false);
-
-/// No-scatter variant: runs the same lane-group kernels and materializes
-/// NOTHING — `view` is bound over the executed trace so consumers read the
-/// SoA blocks in place. This is the full-trace fast path for the NN fitness
-/// encoders, which tokenize every intermediate value anyway and therefore
-/// never need it as a `Value`. Single group only: requires
-/// 1 <= count <= SoATrace::kMaxLanes (callers above that split per group and
-/// must use the scattering entry points). Same `reuseIngest` contract as
-/// executePlanMultiLanes. The view is valid until `trace` is next executed
-/// or reset.
 void executePlanMultiLanesView(const ExecPlan& plan,
                                const std::vector<Value>* const* inputSets,
                                std::size_t count, LaneTraceView& view,

@@ -200,10 +200,6 @@ ExperimentConfig ExperimentConfig::fromArgs(const util::ArgParse& args) {
   cfg.modelDir = args.getString("model-dir", cfg.modelDir);
   if (args.has("lengths"))
     cfg.programLengths = parseLengths(args.getString("lengths", ""));
-  // --simd=false forces the scalar executor (ablation / oracle runs);
-  // results are identical, only throughput changes.
-  cfg.synthesizer.simdExecutor =
-      args.getBool("simd", cfg.synthesizer.simdExecutor);
 
   // ---- island strategy ----
   // Negative values would wrap through size_t into "never migrate"-sized
@@ -281,8 +277,6 @@ std::string ExperimentConfig::toJson() const {
      << (synthesizer.nsKind == core::NsKind::BFS ? "bfs" : "dfs") << "\"";
   os << ", \"ns_top_n\": " << synthesizer.nsTopN;
   os << ", \"ns_window\": " << synthesizer.nsWindow;
-  os << ", \"simd_executor\": "
-     << (synthesizer.simdExecutor ? "true" : "false");
   os << ", \"strategy\": \""
      << (synthesizer.strategy == core::SearchStrategy::Islands ? "islands"
                                                                : "single")
@@ -383,7 +377,6 @@ ExperimentConfig ExperimentConfig::fromJsonValue(const util::JsonValue& root) {
     }
     readSize(*syn, "ns_top_n", cfg.synthesizer.nsTopN);
     readSize(*syn, "ns_window", cfg.synthesizer.nsWindow);
-    readBool(*syn, "simd_executor", cfg.synthesizer.simdExecutor);
     std::string strategy;
     readString(*syn, "strategy", strategy);
     if (!strategy.empty()) {

@@ -77,7 +77,7 @@ struct ExperimentConfig {
   /// overrides
   /// (--domain=list|str, --budget, --runs, --programs-per-length,
   ///  --train-programs, --epochs, --seed, --model-dir, --lengths=5,7,10,
-  ///  --workers=N, --simd=true|false, and the island strategy: --islands=K,
+  ///  --workers=N, and the island strategy: --islands=K,
   ///  --migration-interval=M, --migration-size=E, --topology=ring|full,
   ///  --island-threads=T, --island-hetero).
   ///  --islands selects SearchStrategy::Islands (also for K=1, which is

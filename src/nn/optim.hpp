@@ -40,6 +40,10 @@ class Adam final : public Optimizer {
   void step() override;
   void setLearningRate(float lr) { lr_ = lr; }
   float learningRate() const { return lr_; }
+  /// First and second moment estimates, one matrix per parameter in
+  /// ParamStore order.
+  const std::vector<Matrix>& firstMoments() const { return m_; }
+  const std::vector<Matrix>& secondMoments() const { return v_; }
 
  private:
   ParamStore& store_;

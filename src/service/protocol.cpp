@@ -46,9 +46,19 @@ std::uint64_t requireJobId(const util::JsonValue& root) {
   return util::jsonUnsigned(*job, "job");
 }
 
-/// Shared body of the stats/metrics responses (every SessionStats counter).
-void appendStatsFields(std::ostringstream& os, const SessionStats& s) {
-  os << ", \"jobs_submitted\": " << s.jobsSubmitted
+std::string metricsJson(const ServiceMetrics& m) {
+  const SessionStats& s = m.stats;
+  std::ostringstream os;
+  os << "{\"ok\": true, \"op\": \"metrics\""
+     << ", \"queue_depth\": " << m.queueDepth
+     << ", \"retry_waiting\": " << m.retryWaiting
+     << ", \"max_queued_tasks\": " << m.maxQueuedTasks
+     << ", \"jobs_tracked\": " << m.jobsTracked
+     << ", \"jobs_active\": " << m.jobsActive
+     << ", \"result_cache_entries\": " << m.resultCacheEntries
+     << ", \"fault_hits\": " << m.faultHits
+     << ", \"fault_fires\": " << m.faultFires
+     << ", \"jobs_submitted\": " << s.jobsSubmitted
      << ", \"jobs_completed\": " << s.jobsCompleted
      << ", \"jobs_cancelled\": " << s.jobsCancelled
      << ", \"jobs_failed\": " << s.jobsFailed
@@ -72,30 +82,7 @@ void appendStatsFields(std::ostringstream& os, const SessionStats& s) {
      << ", \"hellos_accepted\": " << s.hellosAccepted
      << ", \"stale_tokens_rejected\": " << s.staleTokensRejected
      << ", \"tasks_adopted\": " << s.tasksAdopted
-     << ", \"snapshots_adopted\": " << s.snapshotsAdopted;
-}
-
-std::string statsJson(const SessionStats& s) {
-  std::ostringstream os;
-  os << "{\"ok\": true, \"op\": \"stats\"";
-  appendStatsFields(os, s);
-  os << "}";
-  return os.str();
-}
-
-std::string metricsJson(const ServiceMetrics& m) {
-  std::ostringstream os;
-  os << "{\"ok\": true, \"op\": \"metrics\""
-     << ", \"queue_depth\": " << m.queueDepth
-     << ", \"retry_waiting\": " << m.retryWaiting
-     << ", \"max_queued_tasks\": " << m.maxQueuedTasks
-     << ", \"jobs_tracked\": " << m.jobsTracked
-     << ", \"jobs_active\": " << m.jobsActive
-     << ", \"result_cache_entries\": " << m.resultCacheEntries
-     << ", \"fault_hits\": " << m.faultHits
-     << ", \"fault_fires\": " << m.faultFires;
-  appendStatsFields(os, m.stats);
-  os << "}";
+     << ", \"snapshots_adopted\": " << s.snapshotsAdopted << "}";
   return os.str();
 }
 
@@ -247,7 +234,6 @@ std::string handleRequestLine(SynthService& service, const std::string& line,
       return os.str();
     }
 
-    if (op == "stats") return statsJson(service.stats());
     if (op == "metrics") return metricsJson(service.metrics());
 
     if (op == "shutdown") {

@@ -14,7 +14,6 @@
 //   {"op": "cancel", "job": 1}
 //   {"op": "pause",  "job": 1}
 //   {"op": "resume", "job": 1}
-//   {"op": "stats"}
 //   {"op": "metrics"}
 //   {"op": "shutdown"}
 //   {"op": "hello", "token": "fleet-1"}          // fleet session handshake
@@ -38,7 +37,8 @@
 // "error_kind" ("task" / "stall" / "deadline"), recovered jobs
 // "recovered": true, and "retries" counts watchdog retries. "metrics"
 // returns the ServiceMetrics gauges + counters (queue depth, retry
-// backlog, fault-injection traffic, durable-checkpoint accounting).
+// backlog, fault-injection traffic, durable-checkpoint accounting) and
+// every SessionStats counter.
 //
 // Fleet surface: "hello" establishes (or rotates) the session token — the
 // same token is idempotent, a new token supersedes and retires the old one,

@@ -219,7 +219,7 @@ struct SubmitResult {
   bool attached = false;  ///< joined an existing job by key (opts.attach)
 };
 
-/// Whole-session accounting, served by the protocol's "stats" op.
+/// Whole-session accounting, served inside the protocol's "metrics" op.
 struct SessionStats {
   std::size_t jobsSubmitted = 0;
   std::size_t jobsCompleted = 0;

@@ -67,18 +67,17 @@ BenchComparison compareBenchRecords(const std::string& baselineJson,
               "engine_genes_per_sec", /*gated=*/false);
     pushDelta(cmp, "legacy genes/sec", baseline, fresh,
               "legacy_genes_per_sec", /*gated=*/false);
-    // SIMD lane-executor rows (records predating the lane executor lack
-    // them; comparing such a baseline just skips these rows).
-    // `lanes_speedup` is the output-only lane path against the scalar
-    // per-example check loop — SpecEvaluator::check's before/after — and is
-    // gated with a hard >= 2x floor; `trace_lanes_speedup` is the full-trace
-    // lane path (executeMultiView, SoA blocks consumed in place through a
+    // SIMD lane-view rows. `trace_lanes_speedup` is the lane trace view
+    // (executeMultiView, SoA blocks consumed in place through a
     // LaneTraceView — the path the NN fitness encoders ride) against the
-    // scalar engine's scatter-then-walk, gated at a >= 1.5x floor. Both
-    // ratios gate only when the two records ran the same SIMD backend:
-    // comparing an avx2 baseline on a scalar-fallback host says nothing
-    // about the code, so they demote to info.
-    if (baseline.find("lanes_speedup") && fresh.find("lanes_speedup")) {
+    // scalar engine's build-then-walk, gated at a >= 1.5x floor. A baseline
+    // predating the lane view lacks the key and skips the row; once the
+    // baseline has it, a fresh record without it is malformed, so the gate
+    // cannot lapse unnoticed. The row gates only when the two records ran
+    // the same SIMD backend: comparing an avx2 baseline on a
+    // scalar-fallback host says nothing about the code, so it demotes to
+    // info.
+    if (baseline.find("trace_lanes_speedup")) {
       std::string baseBackend;
       std::string freshBackend;
       readString(baseline, "simd_backend", baseBackend);
@@ -89,30 +88,16 @@ BenchComparison compareBenchRecords(const std::string& baselineJson,
           sameBackend ? baseBackend
                       : baseBackend + " baseline, " + freshBackend + " fresh";
       cmp.rows.push_back(BenchDelta{
-          "lane check vs scalar check (" + backendTag + ")",
-          numberAt(baseline, "lanes_speedup"),
-          numberAt(fresh, "lanes_speedup"),
+          "lane trace view vs scalar engine (" + backendTag + ")",
+          numberAt(baseline, "trace_lanes_speedup"),
+          numberAt(fresh, "trace_lanes_speedup"),
           /*higherIsBetter=*/true, /*gated=*/sameBackend,
-          /*floor=*/sameBackend ? 2.0 : 0.0});
-      if (baseline.find("trace_lanes_speedup") &&
-          fresh.find("trace_lanes_speedup")) {
-        cmp.rows.push_back(BenchDelta{
-            "lane trace view vs scalar engine (" + backendTag + ")",
-            numberAt(baseline, "trace_lanes_speedup"),
-            numberAt(fresh, "trace_lanes_speedup"),
-            /*higherIsBetter=*/true, /*gated=*/sameBackend,
-            /*floor=*/sameBackend ? 1.5 : 0.0});
-      }
-      // Info rows, each guarded on presence so a record written by an older
-      // (or newer) bench binary still compares on what both sides have.
-      for (const auto& [metric, key] :
-           {std::pair<const char*, const char*>{"lanes genes/sec",
-                                                "lanes_genes_per_sec"},
-            {"lane check genes/sec", "check_lanes_genes_per_sec"}}) {
-        if (baseline.find(key) && fresh.find(key))
-          pushDelta(cmp, metric, baseline, fresh, key, /*gated=*/false);
-      }
+          /*floor=*/sameBackend ? 1.5 : 0.0});
     }
+    if (baseline.find("lanes_genes_per_sec") &&
+        fresh.find("lanes_genes_per_sec"))
+      pushDelta(cmp, "lanes genes/sec", baseline, fresh, "lanes_genes_per_sec",
+                /*gated=*/false);
   } else if (baseTag == "nn_scoring") {
     pushDelta(cmp, "batched/scalar speedup", baseline, fresh, "speedup",
               /*gated=*/true);

@@ -36,9 +36,9 @@ struct BenchDelta {
 
   /// Absolute floor for gated higher-is-better rows (0 = none): the row
   /// fails whenever fresh < floor, regardless of how the baseline moved.
-  /// Used for ratios that carry a hard acceptance bar (the SIMD lane
-  /// executor must stay >= 2x the scalar engine), where drifting the
-  /// committed baseline downward must not quietly lower the bar.
+  /// Used for ratios that carry a hard acceptance bar (the SIMD lane view
+  /// must stay >= 1.5x the scalar engine), where drifting the committed
+  /// baseline downward must not quietly lower the bar.
   double floor = 0.0;
 
   /// fresh/baseline - 1, signed so that positive is "more" (not "better").

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "core/evaluator.hpp"
 #include "core/ga.hpp"
@@ -787,11 +788,8 @@ void expectSameResult(const nc::SynthesisResult& a,
   EXPECT_DOUBLE_EQ(a.bestFitness, b.bestFitness);
 }
 
-/// `lanes` = true grades through lane views (encodeLaneTrace); false forces
-/// the scalar executor, so grading reads scattered runs (encodeTrace).
 nc::SynthesisResult runOnce(const nd::Spec& spec, nf::FitnessPtr fit,
-                            bool lanes, nc::NsKind nsKind,
-                            std::uint64_t seed) {
+                            nc::NsKind nsKind, std::uint64_t seed) {
   nc::SynthesizerConfig sc;
   sc.ga.populationSize = 20;
   sc.ga.eliteCount = 3;
@@ -799,11 +797,33 @@ nc::SynthesisResult runOnce(const nd::Spec& spec, nf::FitnessPtr fit,
   sc.nsWindow = 5;
   sc.nsTopN = 2;
   sc.nsKind = nsKind;
-  sc.simdExecutor = lanes;
   const nc::Synthesizer syn(sc, std::move(fit));
   Rng rng(seed);
   return syn.synthesize(spec, 5, 1500, rng);
 }
+
+/// Forwards every call to the wrapped fitness but exposes no lane sink, so
+/// the synthesizer grades it from scalar runs (encodeTrace) instead of lane
+/// views (encodeLaneTrace).
+class RunBackedFitness final : public nf::FitnessFunction {
+ public:
+  explicit RunBackedFitness(nf::FitnessPtr inner) : inner_(std::move(inner)) {}
+  double score(const nd::Program& gene, const nf::EvalContext& ctx) override {
+    return inner_->score(gene, ctx);
+  }
+  std::vector<double> scoreBatch(
+      const std::vector<const nd::Program*>& genes,
+      const std::vector<const nf::EvalContext*>& contexts) override {
+    return inner_->scoreBatch(genes, contexts);
+  }
+  double maxScore(std::size_t targetLength) const override {
+    return inner_->maxScore(targetLength);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  nf::FitnessPtr inner_;
+};
 
 }  // namespace
 
@@ -817,10 +837,12 @@ TEST(SynthesizerParity, LaneAndScatterGradingSearchIdentically) {
   for (const auto nsKind : {nc::NsKind::BFS, nc::NsKind::DFS}) {
     const auto lanes =
         runOnce(tc->spec, std::make_shared<nf::NeuralFitness>(model, "NN_CF"),
-                true, nsKind, 99);
-    const auto scatter =
-        runOnce(tc->spec, std::make_shared<nf::NeuralFitness>(model, "NN_CF"),
-                false, nsKind, 99);
+                nsKind, 99);
+    const auto scatter = runOnce(
+        tc->spec,
+        std::make_shared<RunBackedFitness>(
+            std::make_shared<nf::NeuralFitness>(model, "NN_CF")),
+        nsKind, 99);
     expectSameResult(lanes, scatter);
   }
 }
@@ -836,22 +858,8 @@ TEST(SynthesizerParity, GradingThreadsDoNotChangeTheSearch) {
     return runOnce(tc->spec,
                    std::make_shared<nf::NeuralFitness>(model->clone(),
                                                        "NN_CF", threads),
-                   true, nc::NsKind::BFS, 98);
+                   nc::NsKind::BFS, 98);
   };
   const auto serial = search(1);
   expectSameResult(search(3), serial);
-}
-
-TEST(SynthesizerParity, EditFitnessUnaffectedByExecutor) {
-  Rng rng(52);
-  const nd::Generator gen;
-  const auto tc = gen.randomTestCase(4, 4, false, rng);
-  ASSERT_TRUE(tc.has_value());
-  const auto lanes = runOnce(
-      tc->spec, std::make_shared<nf::EditDistanceFitness>(), true,
-      nc::NsKind::BFS, 7);
-  const auto scalar = runOnce(
-      tc->spec, std::make_shared<nf::EditDistanceFitness>(), false,
-      nc::NsKind::BFS, 7);
-  expectSameResult(lanes, scalar);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "util/benchcmp.hpp"
 
@@ -144,33 +145,54 @@ TEST(BenchCmp, MalformedRecordsAreLoud) {
       std::invalid_argument);
 }
 
-TEST(BenchCmp, LaneRowsAreGatedWithAFloorOnMatchingBackends) {
+TEST(BenchCmp, TraceRowGatesWithoutTheCheckRatio) {
+  // Records written since the lane check ratio was deleted carry no
+  // "lanes_speedup": the trace row must gate on its own.
   const std::string base =
       "{\"bench\": \"interpreter\", \"legacy_genes_per_sec\": 100000.0, "
       "\"engine_genes_per_sec\": 400000.0, \"speedup\": 4.0, "
-      "\"lanes_genes_per_sec\": 1200000.0, \"lanes_speedup\": 3.0, "
+      "\"lanes_genes_per_sec\": 720000.0, \"trace_lanes_speedup\": 1.8, "
       "\"simd_backend\": \"avx2\"}";
-  // Identity passes; within-tolerance drift passes.
-  EXPECT_FALSE(nu::compareBenchRecords(base, base).anyRegression(0.15));
+  const auto identity = nu::compareBenchRecords(base, base);
+  EXPECT_FALSE(identity.anyRegression(0.15));
+  bool traceRowGated = false;
+  for (const auto& row : identity.rows)
+    if (row.metric.find("lane trace view") != std::string::npos)
+      traceRowGated = row.gated && row.floor == 1.5;
+  EXPECT_TRUE(traceRowGated);
 
-  // A 20% lanes-ratio drop (3.0 -> 2.4) trips the 15% gate even though the
-  // floor (2.0) is still met.
+  // A 22% drop below the floor trips.
   const std::string dropped =
       "{\"bench\": \"interpreter\", \"legacy_genes_per_sec\": 100000.0, "
       "\"engine_genes_per_sec\": 400000.0, \"speedup\": 4.0, "
-      "\"lanes_genes_per_sec\": 960000.0, \"lanes_speedup\": 2.4, "
+      "\"lanes_genes_per_sec\": 560000.0, \"trace_lanes_speedup\": 1.4, "
       "\"simd_backend\": \"avx2\"}";
   EXPECT_TRUE(nu::compareBenchRecords(base, dropped).anyRegression(0.15));
+  // The floor is absolute: a weak baseline cannot lower the bar for itself.
+  EXPECT_TRUE(nu::compareBenchRecords(dropped, dropped).anyRegression(0.15));
 
-  // The >= 2x floor is absolute: a fresh ratio below it fails even against
-  // a baseline that had already drifted to the same low value (committing a
-  // weak baseline must not lower the acceptance bar).
-  const std::string weak =
+  // Across backends the row demotes to info, as before.
+  const std::string scalarHost =
       "{\"bench\": \"interpreter\", \"legacy_genes_per_sec\": 100000.0, "
       "\"engine_genes_per_sec\": 400000.0, \"speedup\": 4.0, "
-      "\"lanes_genes_per_sec\": 760000.0, \"lanes_speedup\": 1.9, "
+      "\"lanes_genes_per_sec\": 400000.0, \"trace_lanes_speedup\": 1.0, "
+      "\"simd_backend\": \"scalar\"}";
+  EXPECT_FALSE(nu::compareBenchRecords(base, scalarHost).anyRegression(0.15));
+
+  // A baseline that still carries the deleted check keys compares against
+  // a fresh record without them; a weak old check ratio no longer gates.
+  const std::string oldBase =
+      "{\"bench\": \"interpreter\", \"legacy_genes_per_sec\": 100000.0, "
+      "\"engine_genes_per_sec\": 400000.0, \"speedup\": 4.0, "
+      "\"lanes_genes_per_sec\": 720000.0, \"trace_lanes_speedup\": 1.8, "
+      "\"check_lanes_genes_per_sec\": 900000.0, \"lanes_speedup\": 1.1, "
       "\"simd_backend\": \"avx2\"}";
-  EXPECT_TRUE(nu::compareBenchRecords(weak, weak).anyRegression(0.15));
+  EXPECT_FALSE(nu::compareBenchRecords(oldBase, base).anyRegression(0.15));
+  EXPECT_TRUE(nu::compareBenchRecords(oldBase, dropped).anyRegression(0.15));
+
+  // Once the baseline gates the trace row, a fresh record that lost the key
+  // is malformed, not silently ungated.
+  EXPECT_THROW(nu::compareBenchRecords(base, kInterp), std::invalid_argument);
 }
 
 TEST(BenchCmp, TraceLaneRowGatesAtItsOwnFloor) {

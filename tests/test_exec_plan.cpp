@@ -35,6 +35,14 @@ void expectSameResult(const nd::ExecResult& a, const nd::ExecResult& b) {
     EXPECT_EQ(a.trace[k], b.trace[k]) << "trace slot " << k;
 }
 
+/// Executes `program` on `inputs` through the executor's plan cache into
+/// `out`, refilling its trace slots in place.
+void runCached(nd::Executor& executor, const nd::Program& program,
+               const std::vector<nd::Value>& inputs, nd::ExecResult& out) {
+  nd::executePlan(executor.planFor(program, nd::signatureOf(inputs)), inputs,
+                  out);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ Value -------
@@ -120,9 +128,9 @@ TEST(Executor, CachedPlanMatchesFreshRunOnRandomPrograms) {
     const auto inputs = gen.randomInputs(sig, rng);
 
     const nd::ExecResult fresh = nd::run(*prog, inputs);
-    executor.runInto(*prog, inputs, pooled);
+    runCached(executor, *prog, inputs, pooled);
     expectSameResult(pooled, fresh);
-    EXPECT_EQ(executor.evalInto(*prog, inputs), fresh.output());
+    EXPECT_EQ(nd::eval(*prog, inputs), fresh.output());
   }
 }
 
@@ -137,7 +145,7 @@ TEST(Executor, PlanIsCompiledOncePerProgramAndSignature) {
   nd::ExecResult out;
   for (int i = 0; i < 10; ++i) {
     const auto inputs = gen.randomInputs(sig, rng);
-    executor.runInto(*prog, inputs, out);
+    runCached(executor, *prog, inputs, out);
   }
   EXPECT_EQ(executor.planCompiles(), 1u);
   EXPECT_EQ(executor.planCacheSize(), 1u);
@@ -145,7 +153,7 @@ TEST(Executor, PlanIsCompiledOncePerProgramAndSignature) {
   // Same program under a different signature is a different plan.
   const nd::InputSignature sig2 = {nd::Type::List, nd::Type::Int};
   std::vector<nd::Value> inputs2 = {nd::Value(List{1, 2, 3}), nd::Value(2)};
-  executor.runInto(*prog, inputs2, out);
+  runCached(executor, *prog, inputs2, out);
   EXPECT_EQ(executor.planCompiles(), 2u);
 }
 
@@ -160,9 +168,9 @@ TEST(Executor, PooledStorageNeverLeaksBetweenPrograms) {
 
   nd::Executor executor;
   nd::ExecResult pooled;
-  executor.runInto(*big, inputs, pooled);
+  runCached(executor, *big, inputs, pooled);
   ASSERT_EQ(pooled.trace.size(), 3u);
-  executor.runInto(*small, inputs, pooled);
+  runCached(executor, *small, inputs, pooled);
   ASSERT_EQ(pooled.trace.size(), 1u);
   EXPECT_EQ(pooled.output(), nd::Value(6));
   expectSameResult(pooled, nd::run(*small, inputs));
@@ -241,19 +249,73 @@ TEST(SpecEvaluator, CheckAgreesWithSatisfiesSpec) {
   }
 }
 
+TEST(SpecEvaluator, VerdictsPastTheLaneLimitMatchEval) {
+  // A spec one example past the lane limit: no lane view serves it, so
+  // check() and evaluate() run on the scalar engine alone and must agree
+  // with the reference interpreter example by example.
+  Rng rng(23);
+  const nd::Generator gen;
+  constexpr std::size_t kExamples = nd::SoATrace::kMaxLanes + 1;
+  const auto tc = gen.randomTestCase(3, kExamples, false, rng);
+  ASSERT_TRUE(tc.has_value());
+  ASSERT_EQ(tc->spec.size(), kExamples);
+  const nd::InputSignature sig = tc->spec.signature();
+
+  nc::SearchBudget budget(100000);
+  nc::SpecEvaluator evaluator(tc->spec, budget, /*dedup=*/false);
+  EXPECT_FALSE(evaluator.laneViewCapable());
+  std::vector<nd::Program> progs = {tc->program};
+  for (int i = 0; i < 60; ++i) {
+    const auto p = gen.randomProgram(1 + rng.uniform(4), sig, rng);
+    ASSERT_TRUE(p.has_value());
+    progs.push_back(*p);
+  }
+  std::size_t satisfied = 0;
+  for (const nd::Program& p : progs) {
+    bool expected = true;
+    for (const auto& ex : tc->spec.examples)
+      expected = expected && nd::eval(p, ex.inputs) == ex.output;
+    satisfied += expected;
+    EXPECT_EQ(evaluator.check(p).value(), expected) << p.toString();
+    const auto ev = evaluator.evaluate(p);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->satisfied, expected) << p.toString();
+    ASSERT_EQ(ev->runs.size(), kExamples);
+    for (std::size_t j = 0; j < kExamples; ++j)
+      expectSameResult(ev->runs[j], nd::run(p, tc->spec.examples[j].inputs));
+  }
+  EXPECT_GE(satisfied, 1u);  // the target program itself
+
+  // The target against a spec with one expected output perturbed: both
+  // verdicts turn false whichever example it is, the last one included.
+  for (const std::size_t bad : {std::size_t{0}, kExamples - 1}) {
+    nd::Spec spec = tc->spec;
+    nd::Value& out = spec.examples[bad].output;
+    if (out.isInt())
+      out.setInt(out.asInt() ^ 1);
+    else
+      out.makeList().push_back(1);
+    nc::SearchBudget fresh(100);
+    nc::SpecEvaluator perturbed(spec, fresh, /*dedup=*/false);
+    EXPECT_FALSE(perturbed.check(tc->program).value()) << "example " << bad;
+    EXPECT_FALSE(perturbed.evaluate(tc->program)->satisfied)
+        << "example " << bad;
+  }
+}
+
 // ----------------------------------------------------- lane executor ------
 
 namespace {
 
-/// Runs `program` over `examples` random input sets through both the lane
-/// executor and the scalar statement-major path, and asserts trace-for-trace
-/// equality. Shared workhorse for the tail-count sweep below.
+/// Runs `program` over `examples` random input sets through the lane view
+/// and the scalar statement-major path, and asserts cell-for-cell equality.
+/// Counts beyond one lane execution must be refused (those specs run on the
+/// scalar path). Shared workhorse for the tail-count sweep below.
 void expectLanesMatchScalar(const nd::Program& program,
                             const nd::InputSignature& sig,
                             std::size_t examples, Rng& rng) {
   const nd::Generator gen;
   nd::Executor executor;
-  nd::SoATrace trace;
 
   std::vector<std::vector<nd::Value>> inputs;
   std::vector<const std::vector<nd::Value>*> inputSets;
@@ -264,31 +326,44 @@ void expectLanesMatchScalar(const nd::Program& program,
   }
 
   const nd::ExecPlan& plan = executor.planFor(program, sig);
-  std::vector<nd::ExecResult> scalar(examples), lanes(examples);
-  std::vector<nd::Value> outs(examples);
+  nd::LaneTraceView view;
+  if (examples > nd::SoATrace::kMaxLanes) {
+    ASSERT_FALSE(
+        executor.executeMultiView(plan, inputSets.data(), examples, view));
+    return;
+  }
+  std::vector<nd::ExecResult> scalar(examples);
   nd::executePlanMulti(plan, inputSets.data(), examples, scalar.data());
-  nd::executePlanMultiLanes(plan, inputSets.data(), examples, lanes.data(),
-                            trace);
-  nd::executePlanMultiLanesOutputs(plan, inputSets.data(), examples,
-                                   outs.data(), trace);
+  ASSERT_TRUE(
+      executor.executeMultiView(plan, inputSets.data(), examples, view));
+  ASSERT_EQ(view.steps, program.length());
   for (std::size_t j = 0; j < examples; ++j) {
-    ASSERT_EQ(lanes[j].trace.size(), scalar[j].trace.size());
-    for (std::size_t k = 0; k < lanes[j].trace.size(); ++k)
-      ASSERT_EQ(lanes[j].trace[k], scalar[j].trace[k])
-          << "example " << j << " of " << examples << ", trace slot " << k
-          << ": " << program.toString();
-    ASSERT_EQ(outs[j], scalar[j].output())
-        << "example " << j << " of " << examples
-        << ", output-only path: " << program.toString();
+    for (std::size_t k = 0; k < view.steps; ++k) {
+      const nd::Value& v = scalar[j].trace[k];
+      if (view.stepType(k) == nd::Type::Int) {
+        ASSERT_EQ(nd::Value{view.intAt(k, j)}, v)
+            << "example " << j << " of " << examples << ", trace slot " << k
+            << ": " << program.toString();
+      } else {
+        std::size_t len = 0;
+        const std::int32_t* seg = view.listAt(k, j, &len);
+        ASSERT_EQ(nd::Value{List(seg, seg + len)}, v)
+            << "example " << j << " of " << examples << ", trace slot " << k
+            << ": " << program.toString();
+      }
+    }
+    ASSERT_TRUE(view.outputEquals(j, scalar[j].output()))
+        << "example " << j << " of " << examples << ": "
+        << program.toString();
   }
 }
 
 }  // namespace
 
 TEST(LaneExecutor, TailCountsMatchScalar) {
-  // Example counts straddling both batching boundaries: the SIMD vector
-  // width (8 int32 per AVX2 register) and the lane-group size
-  // (SoATrace::kMaxLanes = 32): 1, lane-1, lane, lane+1, 2*lane+3 for each.
+  // Example counts straddling both boundaries: the SIMD vector width (8
+  // int32 per AVX2 register) and the lane limit (SoATrace::kMaxLanes = 32):
+  // 1, lane-1, lane, lane+1, 2*lane+3 for each.
   constexpr std::size_t kVec = 8;
   constexpr std::size_t kGroup = nd::SoATrace::kMaxLanes;
   const std::size_t counts[] = {1,          kVec - 1,   kVec,
@@ -311,8 +386,8 @@ TEST(LaneExecutor, TailCountsMatchScalar) {
 
 TEST(LaneExecutor, MixedIntAndListOutputsUnderSoA) {
   // A fixed pipeline that interleaves list- and int-producing statements,
-  // so the SoA trace carries both payload kinds side by side and the
-  // scatter step must pick the right one per statement: list, int, list
+  // so the SoA trace carries both payload kinds side by side and the view
+  // must pick the right one per statement: list, int, list
   // (TAKE consumes the int), int, list (again via default/int args), int.
   const auto prog = nd::Program::fromString(
       "MAP(*2) | MAXIMUM | TAKE | COUNT(>0) | SCANL1(+) | SUM");
@@ -325,30 +400,6 @@ TEST(LaneExecutor, MixedIntAndListOutputsUnderSoA) {
   }
 }
 
-TEST(LaneExecutor, OutputOnlyPathHandlesEmptyPlanOnBothBackends) {
-  // An empty program's output is the default list on every path
-  // (ExecResult::output() on an empty trace); the output-only entry point
-  // has no trace to fall back on, so the n == 0 case is its own branch.
-  nd::Executor executor;
-  const nd::InputSignature sig = {nd::Type::List};
-  const nd::Program empty;
-  const nd::ExecPlan& plan = executor.planFor(empty, sig);
-
-  const std::vector<nd::Value> inputs = {nd::Value{std::vector<std::int32_t>{1, 2}}};
-  const std::vector<nd::Value>* sets[] = {&inputs};
-  const nd::Value emptyList{std::vector<std::int32_t>{}};
-
-  std::vector<nd::Value> outs(1, nd::Value{7});  // refilled in place
-  executor.setLaneExecution(true);
-  executor.executeMultiOutputs(plan, sets, 1, outs.data());
-  EXPECT_EQ(outs[0], emptyList);
-
-  outs[0] = nd::Value{7};
-  executor.setLaneExecution(false);
-  executor.executeMultiOutputs(plan, sets, 1, outs.data());
-  EXPECT_EQ(outs[0], emptyList);
-}
-
 TEST(LaneTraceView, ViewMatchesScalarTraceCellByCell) {
   // The no-scatter view path must expose exactly the cells the scalar
   // engine scatters: statement k, lane j reads back the same int or the
@@ -356,7 +407,6 @@ TEST(LaneTraceView, ViewMatchesScalarTraceCellByCell) {
   Rng rng(37);
   const nd::Generator gen;
   nd::Executor executor;
-  executor.setLaneExecution(true);
   for (int rep = 0; rep < 20; ++rep) {
     const nd::InputSignature sig = gen.randomSignature(rng);
     const auto prog = gen.randomProgram(1 + rng.uniform(6), sig, rng);
@@ -416,7 +466,6 @@ TEST(LaneTraceView, ViewMatchesScalarTraceCellByCell) {
 
 TEST(LaneTraceView, EmptyProgramAndLaneLimits) {
   nd::Executor executor;
-  executor.setLaneExecution(true);
   const nd::InputSignature sig = {nd::Type::List};
   const nd::Program empty;
   const nd::ExecPlan& plan = executor.planFor(empty, sig);
@@ -424,27 +473,29 @@ TEST(LaneTraceView, EmptyProgramAndLaneLimits) {
   const std::vector<nd::Value>* sets[] = {&in};
 
   // An empty plan yields an empty view whose output is the default list,
-  // matching ExecResult::output() on an empty trace.
+  // matching ExecResult::output() on the scalar path's empty trace — whose
+  // retained slots are dropped even when a previous program filled them.
   nd::LaneTraceView view;
   ASSERT_TRUE(executor.executeMultiView(plan, sets, 1, view));
   EXPECT_TRUE(view.empty());
   EXPECT_EQ(view.steps, 0u);
-  EXPECT_TRUE(view.outputEquals(0, nd::Value{List{}}));
+  std::vector<nd::ExecResult> scalar(1);
+  scalar[0].trace.assign(2, nd::Value{7});
+  nd::executePlanMulti(plan, sets, 1, scalar.data());
+  EXPECT_TRUE(scalar[0].trace.empty());
+  EXPECT_EQ(scalar[0].output(), nd::Value{List{}});
+  EXPECT_TRUE(view.outputEquals(0, scalar[0].output()));
   EXPECT_FALSE(view.outputEquals(0, nd::Value{List{1}}));
   EXPECT_FALSE(view.outputEquals(0, nd::Value{0}));
 
-  // The view path is single-group only: counts beyond kMaxLanes (and the
-  // degenerate zero) are refused so callers fall back to the scatter path.
+  // The view holds one lane execution: counts beyond kMaxLanes (and the
+  // degenerate zero) are refused so callers fall back to the scalar path.
   std::vector<std::vector<nd::Value>> many(nd::SoATrace::kMaxLanes + 1, in);
   std::vector<const std::vector<nd::Value>*> manySets;
   for (auto& m : many) manySets.push_back(&m);
   EXPECT_FALSE(executor.executeMultiView(plan, manySets.data(),
                                          manySets.size(), view));
   EXPECT_FALSE(executor.executeMultiView(plan, sets, 0, view));
-
-  // And it requires lane execution to be on.
-  executor.setLaneExecution(false);
-  EXPECT_FALSE(executor.executeMultiView(plan, sets, 1, view));
 }
 
 TEST(Executor, ResetCountersClearsDeltasButKeepsPlanCache) {
@@ -457,7 +508,7 @@ TEST(Executor, ResetCountersClearsDeltasButKeepsPlanCache) {
   nd::Executor executor;
   nd::ExecResult out;
   for (int i = 0; i < 4; ++i)
-    executor.runInto(*prog, gen.randomInputs(sig, rng), out);
+    runCached(executor, *prog, gen.randomInputs(sig, rng), out);
   EXPECT_EQ(executor.planCompiles(), 1u);
   EXPECT_EQ(executor.planLookups(), 4u);
   EXPECT_EQ(executor.planCacheSize(), 1u);
@@ -470,14 +521,14 @@ TEST(Executor, ResetCountersClearsDeltasButKeepsPlanCache) {
 
   // Re-running the same program is a pure cache hit: lookups advance from
   // zero, compiles stay zero — exactly the delta a service worker reports.
-  executor.runInto(*prog, gen.randomInputs(sig, rng), out);
+  runCached(executor, *prog, gen.randomInputs(sig, rng), out);
   EXPECT_EQ(executor.planCompiles(), 0u);
   EXPECT_EQ(executor.planLookups(), 1u);
 
   // A genuinely new signature after the reset counts one compile.
   const nd::InputSignature sig2 = {nd::Type::List, nd::Type::Int};
   std::vector<nd::Value> inputs2 = {nd::Value(List{1, 2, 3}), nd::Value(2)};
-  executor.runInto(*prog, inputs2, out);
+  runCached(executor, *prog, inputs2, out);
   EXPECT_EQ(executor.planCompiles(), 1u);
   EXPECT_EQ(executor.planCacheSize(), 2u);
 }

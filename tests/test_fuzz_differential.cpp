@@ -29,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "../bench/legacy_baseline.hpp"
@@ -104,6 +105,35 @@ void expectSameTrace(const nd::ExecResult& engine, const nd::ExecResult& legacy,
   }
 }
 
+/// Asserts that every cell of `view` equals the scalar trace slot it stands
+/// for — statement k, lane j against runs[j].trace[k] — and that the view's
+/// output test accepts the scalar output.
+void expectViewMatchesScalar(const nd::LaneTraceView& view,
+                             const nd::ExecResult* runs, std::size_t examples,
+                             const nd::Program& program,
+                             const std::string& where) {
+  ASSERT_EQ(view.lanes, examples) << where;
+  ASSERT_EQ(view.steps, program.length()) << where;
+  for (std::size_t j = 0; j < examples; ++j) {
+    ASSERT_EQ(runs[j].trace.size(), view.steps) << where;
+    for (std::size_t k = 0; k < view.steps; ++k) {
+      nd::Value cell;
+      if (view.stepType(k) == nd::Type::Int) {
+        cell.setInt(view.intAt(k, j));
+      } else {
+        std::size_t len = 0;
+        const std::int32_t* seg = view.listAt(k, j, &len);
+        cell.makeList().assign(seg, seg + len);
+      }
+      ASSERT_EQ(cell, runs[j].trace[k])
+          << where << " example " << j << " (" << examples
+          << " lanes) trace slot " << k << ": " << program.toString();
+    }
+    ASSERT_TRUE(view.outputEquals(j, runs[j].output()))
+        << where << " example " << j << ": " << program.toString();
+  }
+}
+
 }  // namespace
 
 // --------------------------------------------- engine vs legacy fuzz ------
@@ -164,6 +194,7 @@ TEST(FuzzDifferential, DceNeverChangesProgramOutputs) {
   Rng rng(0xDCE5EED);
   const nd::Generator gen;
   nd::Executor executor;
+  nd::ExecResult full, reduced;  // pooled slots, refilled per program
 
   std::size_t programsWithDeadCode = 0;
   for (std::size_t n = 0; n < kPrograms; ++n) {
@@ -174,10 +205,9 @@ TEST(FuzzDifferential, DceNeverChangesProgramOutputs) {
 
     for (std::size_t j = 0; j < 2; ++j) {
       const std::vector<nd::Value> in = gen.randomInputs(sig, rng);
-      const nd::Value& full = executor.evalInto(program, in);
-      const nd::Value fullCopy = full;  // evalInto's slot is reused below
-      const nd::Value& reduced = executor.evalInto(stripped, in);
-      ASSERT_EQ(fullCopy, reduced)
+      nd::executePlan(executor.planFor(program, sig), in, full);
+      nd::executePlan(executor.planFor(stripped, sig), in, reduced);
+      ASSERT_EQ(full.output(), reduced.output())
           << "case " << n << ": " << program.toString() << "  ->  "
           << stripped.toString();
       if (::testing::Test::HasFatalFailure()) return;
@@ -191,13 +221,13 @@ TEST(FuzzDifferential, DceNeverChangesProgramOutputs) {
 
 namespace {
 
-/// Fuzzes the SoA lane executor against scalar executePlanMulti — the
+/// Fuzzes the SoA lane view against scalar executePlanMulti — the
 /// designated oracle for the SIMD path (the scalar path itself is pinned
 /// against the frozen legacy interpreter above, so equality is transitive
-/// back to the seed). Trace equality is checked slot by slot on every
-/// example. Example counts sweep the lane-group tails: 1, one full SIMD
-/// vector +/- 1, SoATrace::kMaxLanes - 1 / exact / + 1, and two groups
-/// plus a ragged tail.
+/// back to the seed). Every view cell is checked against its trace slot on
+/// every example. Example counts sweep the lane tails: 1, one full SIMD
+/// vector +/- 1, and SoATrace::kMaxLanes - 1 / exact; one past the limit
+/// and two limits plus a ragged tail must be refused.
 void fuzzLanesVsScalar(const nd::Domain& domain, std::uint64_t seed) {
   constexpr std::size_t kPrograms = 6000;
   const std::size_t laneTails[] = {1,
@@ -208,17 +238,14 @@ void fuzzLanesVsScalar(const nd::Domain& domain, std::uint64_t seed) {
                                    nd::SoATrace::kMaxLanes,
                                    nd::SoATrace::kMaxLanes + 1,
                                    2 * nd::SoATrace::kMaxLanes + 3};
-  constexpr std::size_t kMaxExamples = 2 * nd::SoATrace::kMaxLanes + 3;
 
   Rng rng(seed);
   const nd::Generator gen(domain);
   nd::Executor executor;
-  nd::SoATrace trace;
-  // Persistent slots for both paths: the retained-buffer reuse of each is
-  // part of what the differential covers.
-  std::vector<nd::ExecResult> scalarRuns(kMaxExamples);
-  std::vector<nd::ExecResult> laneRuns(kMaxExamples);
-  std::vector<nd::Value> laneOuts(kMaxExamples);
+  // Persistent scalar slots: their retained-buffer reuse is part of what
+  // the differential covers, as is the lane scratch's.
+  std::vector<nd::ExecResult> scalarRuns(nd::SoATrace::kMaxLanes);
+  nd::LaneTraceView view;
 
   for (std::size_t n = 0; n < kPrograms; ++n) {
     const nd::InputSignature sig = gen.randomSignature(rng);
@@ -247,24 +274,18 @@ void fuzzLanesVsScalar(const nd::Domain& domain, std::uint64_t seed) {
     }
 
     const nd::ExecPlan& plan = executor.planFor(program, sig);
-    nd::executePlanMulti(plan, inputSets.data(), examples, scalarRuns.data());
-    nd::executePlanMultiLanes(plan, inputSets.data(), examples,
-                              laneRuns.data(), trace);
-    nd::executePlanMultiLanesOutputs(plan, inputSets.data(), examples,
-                                     laneOuts.data(), trace);
-    for (std::size_t j = 0; j < examples; ++j) {
-      ASSERT_EQ(laneRuns[j].trace.size(), scalarRuns[j].trace.size())
-          << "case " << n << " example " << j << ": " << program.toString();
-      for (std::size_t k = 0; k < laneRuns[j].trace.size(); ++k) {
-        ASSERT_EQ(laneRuns[j].trace[k], scalarRuns[j].trace[k])
-            << "case " << n << " example " << j << " (" << examples
-            << " lanes) trace slot " << k << ": " << program.toString();
-      }
-      ASSERT_EQ(laneOuts[j], scalarRuns[j].output())
-          << "case " << n << " example " << j << " (" << examples
-          << " lanes) output-only path: " << program.toString();
-      if (::testing::Test::HasFatalFailure()) return;
+    if (examples > nd::SoATrace::kMaxLanes) {
+      ASSERT_FALSE(
+          executor.executeMultiView(plan, inputSets.data(), examples, view))
+          << "case " << n << ": " << examples << " examples";
+      continue;
     }
+    nd::executePlanMulti(plan, inputSets.data(), examples, scalarRuns.data());
+    ASSERT_TRUE(
+        executor.executeMultiView(plan, inputSets.data(), examples, view));
+    expectViewMatchesScalar(view, scalarRuns.data(), examples, program,
+                            "case " + std::to_string(n));
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -281,48 +302,10 @@ TEST(FuzzDifferential, LaneExecutorMatchesScalarOracleOnStrDomain) {
   fuzzLanesVsScalar(nd::strDomain(), 0x51D0B);
 }
 
-// The Executor-level switch: both settings of setLaneExecution must produce
-// identical traces through the same executeMulti entry point (this is the
-// contract SpecEvaluator and the NS scorer rely on when the config flag
-// flips), and the compiled backend must report a known name.
-TEST(FuzzDifferential, ExecutorBackendSwitchIsTraceInvisible) {
-  const std::string backend = nd::Executor::backendName();
-  EXPECT_TRUE(backend == "avx2" || backend == "scalar") << backend;
-
-  Rng rng(0xBAC63D);
-  const nd::Generator gen;
-  nd::Executor executor;
-  constexpr std::size_t kExamples = 10;
-  std::vector<nd::ExecResult> laneRuns(kExamples), scalarRuns(kExamples);
-  for (std::size_t n = 0; n < 500; ++n) {
-    const nd::InputSignature sig = gen.randomSignature(rng);
-    const nd::Program program = randomRawProgram(1 + rng.uniform(8), rng);
-    std::vector<std::vector<nd::Value>> inputs;
-    std::vector<const std::vector<nd::Value>*> inputSets;
-    inputs.reserve(kExamples);
-    for (std::size_t j = 0; j < kExamples; ++j) {
-      inputs.push_back(gen.randomInputs(sig, rng));
-      inputSets.push_back(&inputs[j]);
-    }
-    const nd::ExecPlan& plan = executor.planFor(program, sig);
-    executor.setLaneExecution(true);
-    ASSERT_TRUE(executor.laneExecution());
-    executor.executeMulti(plan, inputSets.data(), kExamples, laneRuns.data());
-    executor.setLaneExecution(false);
-    executor.executeMulti(plan, inputSets.data(), kExamples,
-                          scalarRuns.data());
-    for (std::size_t j = 0; j < kExamples; ++j)
-      for (std::size_t k = 0; k < laneRuns[j].trace.size(); ++k)
-        ASSERT_EQ(laneRuns[j].trace[k], scalarRuns[j].trace[k])
-            << "case " << n << ": " << program.toString();
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
 // The pinned-ingest fast path in production shape: one immutable spec, many
 // candidate programs through one Executor with pinExampleInputs (exactly how
-// SpecEvaluator drives it). Both executeMulti and executeMultiOutputs must
-// match the scalar oracle on every candidate — the ingest is only ever
+// SpecEvaluator drives it). Every view cell and output test must match the
+// scalar oracle on every candidate — the ingest is only ever
 // transposed once, so any lane-table corruption by a plan would poison all
 // later candidates and be caught here. Then the pin lifecycle: re-pinning
 // the same array after its contents changed must force a fresh ingest (the
@@ -346,27 +329,19 @@ TEST(FuzzDifferential, PinnedIngestMatchesScalarOracleAcrossCandidates) {
     nd::Executor executor;
     executor.pinExampleInputs(inputSets.data(), kExamples);
 
-    std::vector<nd::ExecResult> laneRuns(kExamples), scalarRuns(kExamples);
-    std::vector<nd::Value> laneOuts(kExamples);
+    std::vector<nd::ExecResult> scalarRuns(kExamples);
+    nd::LaneTraceView view;
     const auto checkCandidates = [&](std::size_t cases) {
       for (std::size_t n = 0; n < cases; ++n) {
         const nd::Program program = randomRawProgram(1 + rng.uniform(8), rng);
         const nd::ExecPlan& plan = executor.planFor(program, sig);
-        executor.executeMulti(plan, inputSets.data(), kExamples,
-                              laneRuns.data());
-        executor.executeMultiOutputs(plan, inputSets.data(), kExamples,
-                                     laneOuts.data());
+        ASSERT_TRUE(executor.executeMultiView(plan, inputSets.data(),
+                                              kExamples, view));
         nd::executePlanMulti(plan, inputSets.data(), kExamples,
                              scalarRuns.data());
-        for (std::size_t j = 0; j < kExamples; ++j) {
-          for (std::size_t k = 0; k < laneRuns[j].trace.size(); ++k)
-            ASSERT_EQ(laneRuns[j].trace[k], scalarRuns[j].trace[k])
-                << "round " << round << " case " << n << ": "
-                << program.toString();
-          ASSERT_EQ(laneOuts[j], scalarRuns[j].output())
-              << "round " << round << " case " << n << ": "
-              << program.toString();
-        }
+        expectViewMatchesScalar(
+            view, scalarRuns.data(), kExamples, program,
+            "round " + std::to_string(round) + " case " + std::to_string(n));
         if (::testing::Test::HasFatalFailure()) return;
       }
     };
@@ -439,13 +414,12 @@ TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
 
     // Scalar oracle: scalar-executor traces, scattered and encoded in place.
     nd::Executor scalarExec;
-    scalarExec.setLaneExecution(false);
     std::vector<nd::ExecResult> runs(examples);
     std::vector<nf::EncodedTrace> scattered(kGenes);
     std::vector<const nf::EncodedTrace*> scatteredPtrs;
     for (std::size_t b = 0; b < kGenes; ++b) {
       const nd::ExecPlan& plan = scalarExec.planFor(genes[b], sig);
-      scalarExec.executeMulti(plan, inputSets.data(), examples, runs.data());
+      nd::executePlanMulti(plan, inputSets.data(), examples, runs.data());
       model.encodeTrace(spec, genes[b], runs, scattered[b]);
       scatteredPtrs.push_back(&scattered[b]);
     }
@@ -454,7 +428,6 @@ TEST(FuzzDifferential, LaneViewEncodingMatchesScalarNnScoresBitwise) {
     // gene is encoded before the next execution overwrites it — the same
     // consume-before-advance discipline the synthesizer uses.
     nd::Executor lanesExec;
-    lanesExec.setLaneExecution(true);
     lanesExec.pinExampleInputs(inputSets.data(), examples);
     model.beginLaneCapture(spec);
     std::vector<nf::EncodedTrace> encoded(kGenes);
@@ -539,7 +512,6 @@ TEST(FuzzDifferential, CapturedCellsAreIndependentOfExecutorBuffers) {
     for (const auto& g : genes) genePtrs.push_back(&g);
 
     nd::Executor exec;
-    exec.setLaneExecution(true);
     exec.pinExampleInputs(inputSets.data(), examples);
     nd::LaneTraceView view;
     const auto execute = [&](const nd::Program& g) {

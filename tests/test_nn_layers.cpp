@@ -2,7 +2,9 @@
 // toy problems, optimizer behaviour, and serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -265,6 +267,40 @@ TEST(Optim, AdamMinimizesQuadratic) {
     opt.step();
   }
   EXPECT_NEAR(p->value().at(0), 1.5f, 1e-2f);
+}
+
+// Golden bits of the parameters and both moment estimates after three Adam
+// steps on fixed inputs. Each update is a sum of products; a build that
+// fuses one into a multiply-add (FMA codegen with contraction on, e.g.
+// -march=native) rounds once where this one rounds twice and fails here.
+TEST(Optim, AdamStepBitsAreBuildIndependent) {
+  nn::ParamStore store;
+  auto p = store.make(
+      nn::Matrix(2, 3, {-0.6f, 0.35f, -0.1f, 0.9f, 0.15f, -1.3f}));
+  const float kGrads[3][6] = {{-0.73f, 0.41f, 1.9f, -2.2f, 0.07f, 0.66f},
+                              {0.52f, -0.31f, 1.3f, -1.7f, 0.91f, -0.05f},
+                              {-0.2f, 0.83f, 0.47f, -0.9f, 1.15f, 0.38f}};
+  nn::Adam adam(store, 0.01f);
+  for (const auto& grads : kGrads) {
+    for (std::size_t i = 0; i < 6; ++i) p->grad().at(i) = grads[i];
+    adam.step();
+  }
+  const std::uint32_t kParams[] = {0xbf162c2au, 0x3eaaaeeau, 0xbe0376b3u,
+                                   0x3f6dd74fu, 0x3dfc6b15u, 0xbfa96545u};
+  const std::uint32_t kM[] = {0xbd046c79u, 0x3db4dbe2u, 0x3ea2c3ccu,
+                              0xbed7a78au, 0x3e4f6e86u, 0x3db21818u};
+  const std::uint32_t kV[] = {0x3a5cb68bu, 0x3a79bba2u, 0x3bb49d5bu,
+                              0x3c0bb632u, 0x3b0d34c4u, 0x3a1877ceu};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(p->value().at(i)), kParams[i])
+        << "param " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(adam.firstMoments()[0].at(i)),
+              kM[i])
+        << "m " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(adam.secondMoments()[0].at(i)),
+              kV[i])
+        << "v " << i;
+  }
 }
 
 // ---------------------------------------------------- serialization -------

@@ -316,11 +316,12 @@ TEST(ServiceProtocol, FullSessionOverLines) {
          << "{\"op\": \"submit\", \"method\": \"Edit\", \"config\": "
          << cfg.toJson() << "}\n"
          << "{\"op\": \"wait\", \"job\": 1}\n"
-         << "{\"op\": \"stats\"}\n"
+         << "{\"op\": \"metrics\"}\n"
          << "{\"op\": \"nonsense\"}\n"
+         << "{\"op\": \"stats\"}\n"
          << "{\"op\": \"shutdown\"}\n";
   const auto responses = runSession(script.str());
-  ASSERT_EQ(responses.size(), 8u);
+  ASSERT_EQ(responses.size(), 9u);
 
   EXPECT_TRUE(okOf(responses[0]));   // ping
   EXPECT_FALSE(okOf(responses[1]));  // garbage line -> error, session lives
@@ -341,10 +342,15 @@ TEST(ServiceProtocol, FullSessionOverLines) {
   EXPECT_NE(done.find("synthesized_fraction"), nullptr);
   EXPECT_NE(done.find("plan_hits"), nullptr);
 
-  ASSERT_TRUE(okOf(responses[5]));  // stats
+  ASSERT_TRUE(okOf(responses[5]));  // metrics carries the session counters
   EXPECT_EQ(nu::jsonUnsigned(*responses[5].find("jobs_submitted"), "n"), 1u);
   EXPECT_FALSE(okOf(responses[6]));  // unknown op
-  EXPECT_TRUE(okOf(responses[7]));   // shutdown
+  // "stats" was folded into "metrics": it is an unknown op like any other.
+  ASSERT_FALSE(okOf(responses[7]));
+  std::string error;
+  nu::readString(responses[7], "error", error);
+  EXPECT_EQ(error, "unknown op 'stats'");
+  EXPECT_TRUE(okOf(responses[8]));   // shutdown
 }
 
 TEST(ServiceProtocol, WaitOnAPausedJobReturnsInsteadOfDeadlocking) {

@@ -195,7 +195,7 @@ TEST(StrDomain, RandomProgramsExecuteTotally) {
     const auto inputs = gen.randomInputs(sig, rng);
     const auto fresh = nd::run(p, inputs);
     nd::ExecResult pooled;
-    exec.runInto(p, inputs, pooled);
+    nd::executePlan(exec.planFor(p, sig), inputs, pooled);
     ASSERT_EQ(fresh.trace.size(), pooled.trace.size());
     for (std::size_t k = 0; k < fresh.trace.size(); ++k)
       EXPECT_TRUE(fresh.trace[k] == pooled.trace[k]);

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -73,6 +75,23 @@ TEST(Rng, UniformRealMeanIsCentered) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.uniformReal();
   EXPECT_NEAR(sum / n, 0.5, 0.02);
+}
+
+// Golden bits of the scaled draws that initialize every weight
+// (nn/layers.cpp): lo + (hi - lo) * u must round twice on every build. A
+// build that fuses it into one multiply-add (FMA codegen with contraction
+// on, e.g. -march=native) rounds once and fails here.
+TEST(Rng, ScaledUniformRealBitsAreBuildIndependent) {
+  const std::uint64_t kGolden[] = {
+      0x3fd6de074d152776ULL, 0xbfbebe61989dc284ULL, 0x3f70718d6b4a6f40ULL,
+      0x3fd72492db5b27f4ULL, 0x3fc8a6ea38a1f198ULL, 0x3fce6b84063b4f34ULL,
+      0xbfa670d61bd0c2c8ULL, 0xbf969c82165c7e70ULL};
+  nu::Rng rng(2021);
+  const double s = std::sqrt(6.0 / 40.0);  // a Xavier bound
+  for (std::size_t i = 0; i < std::size(kGolden); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.uniformReal(-s, s)),
+              kGolden[i])
+        << "draw " << i;
 }
 
 TEST(Rng, NormalMoments) {
