@@ -15,31 +15,45 @@ InputSignature Generator::randomSignature(util::Rng& rng) const {
   return sig;
 }
 
-Value Generator::randomValue(Type t, util::Rng& rng) const {
+void Generator::drawValue(Type t, util::Rng& rng, Value& out) const {
   if (t == Type::Int) {
     const std::int32_t lo = config_.useIntRange ? config_.intMinValue
                                                 : config_.minValue;
     const std::int32_t hi = config_.useIntRange ? config_.intMaxValue
                                                 : config_.maxValue;
-    return Value(static_cast<std::int32_t>(rng.uniformInt(lo, hi)));
+    out.setInt(static_cast<std::int32_t>(rng.uniformInt(lo, hi)));
+    return;
   }
-  if (auto* sample = domain().sampleListValue) return sample(config_, rng);
+  if (auto* sample = domain().sampleListValue) {
+    out = sample(config_, rng);
+    return;
+  }
   const int len = static_cast<int>(
       rng.uniformInt(config_.minListLength, config_.maxListLength));
-  std::vector<std::int32_t> xs;
-  xs.reserve(static_cast<std::size_t>(len));
-  for (int i = 0; i < len; ++i) {
-    xs.push_back(static_cast<std::int32_t>(
-        rng.uniformInt(config_.minValue, config_.maxValue)));
+  std::vector<std::int32_t>& xs = out.makeList();
+  xs.resize(static_cast<std::size_t>(len));
+  for (std::int32_t& x : xs) {
+    x = static_cast<std::int32_t>(
+        rng.uniformInt(config_.minValue, config_.maxValue));
   }
-  return Value(std::move(xs));
+}
+
+Value Generator::randomValue(Type t, util::Rng& rng) const {
+  Value v;
+  drawValue(t, rng, v);
+  return v;
+}
+
+void Generator::drawInputs(const InputSignature& sig, util::Rng& rng,
+                           std::vector<Value>& out) const {
+  out.resize(sig.size());
+  for (std::size_t i = 0; i < sig.size(); ++i) drawValue(sig[i], rng, out[i]);
 }
 
 std::vector<Value> Generator::randomInputs(const InputSignature& sig,
                                            util::Rng& rng) const {
   std::vector<Value> inputs;
-  inputs.reserve(sig.size());
-  for (Type t : sig) inputs.push_back(randomValue(t, rng));
+  drawInputs(sig, rng, inputs);
   return inputs;
 }
 
@@ -86,23 +100,24 @@ std::optional<Program> Generator::randomProgram(
 std::optional<Spec> Generator::makeSpec(const Program& program,
                                         const InputSignature& sig,
                                         std::size_t m, util::Rng& rng) const {
+  // The plan depends only on (program, sig), so one compile serves every
+  // example of every attempt, and the examples are redrawn in place. Running
+  // a plan draws no random numbers: the RNG stream is that of one
+  // randomInputs and one eval per example.
+  const ExecPlan plan = compilePlan(program, sig);
+  ExecResult scratch;
+  Spec spec;
+  spec.examples.resize(m);
   for (int attempt = 0; attempt < config_.maxAttempts; ++attempt) {
-    Spec spec;
-    spec.examples.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      IOExample ex;
-      ex.inputs = randomInputs(sig, rng);
-      ex.output = eval(program, ex.inputs);
-      spec.examples.push_back(std::move(ex));
-    }
     // Reject degenerate specs: every output equal to the type default gives
     // the synthesizer (and the fitness model) nothing to distinguish.
     bool degenerate = true;
-    for (const IOExample& ex : spec.examples) {
-      if (!(ex.output == Value::defaultFor(ex.output.type()))) {
-        degenerate = false;
-        break;
-      }
+    for (IOExample& ex : spec.examples) {
+      drawInputs(sig, rng, ex.inputs);
+      executePlan(plan, ex.inputs, scratch);
+      ex.output = scratch.output();
+      degenerate = degenerate &&
+                   ex.output == Value::defaultFor(ex.output.type());
     }
     if (!degenerate) return spec;
   }

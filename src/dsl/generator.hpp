@@ -95,6 +95,12 @@ class Generator {
                                          util::Rng& rng) const;
 
  private:
+  /// randomValue / randomInputs drawn into existing storage (same draws),
+  /// so a retained list buffer is refilled instead of reallocated.
+  void drawValue(Type t, util::Rng& rng, Value& out) const;
+  void drawInputs(const InputSignature& sig, util::Rng& rng,
+                  std::vector<Value>& out) const;
+
   GeneratorConfig config_;
 };
 

@@ -168,7 +168,7 @@ class Executor {
   }
 
   /// Declares `sets[0..count)` stable: the array and every pointed-to input
-  /// tuple will not change (contents included) until re-pinned or cleared.
+  /// tuple will not change (contents included) until re-pinned.
   /// Lets the lane executor ingest the example inputs into its SoA store
   /// once per spec instead of once per candidate — the dominant fixed cost
   /// at the paper's m=5..10 examples. SpecEvaluator pins its spec on
@@ -181,12 +181,6 @@ class Executor {
     // Drop any trace-level pin: a new pin means new inputs, and a recycled
     // allocation could otherwise alias the previous array's address and
     // inherit its stale ingest.
-    laneScratch_.pinKey = nullptr;
-    laneScratch_.pinnedUsed = 0;
-  }
-  void clearPinnedInputs() {
-    pinnedSets_ = nullptr;
-    pinnedCount_ = 0;
     laneScratch_.pinKey = nullptr;
     laneScratch_.pinnedUsed = 0;
   }

@@ -174,10 +174,15 @@ std::vector<PairSample> buildPairs(const DatasetConfig& config, std::size_t n,
 
 std::vector<std::vector<dsl::Value>> tracesFor(const dsl::Program& candidate,
                                                const dsl::Spec& spec) {
+  // One plan for every example: they share the spec's signature.
+  const dsl::ExecPlan plan = dsl::compilePlan(candidate, spec.signature());
+  dsl::ExecResult scratch;
   std::vector<std::vector<dsl::Value>> traces;
   traces.reserve(spec.size());
-  for (const auto& ex : spec.examples)
-    traces.push_back(dsl::run(candidate, ex.inputs).trace);
+  for (const auto& ex : spec.examples) {
+    dsl::executePlan(plan, ex.inputs, scratch);
+    traces.push_back(scratch.trace);
+  }
   return traces;
 }
 

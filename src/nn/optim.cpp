@@ -40,13 +40,18 @@ void Adam::step() {
     Node& p = *params[k];
     Matrix& m = m_[k];
     Matrix& v = v_[k];
-    for (std::size_t i = 0; i < p.value().size(); ++i) {
-      const float g = p.grad().at(i);
-      m.at(i) = beta1_ * m.at(i) + (1.0f - beta1_) * g;
-      v.at(i) = beta2_ * v.at(i) + (1.0f - beta2_) * g * g;
-      const float mhat = m.at(i) / bc1;
-      const float vhat = v.at(i) / bc2;
-      p.value().at(i) -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    const std::size_t n = p.value().size();
+    float* w = p.value().data();
+    const float* gr = p.grad().data();
+    float* mv = m.data();
+    float* vv = v.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = gr[i];
+      mv[i] = beta1_ * mv[i] + (1.0f - beta1_) * g;
+      vv[i] = beta2_ * vv[i] + (1.0f - beta2_) * g * g;
+      const float mhat = mv[i] / bc1;
+      const float vhat = vv[i] / bc2;
+      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
   store_.bumpVersion();

@@ -17,7 +17,23 @@ void addRowTimesMatrix(float* out, const float* x, const float* b,
 
 void addRowTimesTranspose(float* out, const float* x, const float* b,
                           std::size_t k, std::size_t m) {
-  for (std::size_t kk = 0; kk < k; ++kk) {
+  // Blocks of 8 output entries run 8 independent accumulator chains through
+  // one pass over x, instead of one latency-bound chain per entry. Each
+  // accumulator still adds its own products in ascending j, each product
+  // rounded before its add, so every entry is the one-accumulator loop's
+  // bit for bit.
+  constexpr std::size_t kBlock = 8;
+  std::size_t kk = 0;
+  for (; kk + kBlock <= k; kk += kBlock) {
+    const float* brow = b + kk * m;
+    float acc[kBlock] = {};
+    for (std::size_t j = 0; j < m; ++j) {
+      const float xj = x[j];
+      for (std::size_t r = 0; r < kBlock; ++r) acc[r] += xj * brow[r * m + j];
+    }
+    for (std::size_t r = 0; r < kBlock; ++r) out[kk + r] += acc[r];
+  }
+  for (; kk < k; ++kk) {
     const float* brow = b + kk * m;
     float acc = 0.0f;
     for (std::size_t j = 0; j < m; ++j) acc += x[j] * brow[j];

@@ -3,7 +3,10 @@
 // serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dsl/dce.hpp"
+#include "dsl/domain.hpp"
 #include "dsl/generator.hpp"
 #include "dsl/interpreter.hpp"
 #include "util/rng.hpp"
@@ -115,6 +118,81 @@ TEST(Generator, MakeSpecRejectsAllDefaultOutputs) {
           !(ex.output == nd::Value::defaultFor(ex.output.type()));
     }
     EXPECT_TRUE(any_nondefault);
+  }
+}
+
+namespace {
+
+/// makeSpec as one eval per example: a fresh plan for every example and a
+/// fresh spec for every attempt. The oracle for the compile-once makeSpec.
+std::optional<nd::Spec> makeSpecByEval(const nd::Generator& gen,
+                                       const nd::Program& program,
+                                       const nd::InputSignature& sig,
+                                       std::size_t m, Rng& rng) {
+  for (int attempt = 0; attempt < gen.config().maxAttempts; ++attempt) {
+    nd::Spec spec;
+    for (std::size_t j = 0; j < m; ++j) {
+      nd::IOExample ex;
+      ex.inputs = gen.randomInputs(sig, rng);
+      ex.output = nd::eval(program, ex.inputs);
+      spec.examples.push_back(std::move(ex));
+    }
+    bool degenerate = true;
+    for (const nd::IOExample& ex : spec.examples)
+      degenerate = degenerate &&
+                   ex.output == nd::Value::defaultFor(ex.output.type());
+    if (!degenerate) return spec;
+  }
+  return std::nullopt;
+}
+
+void expectSameSpec(const std::optional<nd::Spec>& got,
+                    const std::optional<nd::Spec>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  ASSERT_EQ(got->size(), want->size());
+  for (std::size_t j = 0; j < got->size(); ++j) {
+    EXPECT_EQ(got->examples[j].inputs, want->examples[j].inputs) << j;
+    EXPECT_EQ(got->examples[j].output, want->examples[j].output) << j;
+  }
+}
+
+}  // namespace
+
+TEST(Generator, MakeSpecMatchesPerExampleEvalStream) {
+  for (const nd::Domain* domain : {&nd::listDomain(), &nd::strDomain()}) {
+    SCOPED_TRACE(domain->name);
+    const nd::Generator gen(*domain);
+    Rng draw(31), fast(37), slow(37);
+    std::size_t specs = 0;
+    for (int i = 0; i < 300; ++i) {
+      const auto sig = gen.randomSignature(draw);
+      const auto length = static_cast<std::size_t>(draw.uniformInt(1, 6));
+      const auto m = static_cast<std::size_t>(draw.uniformInt(1, 10));
+      const auto p = gen.randomProgram(length, sig, draw);
+      ASSERT_TRUE(p.has_value());
+      const auto got = gen.makeSpec(*p, sig, m, fast);
+      expectSameSpec(got, makeSpecByEval(gen, *p, sig, m, slow));
+      specs += got.has_value();
+      ASSERT_EQ(fast(), slow()) << "program " << i;
+    }
+    EXPECT_GT(specs, 200u);
+  }
+}
+
+TEST(Generator, MakeSpecExhaustsAttemptsOnTheEvalStream) {
+  // Every output of this program is the empty list: all 1000 attempts are
+  // degenerate, and the call must consume exactly the eval loop's draws.
+  const nd::Generator gen;
+  const auto p = nd::Program::fromString("FILTER(>0) | FILTER(<0)");
+  ASSERT_TRUE(p.has_value());
+  for (const nd::InputSignature& sig :
+       {nd::InputSignature{nd::Type::List},
+        nd::InputSignature{nd::Type::List, nd::Type::Int}}) {
+    Rng fast(41), slow(41);
+    EXPECT_FALSE(gen.makeSpec(*p, sig, 5, fast).has_value());
+    EXPECT_FALSE(makeSpecByEval(gen, *p, sig, 5, slow).has_value());
+    EXPECT_EQ(fast(), slow());
   }
 }
 

@@ -12,6 +12,7 @@
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
 #include "nn/serialize.hpp"
+#include "nn/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace nn = netsyn::nn;
@@ -300,6 +301,83 @@ TEST(Optim, AdamStepBitsAreBuildIndependent) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(adam.secondMoments()[0].at(i)),
               kV[i])
         << "v " << i;
+  }
+}
+
+// ------------------------------------------- blocked kernel oracles -------
+
+namespace {
+
+/// Floats spread over many binades, with about one in six a signed zero, so
+/// that any change to the order of one output's additions shows in its bits.
+std::vector<float> spreadFloats(std::size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const auto kind = rng.uniform(6);
+    if (kind == 0) {
+      x = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    } else {
+      x = std::ldexp(static_cast<float>(rng.uniformReal(-1.0, 1.0)),
+                     static_cast<int>(rng.uniformInt(-12, 12)));
+    }
+  }
+  return v;
+}
+
+/// out[kk] += sum_j x[j] * B[kk][j], one accumulator, ascending j.
+void rowTimesTransposeOneAccumulator(float* out, const float* x,
+                                     const float* b, std::size_t k,
+                                     std::size_t m) {
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    float acc = 0.0f;
+    for (std::size_t j = 0; j < m; ++j) acc += x[j] * b[kk * m + j];
+    out[kk] += acc;
+  }
+}
+
+void expectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " " << i;
+}
+
+}  // namespace
+
+TEST(Kernels, RowTimesTransposeMatchesOneAccumulatorLoop) {
+  Rng rng(61);
+  for (std::size_t k : {1, 7, 8, 9, 16, 24, 25}) {
+    for (std::size_t m : {1, 5, 96}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " m=" << m);
+      const auto x = spreadFloats(m, rng);
+      const auto b = spreadFloats(k * m, rng);
+      auto got = spreadFloats(k, rng);
+      auto want = got;
+      nn::addRowTimesTranspose(got.data(), x.data(), b.data(), k, m);
+      rowTimesTransposeOneAccumulator(want.data(), x.data(), b.data(), k, m);
+      expectSameBits(got, want, "out");
+    }
+  }
+}
+
+TEST(Kernels, ABTransposeMatchesOneAccumulatorLoop) {
+  Rng rng(67);
+  constexpr std::size_t n = 3;
+  for (std::size_t k : {1, 7, 8, 9, 16, 24, 25}) {
+    for (std::size_t m : {1, 5, 96}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " m=" << m);
+      const nn::Matrix a(n, m, spreadFloats(n * m, rng));
+      const nn::Matrix b(k, m, spreadFloats(k * m, rng));
+      nn::Matrix c(n, k, spreadFloats(n * k, rng));
+      std::vector<float> want = c.vec();
+      nn::addABTranspose(c, a, b);
+      for (std::size_t i = 0; i < n; ++i)
+        rowTimesTransposeOneAccumulator(want.data() + i * k,
+                                        a.data() + i * m, b.data(), k, m);
+      expectSameBits(c.vec(), want, "c");
+    }
   }
 }
 
