@@ -198,21 +198,33 @@ Var scale(const Var& a, float s) {
   });
 }
 
-Var matmul(const Var& a, const Var& b) {
-  if (a->value().cols() != b->value().rows())
-    throw std::invalid_argument("matmul: inner dimensions disagree: " +
-                                a->value().shapeString() + " * " +
-                                b->value().shapeString());
-  Matrix out = matmulValue(a->value(), b->value());
-  return makeNode(std::move(out), {a, b}, [](Node& n) {
-    // dA += dC * B^T ; dB += A^T * dC.
-    Node& a = parent(n, 0);
-    Node& b = parent(n, 1);
-    if (a.requiresGrad()) addABTranspose(a.grad(), n.grad(), b.value());
-    if (b.requiresGrad()) {
-      const std::size_t k = a.value().cols(), m = n.grad().cols();
-      for (std::size_t i = 0; i < a.value().rows(); ++i)
-        accumulateOuter(b, a.value().data() + i * k, n.grad().data() + i * m);
+Var affine(const Var& x, const Var& w, const Var& base) {
+  const Matrix& xv = x->value();
+  const Matrix& bv = base->value();
+  const std::size_t k = w->value().rows(), m = w->value().cols();
+  if (xv.cols() != k || bv.rows() != 1 || bv.cols() != m)
+    throw std::invalid_argument("affine: shapes disagree: " +
+                                xv.shapeString() + " * " +
+                                w->value().shapeString() + " + " +
+                                bv.shapeString());
+  Matrix out(xv.rows(), m);
+  for (std::size_t i = 0; i < xv.rows(); ++i) {
+    float* row = out.data() + i * m;
+    std::copy(bv.data(), bv.data() + m, row);
+    addRowTimesMatrix(row, xv.data() + i * k, w->value().data(), k, m);
+  }
+  return makeNode(std::move(out), {x, w, base}, [k, m](Node& n) {
+    // Per row: dbase += g ; dW += x[i]^T g ; dx[i] += g W^T.
+    Node& x = parent(n, 0);
+    Node& w = parent(n, 1);
+    Node& base = parent(n, 2);
+    for (std::size_t i = 0; i < x.value().rows(); ++i) {
+      const float* g = n.grad().data() + i * m;
+      if (base.requiresGrad()) accumulateRow(base, 0, g);
+      if (w.requiresGrad()) accumulateOuter(w, x.value().data() + i * k, g);
+      if (x.requiresGrad())
+        addRowTimesTranspose(x.grad().data() + i * k, g, w.value().data(), k,
+                             m);
     }
   });
 }

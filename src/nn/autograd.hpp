@@ -127,7 +127,13 @@ Var add(const Var& a, const Var& b);       ///< same shape
 Var sub(const Var& a, const Var& b);       ///< same shape
 Var mulElem(const Var& a, const Var& b);   ///< Hadamard, same shape
 Var scale(const Var& a, float s);
-Var matmul(const Var& a, const Var& b);    ///< (n x k) * (k x m)
+
+/// base + x[i] * W for every row i of x: x is n x k, W k x m, and base
+/// 1 x m is broadcast (n x m out). Each row starts as a copy of base and
+/// adds x[i]'s products through addRowTimesMatrix (ascending inputs, zero
+/// inputs skipped): the order of the inference kernels, so a layer's
+/// training forward and its inference kernel return the same bits.
+Var affine(const Var& x, const Var& w, const Var& base);
 
 // ---- nonlinearities ---------------------------------------------------------
 

@@ -5,8 +5,10 @@
 // autograd graph for those forward-only passes wastes most of the time in
 // allocation. These kernels run the same math over raw float buffers held in
 // a reusable `InferenceScratch`. Training builds an autograd graph, with one
-// fused node per LSTM timestep (layers.hpp); the parity tests pin these
-// kernels to its forward values.
+// fused node per LSTM timestep (layers.hpp), in the same order (bias first,
+// then the inputs ascending) through the same row kernel (nn/tensor.hpp), so
+// these kernels return its forward values bit for bit; the parity tests pin
+// that with exact equality.
 #pragma once
 
 #include <cstddef>
@@ -64,19 +66,15 @@ void reluFast(float* x, std::size_t n);
 // ---- population-batched kernels --------------------------------------------
 //
 // The batched kernels run B rows through one layer at a time
-// (Z = X*Wx + H*Wh + b broadcast), each row through the same row kernel as
-// the single-row ones, and skip rows masked out by `active` outright. With
-// AVX2 the row kernel keeps up to 96 output columns in registers across the
-// whole input loop; per output it adds the inputs' products in ascending
-// input order, each product rounded before its add, and skips inputs equal
-// to zero. So a batched forward is bitwise identical to B scalar forwards
-// (pinned by tests/test_batch_parity.cpp), and every backend computes the
-// same floats.
+// (Z = (b broadcast + X*Wx) + H*Wh), each row through the same row kernel as
+// the single-row ones (addRowTimesMatrix), and skip rows masked out by
+// `active` outright. So a batched forward is bitwise identical to B scalar
+// forwards (pinned by tests/test_batch_parity.cpp), and every backend
+// computes the same floats.
 
 /// Z += X * W over `batch` rows: X is batch x xStride (first `in` columns
 /// used), Z is batch x zStride (first w.cols() columns used). Rows with
-/// active[b] == 0 are skipped entirely (pass nullptr for all-active). The
-/// row kernel behind every layer here, exposed for tests.
+/// active[b] == 0 are skipped entirely (pass nullptr for all-active).
 void addVecMatBatch(const float* x, std::size_t xStride, std::size_t batch,
                     std::size_t in, const Matrix& w, float* z,
                     std::size_t zStride,

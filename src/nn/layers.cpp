@@ -1,6 +1,9 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "nn/gates.hpp"
 
@@ -30,7 +33,7 @@ Linear::Linear(std::size_t in, std::size_t out, ParamStore& store,
       w_(store.make(xavierUniform(in, out, rng))),
       b_(store.make(Matrix(1, out, 0.0f))) {}
 
-Var Linear::forward(const Var& x) const { return add(matmul(x, w_), b_); }
+Var Linear::forward(const Var& x) const { return affine(x, w_, b_); }
 
 Lstm::Lstm(std::size_t in, std::size_t hidden, ParamStore& store,
            util::Rng& rng)
@@ -45,25 +48,26 @@ Lstm::Lstm(std::size_t in, std::size_t hidden, ParamStore& store,
 
 namespace {
 
-/// One LSTM timestep as a single tape node. Parents, in this order: xw =
-/// x * Wx (its own matmul node, so Wx's gradient contributions still land in
-/// forward time order), the previous packed state [h | c], Wh, and b. Forward
-/// and backward perform exactly the float operations, in the same order, of
-/// the primitive-op composition
-///   z = (xw + h*Wh) + b; i, f, o = sigmoid; g = tanh;
+/// One LSTM timestep as a single tape node. Parents, in this order: the
+/// previous packed state [h | c], x, Wx, Wh and b. Forward and backward
+/// perform exactly the float operations, in the same order, of the
+/// primitive-op composition
+///   z = affine(h, Wh, affine(x, Wx, b)); i, f, o = sigmoid; g = tanh;
 ///   c' = f*c + i*g; h' = o * tanh(c'),
-/// so training through the cell reproduces the op-by-op tape bit for bit.
-Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
-             const Var& b, std::size_t hd) {
+/// so training through the cell reproduces the op-by-op tape bit for bit,
+/// and its forward computes lstmStepFast's floats.
+Var lstmCell(const Lstm::State& prev, const Var& x, const Var& wx,
+             const Var& wh, const Var& b, std::size_t hd) {
+  const std::size_t in = wx->value().rows();
   const std::size_t g4 = 4 * hd;
   const float* hPrev = prev->value().data();
   const float* cPrev = hPrev + hd;
   // Activations [i | f | g | o | tanh(c')], kept for the backward pass.
-  // The first 4H start as h*Wh.
-  std::vector<float> act(5 * hd, 0.0f);
+  // The first 4H start as b, then take x*Wx and h*Wh.
+  std::vector<float> act(5 * hd);
+  std::copy(b->value().data(), b->value().data() + g4, act.data());
+  addRowTimesMatrix(act.data(), x->value().data(), wx->value().data(), in, g4);
   addRowTimesMatrix(act.data(), hPrev, wh->value().data(), hd, g4);
-  for (std::size_t j = 0; j < g4; ++j)
-    act[j] = (xw->value().at(j) + act[j]) + b->value().at(j);
   float* ig = act.data();
   float* fg = ig + hd;
   float* gg = ig + 2 * hd;
@@ -79,12 +83,13 @@ Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
   tanhOf(c, tc, hd);
   for (std::size_t k = 0; k < hd; ++k) h[k] = og[k] * tc[k];
 
-  return makeNode(std::move(out), {xw, prev, wh, b},
-                  [act = std::move(act), hd](Node& n) {
-    Node& xwN = *n.parents()[0];
-    Node& prevN = *n.parents()[1];
-    Node& whN = *n.parents()[2];
-    Node& bN = *n.parents()[3];
+  return makeNode(std::move(out), {prev, x, wx, wh, b},
+                  [act = std::move(act), hd, in](Node& n) {
+    Node& prevN = *n.parents()[0];
+    Node& xN = *n.parents()[1];
+    Node& wxN = *n.parents()[2];
+    Node& whN = *n.parents()[3];
+    Node& bN = *n.parents()[4];
     const std::size_t g4 = 4 * hd;
     const float* i = act.data();
     const float* f = i + hd;
@@ -95,8 +100,7 @@ Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
     const float* hPrev = prevN.value().data();
     const float* cPrev = hPrev + hd;
     float* dPrev = prevN.requiresGrad() ? prevN.grad().data() : nullptr;
-    // xw feeds only this cell, so after this loop its gradient is dz.
-    float* dz = xwN.grad().data();
+    std::vector<float> dz(g4, 0.0f);  // summed from zero, as the oracle's
     for (std::size_t k = 0; k < hd; ++k) {
       const float dh = dhc[k];
       const float dtc = dh * o[k];
@@ -111,9 +115,13 @@ Var lstmCell(const Var& xw, const Lstm::State& prev, const Var& wh,
       dz[3 * hd + k] += dout * o[k] * (1.0f - o[k]);
       if (dPrev) dPrev[hd + k] += dc * f[k];
     }
-    if (bN.requiresGrad()) accumulateRow(bN, 0, dz);
-    if (dPrev) addRowTimesTranspose(dPrev, dz, whN.value().data(), hd, g4);
-    if (whN.requiresGrad()) accumulateOuter(whN, hPrev, dz);
+    const float* dzp = dz.data();
+    if (bN.requiresGrad()) accumulateRow(bN, 0, dzp);
+    if (dPrev) addRowTimesTranspose(dPrev, dzp, whN.value().data(), hd, g4);
+    if (whN.requiresGrad()) accumulateOuter(whN, hPrev, dzp);
+    if (wxN.requiresGrad()) accumulateOuter(wxN, xN.value().data(), dzp);
+    if (xN.requiresGrad())
+      addRowTimesTranspose(xN.grad().data(), dzp, wxN.value().data(), in, g4);
   });
 }
 
@@ -124,7 +132,11 @@ Lstm::State Lstm::initialState() const {
 }
 
 Lstm::State Lstm::step(const Var& x, const State& state) const {
-  return lstmCell(matmul(x, wx_), state, wh_, b_, hidden_);
+  if (x->value().rows() != 1 || x->value().cols() != in_)
+    throw std::invalid_argument("Lstm::step: input " +
+                                x->value().shapeString() + ", expected 1x" +
+                                std::to_string(in_));
+  return lstmCell(state, x, wx_, wh_, b_, hidden_);
 }
 
 Var Lstm::encode(const std::vector<Var>& sequence) const {

@@ -36,7 +36,7 @@ class Embedding {
   Var table_;  // vocab x dim
 };
 
-/// Fully connected layer: y = x * W + b.
+/// Fully connected layer: y = affine(x, W, b), i.e. b + x * W.
 class Linear {
  public:
   Linear(std::size_t in, std::size_t out, ParamStore& store, util::Rng& rng);
@@ -63,10 +63,12 @@ class Linear {
 /// `encode` runs the cell over a sequence of 1 x in vectors and returns the
 /// final hidden state; an empty sequence encodes to the zero vector.
 ///
-/// A timestep is two tape nodes: x * Wx, and one fused cell node whose value
-/// is the packed state [h | c] and whose forward and backward repeat, bit
-/// for bit, the arithmetic of the same step composed from the primitive ops
-/// (tests/test_nn_lstm_cell.cpp keeps that composition as the oracle).
+/// A timestep is one fused cell node whose value is the packed state [h | c]
+/// and whose forward and backward repeat, bit for bit, the arithmetic of
+/// the same step composed from the primitive ops, z = affine(h, Wh,
+/// affine(x, Wx, b)) and the gates (tests/test_nn_lstm_cell.cpp keeps that
+/// composition as the oracle). Its forward is also lstmStepFast's: z starts
+/// as b and adds x * Wx, then h * Wh, through the one row kernel.
 class Lstm {
  public:
   Lstm(std::size_t in, std::size_t hidden, ParamStore& store, util::Rng& rng);

@@ -2,17 +2,75 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#if defined(NETSYN_SIMD) && defined(__AVX2__)
+#define NETSYN_ROWS_AVX2 1
+#include <immintrin.h>
+#endif
 
 namespace netsyn::nn {
 
-void addRowTimesMatrix(float* out, const float* x, const float* b,
-                       std::size_t k, std::size_t m) {
+namespace {
+
+/// addRowTimesMatrix over the output columns [from, m): the scalar kernel,
+/// and the column tail of the AVX2 one.
+void addRowTimesColumns(float* out, const float* x, const float* b,
+                        std::size_t k, std::size_t m, std::size_t from) {
   for (std::size_t kk = 0; kk < k; ++kk) {
     const float xv = x[kk];
     if (xv == 0.0f) continue;
     const float* brow = b + kk * m;
-    for (std::size_t j = 0; j < m; ++j) out[j] += xv * brow[j];
+    for (std::size_t j = from; j < m; ++j) out[j] += xv * brow[j];
   }
+}
+
+#if NETSYN_ROWS_AVX2
+/// Column vectors per chunk: 12 of the 16 ymm registers hold accumulators,
+/// the rest the broadcast input and a weight load. 12 covers a 4 x 24 row.
+constexpr std::size_t kChunkVectors = 12;
+
+/// addRowTimesColumns over the 8 * sizeof...(K) columns at out and b (b's
+/// rows still m apart), with those column vectors held in registers across
+/// the whole input loop. Every lane repeats the scalar loop's operations in
+/// its order, and the mul and add never fuse (-ffp-contract=off), so the
+/// result is the scalar loop's bit for bit.
+template <std::size_t... K>
+void addRowTimesChunk(std::index_sequence<K...>, float* out, const float* x,
+                      const float* b, std::size_t k, std::size_t m) {
+  __m256 acc[] = {_mm256_loadu_ps(out + 8 * K)...};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    if (x[kk] == 0.0f) continue;
+    const __m256 xb = _mm256_set1_ps(x[kk]);
+    const float* brow = b + kk * m;
+    ((acc[K] = _mm256_add_ps(
+          acc[K], _mm256_mul_ps(xb, _mm256_loadu_ps(brow + 8 * K)))),
+     ...);
+  }
+  (_mm256_storeu_ps(out + 8 * K, acc[K]), ...);
+}
+
+/// The chunk kernel for n (<= N) column vectors.
+template <std::size_t N = kChunkVectors>
+void addRowTimesChunk(std::size_t n, float* out, const float* x,
+                      const float* b, std::size_t k, std::size_t m) {
+  if constexpr (N > 1)
+    if (n < N) return addRowTimesChunk<N - 1>(n, out, x, b, k, m);
+  addRowTimesChunk(std::make_index_sequence<N>(), out, x, b, k, m);
+}
+#endif
+
+}  // namespace
+
+void addRowTimesMatrix(float* out, const float* x, const float* b,
+                       std::size_t k, std::size_t m) {
+  std::size_t j = 0;
+#if NETSYN_ROWS_AVX2
+  for (std::size_t n; (n = std::min(kChunkVectors, (m - j) / 8)) > 0;
+       j += 8 * n)
+    addRowTimesChunk(n, out + j, x, b + j, k, m);
+#endif
+  addRowTimesColumns(out, x, b, k, m, j);
 }
 
 void addRowTimesTranspose(float* out, const float* x, const float* b,
@@ -49,24 +107,6 @@ void addOuter(float* c, const float* a, const float* x, std::size_t k,
     float* crow = c + kk * m;
     for (std::size_t j = 0; j < m; ++j) crow[j] += av * x[j];
   }
-}
-
-Matrix matmulValue(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols(), 0.0f);
-  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  for (std::size_t i = 0; i < n; ++i)
-    addRowTimesMatrix(c.data() + i * m, a.data() + i * k, b.data(), k, m);
-  return c;
-}
-
-void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b) {
-  // c (n x k) += a (n x m) * b^T (m x k), b is k x m.
-  assert(c.rows() == a.rows() && c.cols() == b.rows() &&
-         a.cols() == b.cols());
-  const std::size_t n = a.rows(), m = a.cols(), k = b.rows();
-  for (std::size_t i = 0; i < n; ++i)
-    addRowTimesTranspose(c.data() + i * k, a.data() + i * m, b.data(), k, m);
 }
 
 Matrix softmaxValue(const Matrix& logits) {

@@ -83,10 +83,13 @@ class Matrix {
   std::vector<float> data_;
 };
 
-// Row kernels behind the products below. The fused LSTM cell (layers.cpp)
-// calls them on raw rows, so it rounds exactly as the matmul op does.
+// Row kernels of the layers, for training (affine, the fused LSTM cell) and
+// inference (inference.cpp) alike, so the two paths round alike.
 
-/// out[0, m) += x[0, k) * B, B k x m row-major; zero entries of x are skipped.
+/// out[0, m) += x[0, k) * B, B k x m row-major: per output, the products in
+/// ascending input order, each rounded before its add; inputs equal to zero
+/// are skipped. The one forward row kernel; its AVX2 body returns the
+/// scalar loop's bits.
 void addRowTimesMatrix(float* out, const float* x, const float* b,
                        std::size_t k, std::size_t m);
 
@@ -97,12 +100,6 @@ void addRowTimesTranspose(float* out, const float* x, const float* b,
 /// C += a^T * x for C k x m, a 1 x k, x 1 x m; zero entries of a are skipped.
 void addOuter(float* c, const float* a, const float* x, std::size_t k,
               std::size_t m);
-
-/// C = A * B. Row-major, (i,k,j) loop order for sequential access.
-Matrix matmulValue(const Matrix& a, const Matrix& b);
-
-/// C += A * B^T (used by matmul backward for the input gradient).
-void addABTranspose(Matrix& c, const Matrix& a, const Matrix& b);
 
 /// Numerically stable softmax of a 1 x n row vector.
 Matrix softmaxValue(const Matrix& logits);

@@ -1153,7 +1153,16 @@ SubmitResult SynthService::submit(const harness::ExperimentConfig& config,
         const JobState st = jit->second->state;
         if (st != JobState::Cancelled && st != JobState::Failed) {
           ++impl_->sessionStats.attachHits;
-          return {jit->second->id, true};
+          // A joined terminal job becomes the newest history entry, so the
+          // next job to end cannot evict it before this client's wait.
+          auto& order = impl_->terminalOrder;
+          const std::uint64_t id = jit->second->id;
+          if (const auto pos = std::find(order.begin(), order.end(), id);
+              pos != order.end()) {
+            order.erase(pos);
+            order.push_back(id);
+          }
+          return {id, true};
         }
       }
     }

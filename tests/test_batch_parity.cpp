@@ -595,7 +595,7 @@ TEST(PrefixCaches, GenesSharingAnUncachedPrefixInOneBatch) {
     for (const auto& run : fx.runs[b]) traces.push_back(run.trace);
     const auto oracle = model.forward(fx.spec, fx.genes[b], traces);
     for (std::size_t j = 0; j < batched[b].size(); ++j)
-      EXPECT_NEAR(batched[b][j], oracle->value().at(j), 1e-5f)
+      EXPECT_EQ(batched[b][j], oracle->value().at(j))
           << "gene " << b << " logit " << j;
   }
   // And once more, now that every prefix is cached.

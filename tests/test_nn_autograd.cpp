@@ -88,22 +88,63 @@ TEST(Autograd, ScaleGradient) {
                  });
 }
 
-TEST(Autograd, MatmulGradient) {
+TEST(Autograd, AffineGradient) {
+  // Three rows of x over one broadcast base: the base's gradient sums every
+  // row's, W's sums the rows' outer products.
+  Rng rng(5);
+  checkGradients(
+      {randomMatrix(3, 4, rng), randomMatrix(4, 5, rng),
+       randomMatrix(1, 5, rng)},
+      [](const std::vector<nn::Var>& v) {
+        const nn::Var y = nn::affine(v[0], v[1], v[2]);
+        return nn::meanAll(nn::mulElem(y, y));
+      });
+}
+
+TEST(Autograd, AffineOnZeroBaseGradient) {
   Rng rng(5);
   checkGradients({randomMatrix(2, 3, rng), randomMatrix(3, 4, rng)},
                  [](const std::vector<nn::Var>& v) {
-                   return nn::meanAll(nn::matmul(v[0], v[1]));
+                   return nn::meanAll(nn::affine(
+                       v[0], v[1], nn::constant(nn::Matrix(1, 4, 0.0f))));
                  });
 }
 
-TEST(Autograd, MatmulChainGradient) {
+TEST(Autograd, AffineChainGradient) {
   Rng rng(6);
   checkGradients(
       {randomMatrix(1, 3, rng), randomMatrix(3, 3, rng),
        randomMatrix(3, 2, rng)},
       [](const std::vector<nn::Var>& v) {
-        return nn::meanAll(nn::matmul(nn::matmul(v[0], v[1]), v[2]));
+        const nn::Var zero3 = nn::constant(nn::Matrix(1, 3, 0.0f));
+        const nn::Var zero2 = nn::constant(nn::Matrix(1, 2, 0.0f));
+        return nn::meanAll(
+            nn::affine(nn::affine(v[0], v[1], zero3), v[2], zero2));
       });
+}
+
+TEST(Autograd, AffineStartsEachRowAtTheBase) {
+  // Each row is base + x[i] * W, the base first and the products added in
+  // ascending input order, zero inputs skipped: the inference kernels'
+  // order (see addRowTimesMatrix).
+  Rng rng(8);
+  const nn::Matrix x = randomMatrix(3, 6, rng);
+  const nn::Matrix w = randomMatrix(6, 5, rng);
+  const nn::Matrix b = randomMatrix(1, 5, rng);
+  nn::Matrix xz = x;
+  xz(1, 2) = 0.0f;
+  xz(2, 0) = -0.0f;
+  const nn::Var y =
+      nn::affine(nn::constant(xz), nn::constant(w), nn::constant(b));
+  ASSERT_EQ(y->value().rows(), 3u);
+  ASSERT_EQ(y->value().cols(), 5u);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 5; ++j) {
+      float want = b.at(j);
+      for (std::size_t k = 0; k < 6; ++k)
+        if (xz(i, k) != 0.0f) want += xz(i, k) * w(k, j);
+      EXPECT_EQ(y->value()(i, j), want) << i << "," << j;
+    }
 }
 
 TEST(Autograd, TanhGradient) {
@@ -247,7 +288,9 @@ TEST(Autograd, ShapeMismatchesThrow) {
   auto b = nn::parameter(nn::Matrix(1, 4, 1.0f));
   EXPECT_THROW(nn::add(a, b), std::invalid_argument);
   EXPECT_THROW(nn::mulElem(a, b), std::invalid_argument);
-  EXPECT_THROW(nn::matmul(a, b), std::invalid_argument);
+  EXPECT_THROW(nn::affine(a, b, b), std::invalid_argument);
+  EXPECT_THROW(nn::affine(a, nn::parameter(nn::Matrix(3, 4, 1.0f)), a),
+               std::invalid_argument);
   EXPECT_THROW(nn::sliceCols(a, 2, 5), std::invalid_argument);
   EXPECT_THROW(nn::selectRow(a, 1), std::invalid_argument);
   EXPECT_THROW(nn::softmaxCrossEntropy(a, 3), std::invalid_argument);

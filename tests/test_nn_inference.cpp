@@ -1,6 +1,8 @@
-// The allocation-free inference path must match the autograd graph path to
-// float precision — these tests pin that equivalence for every kernel and
-// for the full fitness models, whose oracle is forward()/forwardIOOnly().
+// The allocation-free inference path must return the autograd graph path's
+// floats exactly: training and inference add in one order (bias first, then
+// the inputs ascending) through one row kernel, so these tests pin equality
+// for every kernel and for the full fitness models, whose oracle is
+// forward()/forwardIOOnly().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,13 +19,19 @@ using netsyn::util::Rng;
 
 namespace {
 
-constexpr float kTol = 1e-5f;
-
 nn::Matrix randomRow(std::size_t n, Rng& rng) {
   nn::Matrix m(1, n);
   for (std::size_t i = 0; i < n; ++i)
     m.at(i) = static_cast<float>(rng.uniformReal(-1, 1));
   return m;
+}
+
+/// Fresh layers have zero biases (the LSTM's forget gate aside), which add
+/// the same in any order; random ones make the bias-first order observable.
+void randomizeBiases(nn::ParamStore& store, Rng& rng) {
+  for (const nn::Var& p : store.params())
+    if (p->value().rows() == 1) p->value() = randomRow(p->value().cols(), rng);
+  store.bumpVersion();
 }
 
 }  // namespace
@@ -32,6 +40,7 @@ TEST(FastInference, LstmStepMatchesGraph) {
   Rng rng(1);
   nn::ParamStore store;
   nn::Lstm lstm(5, 7, store, rng);
+  randomizeBiases(store, rng);
   const auto x = randomRow(5, rng);
 
   // Graph path: two steps.
@@ -47,8 +56,8 @@ TEST(FastInference, LstmStepMatchesGraph) {
   nn::lstmStepFast(lstm, x.data(), h.data(), c.data(), scratch);
 
   for (std::size_t j = 0; j < 7; ++j) {
-    EXPECT_NEAR(h[j], state->value().at(j), kTol);      // packed [h | c]
-    EXPECT_NEAR(c[j], state->value().at(7 + j), kTol);
+    EXPECT_EQ(h[j], state->value().at(j));      // packed [h | c]
+    EXPECT_EQ(c[j], state->value().at(7 + j));
   }
 }
 
@@ -68,7 +77,7 @@ TEST(FastInference, TokenEncodingMatchesGraph) {
   nn::InferenceScratch scratch;
   nn::lstmEncodeTokensFast(lstm, emb, tokens, h.data(), scratch);
   for (std::size_t j = 0; j < 6; ++j)
-    EXPECT_NEAR(h[j], expected->value().at(j), kTol);
+    EXPECT_EQ(h[j], expected->value().at(j));
 }
 
 TEST(FastInference, EmptySequenceIsZero) {
@@ -86,6 +95,7 @@ TEST(FastInference, LinearMatchesGraph) {
   Rng rng(4);
   nn::ParamStore store;
   nn::Linear lin(6, 3, store, rng);
+  randomizeBiases(store, rng);
   const auto x = randomRow(6, rng);
 
   nn::InferenceModeGuard guard;
@@ -94,7 +104,7 @@ TEST(FastInference, LinearMatchesGraph) {
   std::vector<float> out(3);
   nn::linearForwardFast(lin, x.data(), out.data());
   for (std::size_t j = 0; j < 3; ++j)
-    EXPECT_NEAR(out[j], expected->value().at(j), kTol);
+    EXPECT_EQ(out[j], expected->value().at(j));
 }
 
 TEST(FastInference, ReluClampsNegatives) {
@@ -122,7 +132,9 @@ void expectBatchOfOneMatchesGraph(nf::HeadKind head, std::size_t numClasses,
   cfg.maxExamples = 3;
   cfg.head = head;
   cfg.seed = seed;
-  const nf::NnffModel model(cfg);
+  nf::NnffModel model(cfg);
+  Rng biasRng(seed);
+  randomizeBiases(model.params(), biasRng);
 
   nf::DatasetConfig dc;
   dc.programLength = 4;
@@ -141,7 +153,7 @@ void expectBatchOfOneMatchesGraph(nf::HeadKind head, std::size_t numClasses,
         model.predictBatch(s->spec, {&s->candidate}, {&encoded})[0];
     ASSERT_EQ(fast.size(), graph->value().cols());
     for (std::size_t j = 0; j < fast.size(); ++j)
-      EXPECT_NEAR(fast[j], graph->value().at(j), kTol) << "logit " << j;
+      EXPECT_EQ(fast[j], graph->value().at(j)) << "logit " << j;
   }
 }
 
@@ -169,6 +181,8 @@ TEST_P(FullModelEquivalence, MultilabelPredictIOOnlyMatchesGraph) {
   cfg.useTrace = false;
   cfg.seed = 7 + static_cast<std::uint64_t>(GetParam());
   nf::NnffModel model(cfg);
+  Rng biasRng(cfg.seed);
+  randomizeBiases(model.params(), biasRng);
 
   nf::DatasetConfig dc;
   dc.programLength = 4;
@@ -182,7 +196,7 @@ TEST_P(FullModelEquivalence, MultilabelPredictIOOnlyMatchesGraph) {
   const auto fast = model.predictIOOnly(s->spec);
   ASSERT_EQ(fast.size(), graph->value().cols());
   for (std::size_t j = 0; j < fast.size(); ++j)
-    EXPECT_NEAR(fast[j], graph->value().at(j), kTol);
+    EXPECT_EQ(fast[j], graph->value().at(j));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullModelEquivalence, ::testing::Range(0, 4));

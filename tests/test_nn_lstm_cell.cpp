@@ -1,8 +1,9 @@
 // The fused LSTM cell (Lstm::step, one tape node per timestep) against its
-// oracle: the same timestep composed from the primitive autograd ops, as
-// the cell was built before it was fused. Forward values, every
-// parameter's gradient, and the weights after Adam steps must agree bit for
-// bit, so training through the cell reproduces the op-by-op tape exactly.
+// oracle: the same timestep composed from the primitive autograd ops,
+// z = affine(h, Wh, affine(x, Wx, b)) and one op per gate. Forward values,
+// every parameter's gradient, and the weights after Adam steps must agree
+// bit for bit, so training through the cell reproduces the op-by-op tape
+// exactly.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -36,8 +37,7 @@ struct RefState {
 RefState referenceStep(const RefParams& p, const nn::Var& x,
                        const RefState& s) {
   const std::size_t H = p.hd;
-  const nn::Var z =
-      nn::add(nn::add(nn::matmul(x, p.wx), nn::matmul(s.h, p.wh)), p.b);
+  const nn::Var z = nn::affine(s.h, p.wh, nn::affine(x, p.wx, p.b));
   const nn::Var i = nn::sigmoidOp(nn::sliceCols(z, 0, H));
   const nn::Var f = nn::sigmoidOp(nn::sliceCols(z, H, H));
   const nn::Var g = nn::tanhOp(nn::sliceCols(z, 2 * H, H));

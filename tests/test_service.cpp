@@ -263,6 +263,35 @@ TEST(Service, SecondSubmissionOfIdenticalSpecReportsWarmPlanCache) {
   }
 }
 
+TEST(Service, AttachedTerminalJobOutlivesTheNextEviction) {
+  // The attached job is the oldest history entry each time it is joined;
+  // another job then ends. The join must make it the newest entry, or that
+  // job's end evicts it once the history is full and the client's wait
+  // reads "unknown job". 300 rounds outlast any bounded history.
+  ns::SynthService svc(ns::ServiceConfig{.workers = 1, .resultCache = true});
+  const auto attachedCfg = tinyConfig(29);
+  const auto fillerCfg = tinyConfig(31);
+  const std::uint64_t attached = svc.submit(attachedCfg, "Edit");
+  ASSERT_EQ(svc.wait(attached).state, ns::JobState::Done);
+  ASSERT_EQ(svc.wait(svc.submit(fillerCfg, "Edit")).state,
+            ns::JobState::Done);
+  ns::SubmitOptions join;
+  join.attach = true;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const ns::SubmitResult joined = svc.submit(attachedCfg, "Edit", join);
+    ASSERT_TRUE(joined.attached);
+    ASSERT_EQ(joined.id, attached);
+    // A result-cache hit: a new job that ends at submit.
+    const std::uint64_t filler = svc.submit(fillerCfg, "Edit");
+    ASSERT_EQ(svc.status(filler).state, ns::JobState::Done);
+    ASSERT_NO_THROW(svc.status(attached));
+    const ns::JobStatus done = svc.wait(attached);
+    ASSERT_EQ(done.state, ns::JobState::Done);
+    ASSERT_EQ(done.tasks.size(), done.tasksTotal);
+  }
+}
+
 // ------------------------------------------------- API edges --------------
 
 TEST(Service, UnknownJobAndMethodAreLoud) {

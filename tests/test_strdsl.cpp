@@ -303,7 +303,7 @@ TEST(StrDomain, ClassifierModelScoresStrGenes) {
       model->predictBatch(tc->spec, {&tc->program}, {&encoded})[0];
   ASSERT_EQ(fast.size(), 4u);
   for (std::size_t j = 0; j < fast.size(); ++j)
-    EXPECT_NEAR(slow->value().at(j), fast[j], 1e-5f);
+    EXPECT_EQ(slow->value().at(j), fast[j]);
 }
 
 // ---- config plumbing --------------------------------------------------------

@@ -182,8 +182,8 @@ const char* headName(nf::HeadKind head) {
 }
 
 /// A small graph touching every logged write: embedding rows (one of them
-/// twice), a Linear layer's matmul and bias add, and an LSTM's Wx, Wh and
-/// bias through the fused cell.
+/// twice), a Linear layer's affine op, and an LSTM's Wx, Wh and bias
+/// through the fused cell.
 struct TinyNet {
   nn::ParamStore store;
   Rng rng{3};
@@ -350,7 +350,8 @@ TEST(LeafGradLog, ParameterGradFailsLoudlyUnderAnActiveLog) {
     nn::LeafGradLogScope scope(log);
     EXPECT_THROW(w->grad(), std::logic_error);
     // Interior nodes are unaffected.
-    const nn::Var y = nn::matmul(x, w);
+    const nn::Var y =
+        nn::affine(x, w, nn::constant(nn::Matrix(1, 2, 0.0f)));
     EXPECT_NO_THROW(y->grad());
     // A backward closure that writes a parameter's gradient directly,
     // bypassing the log, trips the same check.
