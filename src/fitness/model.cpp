@@ -105,60 +105,68 @@ void appendCell(TraceCells& into, const TraceCell& c) {
 }
 
 /// Lookup in a two-generation memo that workspaces only read: the current
-/// map, then the previous one (a hit there is staged for promotion, so the
-/// working set survives the next rotation), then the workspace's own staged
-/// entries. Nothing moves a mapped value before the next merge, and a merge
-/// moves whole nodes, so a returned pointer into a mapped vector stays put.
-template <typename Map, typename Staged>
-const typename Map::mapped_type* findMemo(const Map& cur, const Map& prev,
-                                          Staged& staged,
-                                          const typename Map::key_type& key) {
-  if (const auto it = cur.find(key); it != cur.end()) return &it->second;
-  if (const auto it = prev.find(key); it != prev.end()) {
+/// table, then the previous one (a hit there is staged for promotion, so
+/// the working set survives the next rotation), then the workspace's own
+/// staged entries. No table moves a row before it is next cleared, and
+/// none is cleared before the next merge, so a returned row stays put.
+template <typename T, typename Staged>
+const T* findMemo(const FlatMemo<T>& cur, const FlatMemo<T>& prev,
+                  Staged& staged, std::uint64_t key) {
+  if (const T* row = cur.find(key)) return row;
+  if (const T* row = prev.find(key)) {
     staged.promoted.push_back(key);
-    return &it->second;
+    return row;
   }
-  if (const auto it = staged.added.find(key); it != staged.added.end())
-    return &it->second;
-  return nullptr;
+  return staged.added.find(key);
 }
 
-/// Rotation at capacity: the current map becomes the previous one (whose
-/// stale entries are dropped, their bucket array recycled), so recently
-/// touched entries stay findable instead of being thrown away wholesale.
-/// Live memory is bounded by 2x `cap` entries.
-template <typename Map>
-void rotateAtCapacity(Map& cur, Map& prev, std::size_t cap) {
-  if (cur.size() < cap) return;
+/// Rotation: the previous generation's entries are dropped and its table,
+/// emptied, becomes the current one, so recently touched entries stay
+/// findable instead of being thrown away wholesale.
+template <typename T>
+void rotate(FlatMemo<T>& cur, FlatMemo<T>& prev) {
   std::swap(cur, prev);
   cur.clear();
 }
 
 /// Applies a workspace's staged changes to a two-generation memo:
-/// promotions move previous-generation nodes into the current map, then
-/// new entries move in node by node, each first rotating at capacity. A key
-/// an earlier workspace already added keeps that entry (equal keys name
-/// equal values). Leaves `staged` empty, its buckets kept for reuse.
-template <typename Map, typename Staged>
-void splice(Map& cur, Map& prev, Staged& staged, std::size_t cap) {
-  for (const auto& key : staged.promoted)
-    if (const auto it = prev.find(key); it != prev.end())
-      cur.insert(prev.extract(it));
+/// promotions copy previous-generation rows into the current table, then
+/// new entries are copied in one by one, each first rotating the
+/// generations when the current table holds `cap` entries (live memory is
+/// bounded by 2x `cap`). A key an earlier workspace already added keeps
+/// that entry (equal keys name equal values). Leaves `staged` empty; it
+/// keeps storage for a small round only, so copies of a large round's rows
+/// do not outlive the merge.
+template <typename T, typename Staged>
+void merge(FlatMemo<T>& cur, FlatMemo<T>& prev, Staged& staged,
+           std::size_t cap) {
+  for (const std::uint64_t key : staged.promoted)
+    if (const T* row = prev.find(key)) cur.insertCopy(key, row);
   staged.promoted.clear();
-  while (!staged.added.empty()) {
-    auto node = staged.added.extract(staged.added.begin());
-    if (cur.count(node.key()) != 0) continue;
-    rotateAtCapacity(cur, prev, cap);
-    cur.insert(std::move(node));
+  for (std::size_t i = 0; i < staged.added.size(); ++i) {
+    const std::uint64_t key = staged.added.key(i);
+    if (cur.find(key) != nullptr) continue;
+    if (cur.size() >= cap) rotate(cur, prev);
+    cur.insertCopy(key, staged.added.row(i));
   }
+  staged.added.clearToSmall();
 }
 
 }  // namespace
 
+std::uint64_t stepPrefixKey(const dsl::Program& program, std::size_t depth) {
+  std::uint64_t key = 0;
+  for (std::size_t k = 0; k < depth; ++k)
+    key |= (std::uint64_t{program.at(k)} + 1) << (k * kStepKeyBits);
+  return key;
+}
+
 NnffModel::NnffModel(NnffConfig config)
     : config_(config),
       resolvedDomain_(&dsl::resolveDomain(config.domain)),
-      encoder_(config.encoder) {
+      encoder_(config.encoder),
+      traceMemo_(2 * config.hiddenDim),
+      traceMemoPrev_(2 * config.hiddenDim) {
   util::Rng rng(config_.seed);
   const std::size_t e = config_.embedDim;
   const std::size_t h = config_.hiddenDim;
@@ -310,10 +318,10 @@ const float* NnffModel::memoTraceEncoding(const TraceCell& c,
   for (std::size_t t = 0; t < n; ++t)
     keys[t + 1] = tokenChain(keys[t], tokens[t]);
 
-  if (const auto* hit =
+  if (const float* hit =
           findMemo(traceMemo_, traceMemoPrev_, ws.trace_, keys[n])) {
     ++ws.stats_.traceHits;
-    return hit->data();
+    return hit;
   }
   ++ws.stats_.traceMisses;
 
@@ -324,21 +332,29 @@ const float* NnffModel::memoTraceEncoding(const TraceCell& c,
   std::size_t t = n - 1;
   const float* state = nullptr;
   for (; t > 0; --t) {
-    if (const auto* e =
+    if (const float* e =
             findMemo(traceMemo_, traceMemoPrev_, ws.trace_, keys[t])) {
-      state = e->data();
+      state = e;
       break;
     }
   }
+  // A workspace's staging table takes the model's row width on first use
+  // (it is empty between rounds).
+  FlatMemo<float>& added = ws.trace_.added;
+  if (added.width() != 2 * hd) added.clear(2 * hd);
   const std::size_t e = valueEmb_->dim();
   const float* table = valueEmb_->table().data();
   for (; t < n; ++t) {
-    std::vector<float> next(2 * hd, 0.0f);
-    if (state != nullptr) std::copy(state, state + 2 * hd, next.begin());
-    nn::lstmStepFast(*traceLstm_, table + tokens[t] * e, next.data(),
-                     next.data() + hd, ws.scratch_);
-    state = ws.trace_.added.emplace(keys[t + 1], std::move(next))
-                .first->second.data();
+    auto [next, fresh] = added.insert(keys[t + 1]);
+    if (fresh) {
+      if (state != nullptr)
+        std::copy(state, state + 2 * hd, next);
+      else
+        std::fill(next, next + 2 * hd, 0.0f);
+      nn::lstmStepFast(*traceLstm_, table + tokens[t] * e, next, next + hd,
+                       ws.scratch_);
+    }
+    state = next;
   }
   return state;
 }
@@ -347,23 +363,24 @@ std::size_t NnffModel::memoEditDistance(
     std::uint64_t traceFp, const TraceCell& c, std::uint64_t outputFp,
     const std::vector<std::int32_t>& outToks, Workspace& ws) const {
   const std::uint64_t key = editKey(traceFp, outputFp);
-  if (const auto* hit = findMemo(editMemo_, editMemoPrev_, ws.edit_, key)) {
+  if (const std::size_t* hit =
+          findMemo(editMemo_, editMemoPrev_, ws.edit_, key)) {
     ++ws.stats_.editHits;
     return *hit;
   }
   ++ws.stats_.editMisses;
   const std::size_t dist =
       editDistanceSpans(c.xs, c.n, outToks.data(), outToks.size());
-  ws.edit_.added.emplace(key, dist);
+  *ws.edit_.added.insert(key).first = dist;
   return dist;
 }
 
 void NnffModel::mergeWorkspace(Workspace& ws) const {
-  splice(traceMemo_, traceMemoPrev_, ws.trace_, memoCapacity_);
-  splice(editMemo_, editMemoPrev_, ws.edit_, memoCapacity_);
+  merge(traceMemo_, traceMemoPrev_, ws.trace_, memoCapacity_);
+  merge(editMemo_, editMemoPrev_, ws.edit_, memoCapacity_);
   // The step memo rotates by call count (beginPredict), not by size.
-  splice(stepMemo_, stepMemoPrev_, ws.step_,
-         std::numeric_limits<std::size_t>::max());
+  merge(stepMemo_, stepMemoPrev_, ws.step_,
+        std::numeric_limits<std::size_t>::max());
   memoStats_.traceHits += ws.stats_.traceHits;
   memoStats_.traceMisses += ws.stats_.traceMisses;
   memoStats_.editHits += ws.stats_.editHits;
@@ -379,7 +396,8 @@ void NnffModel::setMemoCapacity(std::size_t cap) {
   memoStats_ = MemoStats{};
 }
 
-void NnffModel::syncCaches(std::uint64_t specFp) const {
+void NnffModel::syncCaches(const dsl::Spec& spec) const {
+  const std::uint64_t specFp = spec.fingerprint();
   const std::uint64_t version = params_.version();
   if (cacheValid_ && cacheVersion_ == version && cacheSpecFp_ == specFp)
     return;
@@ -387,8 +405,11 @@ void NnffModel::syncCaches(std::uint64_t specFp) const {
   traceMemoPrev_.clear();
   editMemo_.clear();
   editMemoPrev_.clear();
-  stepMemo_.clear();
-  stepMemoPrev_.clear();
+  // A step row holds every encoded example's [h | c].
+  const std::size_t stepWidth =
+      std::min(spec.size(), config_.maxExamples) * 2 * config_.hiddenDim;
+  stepMemo_.clear(stepWidth);
+  stepMemoPrev_.clear(stepWidth);
   stepMemoCalls_ = 0;
   specStates_.clear();
   cacheVersion_ = version;
@@ -397,7 +418,7 @@ void NnffModel::syncCaches(std::uint64_t specFp) const {
 }
 
 void NnffModel::beginLaneCapture(const dsl::Spec& spec) const {
-  syncCaches(spec.fingerprint());
+  syncCaches(spec);
   const std::size_t m = std::min(spec.size(), config_.maxExamples);
   outputFps_.resize(m);
   outputToks_.resize(m);
@@ -609,52 +630,67 @@ void NnffModel::programStates(
   const std::size_t batch = candidates.size();
   const std::size_t stepWidth = encoded[0]->stepWidth;
   const std::size_t w = 2 * h;  // one example's [h | c]
-  const auto prefixKey = [](const dsl::Program& p, std::size_t depth,
-                            std::string& key) {
-    key.assign(reinterpret_cast<const char*>(p.functions().data()),
-               depth * sizeof(dsl::FuncId));
-  };
 
   // 1. Every gene's longest memoized prefix: its depth and state (nullptr =
   //    the zero state at depth 0). All genes are looked up before anything
   //    is inserted, so no lookup can see an entry this call has yet to
-  //    compute.
+  //    compute. A shorter prefix's key drops the packed key's top field.
   std::vector<const float*> last(batch, nullptr);
   std::vector<std::size_t> start(batch, 0);
-  std::string key;
   for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t d = candidates[b]->length(); d > 0; --d) {
-      prefixKey(*candidates[b], d, key);
-      if (const auto* e = findMemo(stepMemo_, stepMemoPrev_, ws.step_, key)) {
-        last[b] = e->data();
+    std::size_t d = std::min(candidates[b]->length(), kStepKeyDepth);
+    for (std::uint64_t key = stepPrefixKey(*candidates[b], d); d > 0; --d) {
+      if (const float* e =
+              findMemo(stepMemo_, stepMemoPrev_, ws.step_, key)) {
+        last[b] = e;
         start[b] = d;
         break;
       }
+      key &= (std::uint64_t{1} << ((d - 1) * kStepKeyBits)) - 1;
     }
   }
 
-  // 2. Each prefix past a gene's memoized depth becomes one new staged
-  //    entry, shared by every gene of the batch that has it (phase 1 found
-  //    none of them, so an existing key here was added by an earlier gene
-  //    of this loop). levels[d - 1] lists the new prefixes of length d with the
-  //    state they resume from and the gene whose encoded rows feed them.
+  // 2. Each keyed prefix past a gene's memoized depth becomes one new
+  //    staged entry, shared by every gene of the batch that has it (phase 1
+  //    found none of them, so an existing key here was added by an earlier
+  //    gene of this loop). A prefix deeper than kStepKeyDepth has no key:
+  //    each gene steps its own, into a row of `deep`. levels[d - 1] lists
+  //    the new prefixes of length d with the state they resume from and the
+  //    gene whose encoded rows feed them.
   struct NewPrefix {
     float* state;
     const float* parent;
     std::size_t gene;
   };
-  std::vector<std::vector<NewPrefix>> levels;
+  std::size_t deepRows = 0;
   for (std::size_t b = 0; b < batch; ++b) {
     const std::size_t len = candidates[b]->length();
-    if (levels.size() < len) levels.resize(len);
-    for (std::size_t d = start[b] + 1; d <= len; ++d) {
-      prefixKey(*candidates[b], d, key);
-      auto [it, fresh] = ws.step_.added.try_emplace(key);
-      if (fresh) {
-        it->second.resize(m * w);
-        levels[d - 1].push_back({it->second.data(), last[b], b});
+    deepRows += len - std::min(len, kStepKeyDepth);
+  }
+  std::vector<float> deep(deepRows * m * w);
+  float* nextDeep = deep.data();
+  FlatMemo<float>& added = ws.step_.added;  // sized as in memoTraceEncoding
+  if (added.width() != m * w) added.clear(m * w);
+  std::vector<std::vector<NewPrefix>> levels;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const dsl::Program& p = *candidates[b];
+    if (levels.size() < p.length()) levels.resize(p.length());
+    std::uint64_t key = stepPrefixKey(p, start[b]);
+    for (std::size_t d = start[b] + 1; d <= p.length(); ++d) {
+      float* state = nextDeep;
+      if (d <= kStepKeyDepth) {
+        key |= (std::uint64_t{p.at(d - 1)} + 1) << ((d - 1) * kStepKeyBits);
+        const auto [row, fresh] = added.insert(key);
+        if (!fresh) {
+          last[b] = row;
+          continue;
+        }
+        state = row;
+      } else {
+        nextDeep += m * w;
       }
-      last[b] = it->second.data();
+      levels[d - 1].push_back({state, last[b], b});
+      last[b] = state;
     }
   }
 
@@ -704,11 +740,8 @@ void NnffModel::programStates(
 }
 
 void NnffModel::beginPredict(const dsl::Spec& spec) const {
-  syncCaches(spec.fingerprint());
-  if (++stepMemoCalls_ % 2 == 0) {
-    std::swap(stepMemo_, stepMemoPrev_);
-    stepMemo_.clear();
-  }
+  syncCaches(spec);
+  if (++stepMemoCalls_ % 2 == 0) rotate(stepMemo_, stepMemoPrev_);
   // Spec cache: per example [hOut | h1 | c1 | h2 | c2], the output encoding
   // and both combiner LSTMs' states after the three spec-level pieces
   // (identical for every gene). Computed on the spec's first call, batched

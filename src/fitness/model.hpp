@@ -19,12 +19,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsl/program.hpp"
 #include "dsl/spec.hpp"
 #include "fitness/encoding.hpp"
+#include "fitness/flat_memo.hpp"
 #include "nn/inference.hpp"
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
@@ -74,6 +74,19 @@ struct EncodedTrace {
 };
 
 enum class HeadKind : std::uint8_t { Classifier, Multilabel, Regression };
+
+/// The step memo's key packs a program prefix's FuncIds, (id + 1) in
+/// kStepKeyBits-bit fields from the low end: exact, and never 0, so [f] and
+/// [f, f] differ. One word holds kStepKeyDepth statements; the states of
+/// longer prefixes are computed on every call instead of memoized.
+inline constexpr std::size_t kStepKeyBits = 6;
+inline constexpr std::size_t kStepKeyDepth = 64 / kStepKeyBits;
+static_assert(dsl::kTotalFunctions < (std::size_t{1} << kStepKeyBits),
+              "every FuncId + 1 must fit a step-key field");
+
+/// Step-memo key of `program`'s first `depth` statements
+/// (depth <= kStepKeyDepth).
+std::uint64_t stepPrefixKey(const dsl::Program& program, std::size_t depth);
 
 struct NnffConfig {
   EncoderConfig encoder;
@@ -139,22 +152,18 @@ class NnffModel {
   MemoStats memoStats() const { return memoStats_; }
 
  private:
-  using TraceMemo = std::unordered_map<std::uint64_t, std::vector<float>>;
-  using EditMemo = std::unordered_map<std::uint64_t, std::size_t>;
-  using StepMemo = std::unordered_map<std::string, std::vector<float>>;
-
   /// A workspace's changes to one two-generation memo.
-  template <typename Map>
+  template <typename T>
   struct Staged {
-    Map added;  ///< entries it computed
-    std::vector<typename Map::key_type> promoted;  ///< previous-gen hits
+    FlatMemo<T> added;  ///< entries it computed
+    std::vector<std::uint64_t> promoted;  ///< previous-generation hits
   };
 
  public:
   /// One grading thread's private state: inference scratch, a trace-cell
   /// copy buffer, and what it did to the model's memos (new entries,
   /// previous-generation hits to promote, hit/miss counts), staged until
-  /// mergeWorkspace splices them in. Grading threads share the model and
+  /// mergeWorkspace copies them in. Grading threads share the model and
   /// its memos; each owns only a workspace.
   class alignas(64) Workspace {
    private:
@@ -163,9 +172,9 @@ class NnffModel {
     TraceCells cells_;                     ///< run-backed traces' cells
     std::vector<std::size_t> tokens_;      ///< a trace cell's tokens
     std::vector<std::uint64_t> prefixKeys_;  ///< their prefix hashes
-    Staged<TraceMemo> trace_;
-    Staged<EditMemo> edit_;
-    Staged<StepMemo> step_;
+    Staged<float> trace_;
+    Staged<std::size_t> edit_;
+    Staged<float> step_;
     MemoStats stats_;
   };
 
@@ -248,11 +257,11 @@ class NnffModel {
       const std::vector<const dsl::Program*>& candidates,
       const std::vector<const EncodedTrace*>& encoded, Workspace& ws) const;
 
-  /// Shared-memo grading, last step: splices `ws`'s staged memo entries,
+  /// Shared-memo grading, last step: copies `ws`'s staged memo entries,
   /// promotions and counts into the model's memos and empties it.
   void mergeWorkspace(Workspace& ws) const;
 
-  /// Test hook: shrinks the memo capacity (entries per generation map; the
+  /// Test hook: shrinks the memo capacity (entries per generation table; the
   /// trace memo counts token-prefix entries) so boundary behavior is
   /// testable without 32k distinct values. Clears the memos and the
   /// counters.
@@ -319,7 +328,7 @@ class NnffModel {
 
   /// Drops every inference cache when the weights (params_.version()) or
   /// the spec being graded (its fingerprint) changed since they were built.
-  void syncCaches(std::uint64_t specFp) const;
+  void syncCaches(const dsl::Spec& spec) const;
 
   /// Readies predictRows for `spec`: syncs the caches, fills the spec cache
   /// and rotates the step memo every second call.
@@ -368,37 +377,38 @@ class NnffModel {
   mutable std::vector<float> specStates_;
 
   /// Token-prefix trace memo: a chained 64-bit hash of a token prefix ->
-  /// the traceLstm [h | c] after it. Equal token sequences encode equally,
-  /// so a key names its encoding; a hash collision could only substitute one
-  /// prefix's state for another's, which at < 2^32 prefixes per spec is
-  /// negligible.
+  /// the traceLstm [h | c] after it (a 2 x hiddenDim row). Equal token
+  /// sequences encode equally, so a key names its encoding; a hash
+  /// collision could only substitute one prefix's state for another's,
+  /// which at < 2^32 prefixes per spec is negligible.
   ///
-  /// Bounding is two-generation: when the current map reaches capacity (in
-  /// prefix entries) it becomes the previous generation and a fresh map
-  /// starts; lookups probe current then previous, promoting previous hits.
-  /// A working set at the capacity boundary therefore keeps hitting, and
-  /// live memory stays <= 2x capacity.
+  /// Bounding is two-generation: when the current table reaches capacity
+  /// (in prefix entries) it becomes the previous generation and the emptied
+  /// other table becomes current; lookups probe current then previous,
+  /// promoting previous hits. A working set at the capacity boundary
+  /// therefore keeps hitting, and live memory stays <= 2x capacity.
   ///
-  /// Workspaces read the maps and stage their changes; mergeWorkspace
-  /// applies them: promotions first, then new entries, each rotating the
-  /// generations when the current map is full.
-  mutable TraceMemo traceMemo_;
-  mutable TraceMemo traceMemoPrev_;
+  /// Workspaces read the tables and stage their changes; mergeWorkspace
+  /// applies them: promotions first, then new entries, each copying its row
+  /// and rotating the generations when the current table is full.
+  mutable FlatMemo<float> traceMemo_;
+  mutable FlatMemo<float> traceMemoPrev_;
   /// Edit-distance memo, keyed by mixed (trace value, output) fingerprints;
   /// same bounding and collision reasoning as traceMemo_.
-  mutable EditMemo editMemo_;
-  mutable EditMemo editMemoPrev_;
-  std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation map
+  mutable FlatMemo<std::size_t> editMemo_;
+  mutable FlatMemo<std::size_t> editMemoPrev_;
+  std::size_t memoCapacity_ = 1u << 15;  ///< entries per generation table
   mutable MemoStats memoStats_;
 
-  /// Program-prefix step memo: the packed FuncId prefix (exact, no hash) ->
-  /// the stepLstm [h | c] of every example after that prefix. A step row is
-  /// a function of the prefix and the spec alone (a statement reads only
-  /// earlier statements and the inputs), and the memo is scoped to one spec.
-  /// Two generations, rotated every second beginPredict; staged and merged
-  /// like the trace memo.
-  mutable StepMemo stepMemo_;
-  mutable StepMemo stepMemoPrev_;
+  /// Program-prefix step memo: stepPrefixKey (exact, no hash) -> the
+  /// stepLstm [h | c] of every example after that prefix (an m x 2 x
+  /// hiddenDim row, sized by syncCaches). A step row is a function of the
+  /// prefix and the spec alone (a statement reads only earlier statements
+  /// and the inputs), and the memo is scoped to one spec. Two generations,
+  /// rotated every second beginPredict; staged and merged like the trace
+  /// memo.
+  mutable FlatMemo<float> stepMemo_;
+  mutable FlatMemo<float> stepMemoPrev_;
   mutable std::size_t stepMemoCalls_ = 0;
 
   // Capture state (beginLaneCapture): per-example output fingerprints and

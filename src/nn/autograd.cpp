@@ -20,7 +20,28 @@ Var parameter(Matrix value) {
 namespace {
 thread_local bool g_inference_mode = false;
 thread_local LeafGradLog* g_leaf_log = nullptr;
+/// Worklist of the outermost Node destructor running on this thread, or
+/// nullptr when none runs.
+thread_local std::vector<Var>* g_dying = nullptr;
 }  // namespace
+
+Node::~Node() {
+  // Inside a teardown, hand the parents to its worklist: releasing them
+  // here would recurse once per node of a chain.
+  if (g_dying != nullptr) {
+    for (Var& p : parents_) g_dying->push_back(std::move(p));
+    return;
+  }
+  if (parents_.empty()) return;
+  std::vector<Var> dying = std::move(parents_);
+  g_dying = &dying;
+  while (!dying.empty()) {
+    Var p = std::move(dying.back());
+    dying.pop_back();
+    p.reset();  // a last handle runs ~Node, which appends p's parents
+  }
+  g_dying = nullptr;
+}
 
 void Node::checkLeafGradAccess() const {
   if (g_leaf_log != nullptr)
@@ -38,7 +59,7 @@ LeafGradLogScope::~LeafGradLogScope() { g_leaf_log = previous_; }
 void LeafGradLog::clear() {
   entries_.clear();
   data_.clear();
-  lastSize_ = 0;
+  recent_[0] = recent_[1] = Operand{};
 }
 
 std::uint32_t LeafGradLog::slotOf(const Node& p) {
@@ -48,13 +69,14 @@ std::uint32_t LeafGradLog::slotOf(const Node& p) {
 }
 
 std::uint32_t LeafGradLog::store(const float* v, std::size_t n) {
-  if (n == lastSize_ &&
-      std::memcmp(data_.data() + lastOffset_, v, n * sizeof(float)) == 0)
-    return lastOffset_;
-  lastOffset_ = static_cast<std::uint32_t>(data_.size());
-  lastSize_ = n;
+  for (const Operand& o : recent_)
+    if (o.size == n &&
+        std::memcmp(data_.data() + o.offset, v, n * sizeof(float)) == 0)
+      return o.offset;
+  recent_[1] = recent_[0];
+  recent_[0] = {static_cast<std::uint32_t>(data_.size()), n};
   data_.insert(data_.end(), v, v + n);
-  return lastOffset_;
+  return recent_[0].offset;
 }
 
 void LeafGradLog::replay(const std::vector<Var>& params, std::size_t part,

@@ -35,6 +35,9 @@ class Node {
  public:
   Node(Matrix value, bool requires_grad)
       : value_(std::move(value)), requires_grad_(requires_grad) {}
+  /// Frees the graph behind this node iteratively, so dropping a long chain
+  /// needs no stack per node.
+  ~Node();
 
   const Matrix& value() const { return value_; }
   Matrix& value() { return value_; }
@@ -223,14 +226,20 @@ class LeafGradLog {
 
   static std::uint32_t slotOf(const Node& p);
   /// Offset of a copy of v[0, n) in data_. The LSTM cell hands the same
-  /// gradient row to its bias and its Wh write back to back, so a repeat
-  /// of the previous operand's bytes shares that copy.
+  /// gradient row to its bias, its Wh write and its Wx write, with Wh's
+  /// other operand between the last two, so a repeat of either of the two
+  /// previous operands' bytes shares that copy.
   std::uint32_t store(const float* v, std::size_t n);
+
+  /// A stored operand: its offset in data_ and its length.
+  struct Operand {
+    std::uint32_t offset = 0;
+    std::size_t size = 0;
+  };
 
   std::vector<Entry> entries_;
   std::vector<float> data_;
-  std::uint32_t lastOffset_ = 0;
-  std::size_t lastSize_ = 0;
+  Operand recent_[2];  ///< the last operand stored, then the one before
 };
 
 /// While alive, parameter-gradient writes on this thread are recorded into

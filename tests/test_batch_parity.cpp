@@ -127,6 +127,21 @@ std::vector<float> predictOne(const nf::NnffModel& model,
   return model.predictBatch(fx.spec, {&fx.genes[b]}, {&encoded})[0];
 }
 
+/// Pins every gene's logits to the autograd oracle, which has no memos.
+void expectMatchesOracle(const nf::NnffModel& model,
+                         const PopulationFixture& fx,
+                         const std::vector<std::vector<float>>& logits) {
+  ASSERT_EQ(logits.size(), fx.genes.size());
+  for (std::size_t b = 0; b < fx.genes.size(); ++b) {
+    std::vector<std::vector<nd::Value>> traces;
+    for (const auto& run : fx.runs[b]) traces.push_back(run.trace);
+    const auto oracle = model.forward(fx.spec, fx.genes[b], traces);
+    for (std::size_t j = 0; j < logits[b].size(); ++j)
+      EXPECT_EQ(logits[b][j], oracle->value().at(j))
+          << "gene " << b << " logit " << j;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------ kernel-level parity ------
@@ -541,6 +556,80 @@ TEST(TraceMemo, CapacityBoundaryKeepsTheWorkingSetWarm) {
   expectSameLogits(cold, warm);
 }
 
+namespace {
+
+using TokenSet = std::set<std::vector<std::size_t>>;
+
+/// The token sequences of fx's encoded trace cells (`values`) and every
+/// prefix of them (`prefixes`): the trace memo's keys for fx.
+void traceKeys(const nf::NnffModel& model, const PopulationFixture& fx,
+               TokenSet& values, TokenSet& prefixes) {
+  for (const auto& runs : fx.runs)
+    for (std::size_t i = 0; i < model.config().maxExamples; ++i)
+      for (const auto& v : runs[i].trace) {
+        const auto toks = model.encoder().encodeValue(v);
+        values.insert(toks);
+        for (std::size_t d = 1; d <= toks.size(); ++d)
+          prefixes.emplace(toks.begin(), toks.begin() + d);
+      }
+}
+
+std::size_t countNotIn(const TokenSet& a, const TokenSet& b,
+                       const TokenSet& c = {}) {
+  std::size_t n = 0;
+  for (const auto& x : a) n += b.count(x) == 0 && c.count(x) == 0;
+  return n;
+}
+
+}  // namespace
+
+TEST(TraceMemo, PromotedEntriesSurviveTheNextRotation) {
+  // A previous-generation hit is copied into the current generation, so a
+  // working set that keeps being graded outlives the rotation that drops
+  // the rest of its old generation. Without promotion, fx's values would
+  // sit in the previous generation until C's inserts rotate it away.
+  nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  const auto fx = makePopulation(12, 64);
+  Rng rng(65);
+  const auto fxB = populationOn(fx.spec, 12, rng);
+  const auto fxC = populationOn(fx.spec, 16, rng);
+  TokenSet valuesF, F, valuesB, B, valuesC, C;
+  traceKeys(model, fx, valuesF, F);
+  traceKeys(model, fxB, valuesB, B);
+  traceKeys(model, fxC, valuesC, C);
+  TokenSet newB;  // B's entries: its prefixes fx did not add
+  for (const auto& x : B)
+    if (F.count(x) == 0) newB.insert(x);
+  // C adds at least its prefixes fx and B lack, and at most those B and
+  // fx's promoted values lack. Capacity: fx fills one generation.
+  const std::size_t cMin = countNotIn(C, F, newB);
+  const std::size_t cMax = countNotIn(C, newB, valuesF);
+  const std::size_t cap = F.size();
+  ASSERT_GT(F.size() + newB.size(), cap) << "B would not rotate";
+  ASSERT_GT(newB.size() + cMin, cap) << "C would not rotate unpromoted";
+  // Promoted, fx's values and B's entries fill the current generation up
+  // to `head`; the rest of C's inserts must fit the next one.
+  const std::size_t head = newB.size() + valuesF.size();
+  ASSERT_LE(cMax, cap + (head < cap ? cap - head : 0))
+      << "C would rotate twice";
+  model.setMemoCapacity(cap);
+
+  const auto cold = predictAll(model, fx);  // fits one generation
+  (void)predictAll(model, fxB);  // rotates: fx's entries are previous
+  const auto afterB = model.memoStats();
+  // Regrading fx hits the previous generation, promoting what it reads.
+  (void)predictAll(model, fx);
+  ASSERT_EQ(model.memoStats().traceMisses, afterB.traceMisses);
+  // C's inserts rotate once more; the promoted copies of fx's values are
+  // in the generation that is kept.
+  (void)predictAll(model, fxC);
+  const auto afterC = model.memoStats();
+  const auto warm = predictAll(model, fx);
+  EXPECT_EQ(model.memoStats().traceMisses, afterC.traceMisses)
+      << "a promoted entry was dropped by the next rotation";
+  expectSameLogits(cold, warm);
+}
+
 // ------------------------------------------------ prefix caches -----------
 
 TEST(PrefixCaches, WarmModelMatchesFreshCloneOnBredPopulations) {
@@ -600,6 +689,56 @@ TEST(PrefixCaches, GenesSharingAnUncachedPrefixInOneBatch) {
   }
   // And once more, now that every prefix is cached.
   expectSameLogits(predictAll(model, fx), single);
+}
+
+TEST(PrefixCaches, StepRowsFollowTheSpecsExampleCount) {
+  // A step-memo row holds one [h | c] per encoded example, so its width
+  // follows the spec. Grading a spec with fewer examples, then the first
+  // one again, must match the oracle each time.
+  const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  const auto fx = makePopulation(6, 96);
+  ASSERT_GE(fx.spec.size(), model.config().maxExamples);
+  const auto three = predictAll(model, fx);
+  expectMatchesOracle(model, fx, three);
+
+  auto fewer = fx;
+  fewer.spec.examples.resize(2);
+  setGenes(fewer, fewer.genes);
+  const auto two = predictAll(model, fewer);
+  expectMatchesOracle(model, fewer, two);
+  expectSameLogits(predictAll(model, fewer), two);
+
+  expectSameLogits(predictAll(model, fx), three);
+}
+
+TEST(PrefixCaches, PrefixesDeeperThanOneKeyWordStayExact) {
+  // The step memo keys prefixes of up to kStepKeyDepth statements; a gene
+  // steps its deeper ones on every call. Genes that share a whole key word
+  // and differ only past it must each grade like the oracle, cold and warm.
+  const nf::NnffModel model(smallConfig(nf::HeadKind::Classifier));
+  auto fx = makePopulation(1, 97);
+  Rng rng(97);
+  const nd::Generator gen;
+  const std::size_t depth = nf::kStepKeyDepth;
+  const auto p = gen.randomProgram(depth + 2, fx.spec.signature(), rng);
+  const auto o = gen.randomProgram(depth + 2, fx.spec.signature(), rng);
+  ASSERT_TRUE(p.has_value() && o.has_value());
+  const auto other = [](nd::FuncId mine, nd::FuncId theirs) {
+    return theirs != mine ? theirs
+                          : static_cast<nd::FuncId>(mine == 0 ? 1 : 0);
+  };
+  auto q = p->functions();  // differs in its last statement
+  q.back() = other(q.back(), o->functions().back());
+  auto r = p->functions();  // differs in the first unkeyed statement
+  r[depth] = other(r[depth], o->functions()[depth]);
+  const std::vector<nd::FuncId> keyed(p->functions().begin(),
+                                      p->functions().begin() + depth);
+  setGenes(fx, {*p, nd::Program(q), nd::Program(r), *p, nd::Program(keyed)});
+
+  const auto cold = predictAll(model, fx);
+  expectMatchesOracle(model, fx, cold);
+  EXPECT_NE(cold[0], cold[1]) << "the genes grade alike; test is moot";
+  expectSameLogits(predictAll(model, fx), cold);
 }
 
 TEST(PrefixCaches, InvalidateWhenSpecContentsChangeAtSameAddress) {
