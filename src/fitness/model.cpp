@@ -634,19 +634,18 @@ void NnffModel::programStates(
   // 1. Every gene's longest memoized prefix: its depth and state (nullptr =
   //    the zero state at depth 0). All genes are looked up before anything
   //    is inserted, so no lookup can see an entry this call has yet to
-  //    compute. A shorter prefix's key drops the packed key's top field.
+  //    compute.
   std::vector<const float*> last(batch, nullptr);
   std::vector<std::size_t> start(batch, 0);
   for (std::size_t b = 0; b < batch; ++b) {
-    std::size_t d = std::min(candidates[b]->length(), kStepKeyDepth);
-    for (std::uint64_t key = stepPrefixKey(*candidates[b], d); d > 0; --d) {
-      if (const float* e =
-              findMemo(stepMemo_, stepMemoPrev_, ws.step_, key)) {
+    const dsl::Program& p = *candidates[b];
+    for (std::size_t d = std::min(p.length(), kStepKeyDepth); d > 0; --d) {
+      if (const float* e = findMemo(stepMemo_, stepMemoPrev_, ws.step_,
+                                    stepPrefixKey(p, d))) {
         last[b] = e;
         start[b] = d;
         break;
       }
-      key &= (std::uint64_t{1} << ((d - 1) * kStepKeyBits)) - 1;
     }
   }
 
@@ -675,12 +674,10 @@ void NnffModel::programStates(
   for (std::size_t b = 0; b < batch; ++b) {
     const dsl::Program& p = *candidates[b];
     if (levels.size() < p.length()) levels.resize(p.length());
-    std::uint64_t key = stepPrefixKey(p, start[b]);
     for (std::size_t d = start[b] + 1; d <= p.length(); ++d) {
       float* state = nextDeep;
       if (d <= kStepKeyDepth) {
-        key |= (std::uint64_t{p.at(d - 1)} + 1) << ((d - 1) * kStepKeyBits);
-        const auto [row, fresh] = added.insert(key);
+        const auto [row, fresh] = added.insert(stepPrefixKey(p, d));
         if (!fresh) {
           last[b] = row;
           continue;
