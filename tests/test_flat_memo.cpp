@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dsl/functions.hpp"
@@ -90,27 +91,30 @@ TEST(FlatMemo, KeysSharingATagStayDistinct) {
 TEST(FlatMemo, RowsStayPutWhileTheTableGrows) {
   // Callers hold row pointers while they insert: the model resumes a new
   // prefix from its parent's row, which may be one it added a moment ago.
-  // Growth past many slot-array doublings and row chunks must move no row.
-  constexpr std::size_t kWidth = 5, kEntries = 5000;
-  nf::FlatMemo<float> memo(kWidth);
-  std::vector<const float*> rows;
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    const auto [row, fresh] = memo.insert(keyAt(i));
-    ASSERT_TRUE(fresh);
-    fillRow(row, kWidth, keyAt(i));
-    rows.push_back(row);
-  }
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    ASSERT_EQ(memo.find(keyAt(i)), rows[i]) << i;
-    ASSERT_EQ(memo.row(i), rows[i]) << i;
-    ASSERT_EQ(memo.key(i), keyAt(i)) << i;
-    ASSERT_TRUE(rowMatches(rows[i], kWidth, keyAt(i))) << i;
+  // Growth past many slot-array doublings and row chunks must move no row,
+  // also when a row is wider than a chunk's byte budget (one row a chunk).
+  for (const auto& [width, entries] :
+       {std::pair<std::size_t, std::size_t>{5, 5000}, {20000, 40}}) {
+    nf::FlatMemo<float> memo(width);
+    std::vector<const float*> rows;
+    for (std::size_t i = 0; i < entries; ++i) {
+      const auto [row, fresh] = memo.insert(keyAt(i));
+      ASSERT_TRUE(fresh);
+      fillRow(row, width, keyAt(i));
+      rows.push_back(row);
+    }
+    for (std::size_t i = 0; i < entries; ++i) {
+      ASSERT_EQ(memo.find(keyAt(i)), rows[i]) << width << " " << i;
+      ASSERT_EQ(memo.row(i), rows[i]) << width << " " << i;
+      ASSERT_EQ(memo.key(i), keyAt(i)) << width << " " << i;
+      ASSERT_TRUE(rowMatches(rows[i], width, keyAt(i))) << width << " " << i;
+    }
   }
 }
 
 TEST(FlatMemo, ClearEmptiesEveryEntryAndKeepsWorking) {
-  // Both ways of clearing: a full table (every slot reset) and a sparse
-  // one whose slot array an earlier fill grew (occupied slots only).
+  // A full table, then a near-empty one whose slot array an earlier fill
+  // grew: a clear empties either.
   nf::FlatMemo<float> memo(2);
   for (const std::size_t n : {std::size_t{3000}, std::size_t{10},
                               std::size_t{3000}}) {
