@@ -7,8 +7,9 @@
 //                       [--workers=4] [--islands=4]
 //
 // With --workers=N the (program, run) pairs of each method are dispatched
-// onto N threads, each with its own method instance; the report is identical
-// to a sequential run (wall-clock aside). With --islands=K every GA-based
+// onto up to N threads of the process-wide executor, each with its own
+// method instance; the report is identical to a sequential run (wall-clock
+// aside). With --islands=K every GA-based
 // method evolves K cooperating sub-populations under one candidate budget
 // (see README "Search strategies"); results stay deterministic per seed.
 #include <cstdio>

@@ -1,5 +1,5 @@
 // Island-model search engine: K SearchStates evolved in deterministic
-// lockstep rounds on a persistent worker gang, with periodic elite
+// lockstep rounds on the process-wide util::Executor, with periodic elite
 // migration and a global BudgetLedger (budget.hpp) enforcing the paper's
 // single-population candidate-budget semantics.
 //
@@ -16,14 +16,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/search_state.hpp"
 #include "core/synthesizer.hpp"
-#include "util/gang.hpp"
+#include "util/executor.hpp"
 #include "util/timer.hpp"
 
 namespace netsyn::core {
@@ -113,12 +111,7 @@ SynthesisResult runIslandSearch(
   // the islands share the caller's instances and must run on one thread
   // (results are identical either way — the point of the lockstep design).
   std::size_t threads = 1;
-  if (factory && K > 1) {
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    threads = ic.threads == 0 ? std::min(K, hw) : std::min(ic.threads, K);
-  }
-  std::optional<util::Gang> gang;
-  if (threads > 1) gang.emplace(threads);
+  if (factory && K > 1) threads = ic.threads == 0 ? K : ic.threads;
 
   std::vector<SearchState::Status> status(K, SearchState::Status::Running);
   std::vector<std::size_t> usedBefore(K, 0);
@@ -139,11 +132,7 @@ SynthesisResult runIslandSearch(
       const std::size_t i = active[slot];
       status[i] = seedRound ? states[i]->seed() : states[i]->step();
     };
-    if (gang) {
-      gang->run(active.size(), job);
-    } else {
-      for (std::size_t slot = 0; slot < active.size(); ++slot) job(slot);
-    }
+    util::Executor::instance().run(active.size(), job, threads);
     for (std::size_t i : active) {
       const std::size_t used = budgets[i].used() - usedBefore[i];
       const std::size_t grant = ledger.commit(used);

@@ -46,8 +46,9 @@ struct IslandsConfig {
   std::size_t migrationInterval = 10; ///< M: migrate every M generations
   std::size_t migrationSize = 2;      ///< E: elites sent per migration
   Topology topology = Topology::Ring;
-  /// Worker threads driving the islands (0 = one per island, capped by the
-  /// hardware). Purely a throughput knob: results are identical for every
+  /// Most threads a round's islands run on (0 = one per island), taken
+  /// from the process-wide util::Executor, which bounds them by the
+  /// hardware. Purely a throughput knob: results are identical for every
   /// value (pinned by tests). Islands without isolated per-island fitness
   /// instances always run on one thread.
   std::size_t threads = 0;

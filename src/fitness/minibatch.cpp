@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
-// Worker threads return their malloc arena's free pages on exit (see the
-// MinibatchRunner constructor). Only with glibc's allocator in charge:
-// glibc's malloc_trim crashes when a sanitizer has replaced malloc.
+#include "util/executor.hpp"
+
+// The runner returns the malloc arenas' free pages when it is destroyed
+// (see ~MinibatchRunner). Only with glibc's allocator in charge: glibc's
+// malloc_trim crashes when a sanitizer has replaced malloc.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define NETSYN_MALLOC_REPLACED 1
 #elif defined(__has_feature)
@@ -16,32 +17,30 @@
 #endif
 #endif
 #if defined(__GLIBC__) && !defined(NETSYN_MALLOC_REPLACED)
-#define NETSYN_TRIM_WORKER_ARENAS 1
+#define NETSYN_TRIM_ARENAS 1
 #include <malloc.h>
 #endif
 
 namespace netsyn::fitness {
 
-std::size_t trainThreads(std::size_t requested, std::size_t batchSize) {
-  if (requested > 0) return requested;
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(hw, std::max<std::size_t>(1, batchSize));
-}
-
 MinibatchRunner::MinibatchRunner(NnffModel& model, std::size_t threads)
     : model_(model), threads_(std::max<std::size_t>(1, threads)) {
   if (threads_ == 1) return;
-  gang_ = std::make_unique<util::Gang>(threads_ - 1, [] {
-#ifdef NETSYN_TRIM_WORKER_ARENAS
-    // glibc gives each worker thread its own malloc arena, and the pages of
-    // the sample graphs freed there stay resident after the thread exits
-    // (0.3-0.7 MB per worker at ci scale). Trimmed by the worker itself
-    // before it exits, most of them go back to the OS.
-    malloc_trim(0);
-#endif
-  });
   for (std::size_t w = 0; w < threads_; ++w) replicas_.push_back(model.clone());
   replicaVersion_.assign(threads_, model.params().version());
+}
+
+MinibatchRunner::~MinibatchRunner() {
+#ifdef NETSYN_TRIM_ARENAS
+  // glibc gives each executor worker its own malloc arena, and the pages of
+  // the sample graphs and gradient logs freed there stay resident (0.3-0.7
+  // MB per worker at ci scale). malloc_trim walks every arena, so one call
+  // here returns most of them to the OS.
+  if (threads_ == 1) return;
+  replicas_.clear();
+  logs_.clear();
+  malloc_trim(0);
+#endif
 }
 
 const NnffModel& MinibatchRunner::replica(std::size_t w) {
@@ -70,7 +69,7 @@ void MinibatchRunner::step(std::size_t n, const LossFn& loss, float gradClip,
   } else {
     if (logs_.size() < n) logs_.resize(n);
     std::atomic<std::size_t> next{0};
-    gang_->runWithCaller(threads_, [&](std::size_t w) {
+    const auto backwardSamples = [&](std::size_t w) {
       const NnffModel& m = replica(w);
       for (std::size_t i; (i = next.fetch_add(1)) < n;) {
         nn::LeafGradLog& log = logs_[i];
@@ -80,11 +79,14 @@ void MinibatchRunner::step(std::size_t n, const LossFn& loss, float gradClip,
         losses_[i] = l->scalar();
         nn::backward(nn::scale(l, scale));
       }
-    });
-    gang_->runWithCaller(threads_, [&](std::size_t part) {
+    };
+    const auto replayPart = [&](std::size_t part) {
       for (std::size_t i = n; i-- > 0;)
         logs_[i].replay(params.params(), part, threads_);
-    });
+    };
+    util::Executor& executor = util::Executor::instance();
+    executor.run(threads_, backwardSamples, threads_);
+    executor.run(threads_, replayPart, threads_);
   }
   for (float l : losses_) lossSum += l;
   if (gradClip > 0.0f) params.clipGradNorm(gradClip);
@@ -100,11 +102,12 @@ void MinibatchRunner::forEach(
     return;
   }
   std::atomic<std::size_t> next{0};
-  gang_->runWithCaller(threads_, [&](std::size_t w) {
+  const auto forwardSamples = [&](std::size_t w) {
     const NnffModel& m = replica(w);
     nn::InferenceModeGuard guard;
     for (std::size_t i; (i = next.fetch_add(1)) < n;) fn(m, i);
-  });
+  };
+  util::Executor::instance().run(threads_, forwardSamples, threads_);
 }
 
 }  // namespace netsyn::fitness

@@ -28,19 +28,20 @@
 
 #include "fitness/model.hpp"
 #include "nn/optim.hpp"
-#include "util/gang.hpp"
 
 namespace netsyn::fitness {
 
-/// Worker threads for a minibatch of `batchSize`: `requested`, or
-/// min(hardware_concurrency, batchSize) when it is 0.
-std::size_t trainThreads(std::size_t requested, std::size_t batchSize);
-
 class MinibatchRunner {
  public:
-  /// One worker (no gang, no replicas) runs everything on the calling
-  /// thread, writing gradients directly, last sample first.
+  /// Runs each minibatch on up to `threads` threads of the process-wide
+  /// util::Executor, the calling thread included. One worker (no replicas)
+  /// runs everything on the calling thread, writing gradients directly,
+  /// last sample first.
   MinibatchRunner(NnffModel& model, std::size_t threads);
+  /// Returns the malloc arenas' free pages to the OS (see minibatch.cpp).
+  ~MinibatchRunner();
+  MinibatchRunner(const MinibatchRunner&) = delete;
+  MinibatchRunner& operator=(const MinibatchRunner&) = delete;
 
   std::size_t threads() const { return threads_; }
 
@@ -67,7 +68,6 @@ class MinibatchRunner {
 
   NnffModel& model_;
   std::size_t threads_;
-  std::unique_ptr<util::Gang> gang_;  ///< threads_ - 1; the caller joins
   std::vector<std::unique_ptr<NnffModel>> replicas_;
   std::vector<std::uint64_t> replicaVersion_;  ///< model version copied
   std::vector<nn::LeafGradLog> logs_;          ///< one per sample

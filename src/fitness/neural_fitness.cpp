@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
-#include <thread>
 
 namespace netsyn::fitness {
 namespace {
@@ -66,11 +65,6 @@ ModelLaneSink::Captured ModelLaneSink::take(const EncodedTrace* e) {
           cells_.words.data()};
 }
 
-std::size_t gradeThreads(std::size_t searches) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::max<std::size_t>(1, hw / std::max<std::size_t>(1, searches));
-}
-
 BatchGrader::BatchGrader(std::shared_ptr<NnffModel> model,
                          ModelLaneSink* sink, std::size_t threads)
     : model_(std::move(model)),
@@ -129,13 +123,9 @@ void BatchGrader::gradeRound(const std::vector<const dsl::Program*>& genes,
     encoded_[i] = e;
   }
   claims_.reset(jobs_.size());
-  // The gang and the workspaces grow to the most shards a call has needed,
-  // not to threads_: workers that no call would feed are never started.
-  if (workspaces_.size() < shards) {
-    if (shards > 1) gang_ = std::make_unique<util::Gang>(shards - 1);
-    while (workspaces_.size() < shards)
-      workspaces_.push_back(std::make_unique<NnffModel::Workspace>());
-  }
+  // The workspaces grow to the most shards a call has needed.
+  while (workspaces_.size() < shards)
+    workspaces_.push_back(std::make_unique<NnffModel::Workspace>());
 
   const NnffModel& model = *model_;
   model.beginGrading(spec);
@@ -166,10 +156,7 @@ void BatchGrader::gradeRound(const std::vector<const dsl::Program*>& genes,
       model.mergeWorkspace(*workspaces_[s]);
   };
   try {
-    if (shards == 1)
-      participant(0);
-    else
-      gang_->runWithCaller(shards, participant);
+    util::Executor::instance().run(shards, participant, shards);
   } catch (...) {
     mergeAll();
     throw;

@@ -26,7 +26,7 @@
 #include "dsl/domain.hpp"
 #include "fitness/fitness.hpp"
 #include "fitness/model.hpp"
-#include "util/gang.hpp"
+#include "util/executor.hpp"
 
 namespace netsyn::fitness {
 
@@ -81,16 +81,13 @@ class ModelLaneSink final : public LaneTraceSink {
   TraceCells cells_;                    ///< this generation's arena
 };
 
-/// Grading threads for each of `searches` searches running at once on this
-/// host: max(1, hardware threads / searches).
-std::size_t gradeThreads(std::size_t searches = 1);
-
-/// Logits of a scoreBatch call's genes, on up to `threads` threads. Each
-/// maximal run of contexts sharing a spec is graded in one round against
-/// the model's shared memos (NnffModel::beginGrading ... mergeWorkspace).
+/// Logits of a scoreBatch call's genes, on up to `threads` threads of the
+/// process-wide util::Executor. Each maximal run of contexts sharing a spec
+/// is graded in one round against the model's shared memos
+/// (NnffModel::beginGrading ... mergeWorkspace).
 /// The genes are split into contiguous shards of at least
-/// kMinGenesPerShard genes, one per participant: a task that the calling
-/// thread and the gang's workers claim, each on its own
+/// kMinGenesPerShard genes, one per participant: a task of one executor
+/// group, which the calling thread and idle workers claim, each on its own
 /// NnffModel::Workspace. A participant first claims genes to encode from a
 /// shared cursor (lane slots handed out by the sink, and run-backed
 /// contexts), then predicts its own shard, encoding any gene of it still
@@ -110,6 +107,7 @@ class BatchGrader {
 
   /// `sink` (optional) is the lane sink whose captured slots reach this
   /// grader's contexts, still to be encoded; it must outlive the grader.
+  /// `threads` caps the shards of a call.
   BatchGrader(std::shared_ptr<NnffModel> model, ModelLaneSink* sink,
               std::size_t threads);
   BatchGrader(const BatchGrader&) = delete;
@@ -143,16 +141,15 @@ class BatchGrader {
   std::vector<Job> jobs_;
   std::vector<std::size_t> jobOf_;  ///< gene -> its job; npos: ready
   util::HelpFirstJobs claims_;       ///< who encodes which job
-  std::unique_ptr<util::Gang> gang_;  ///< participants 1, 2, ...
   std::vector<std::unique_ptr<NnffModel::Workspace>> workspaces_;
 };
 
 /// f_CF / f_LCS: expectation of the classifier's predicted fitness class.
 class NeuralFitness final : public FitnessFunction {
  public:
-  /// `threads` grade each scoreBatch call (BatchGrader).
+  /// Up to `threads` threads grade each scoreBatch call (BatchGrader).
   NeuralFitness(std::shared_ptr<NnffModel> model, std::string name,
-                std::size_t threads = gradeThreads());
+                std::size_t threads = util::Executor::instance().concurrency());
 
   /// A batch of one.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;
@@ -218,7 +215,8 @@ class ProbMapFitness final : public FitnessFunction, public ProbMapProvider {
 class RegressionFitness final : public FitnessFunction {
  public:
   explicit RegressionFitness(std::shared_ptr<NnffModel> model,
-                             std::size_t threads = gradeThreads());
+                             std::size_t threads =
+                                 util::Executor::instance().concurrency());
 
   /// A batch of one, like NeuralFitness.
   double score(const dsl::Program& gene, const EvalContext& ctx) override;

@@ -5,6 +5,7 @@
 
 #include "fitness/minibatch.hpp"
 #include "nn/optim.hpp"
+#include "util/executor.hpp"
 
 namespace netsyn::fitness {
 
@@ -16,7 +17,7 @@ std::vector<RankEpochStats> RankTrainer::train(
     throw std::invalid_argument("RankTrainer requires a Regression head");
   if (trainSet.empty()) throw std::invalid_argument("empty pair set");
 
-  MinibatchRunner runner(model, trainThreads(0, config_.batchSize));
+  MinibatchRunner runner(model, util::Executor::instance().concurrency());
   nn::Adam opt(model.params(), config_.learningRate);
   util::Rng shuffler(config_.shuffleSeed);
   std::vector<std::size_t> order(trainSet.size());

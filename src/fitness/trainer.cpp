@@ -7,6 +7,7 @@
 #include "fitness/extras.hpp"
 #include "fitness/minibatch.hpp"
 #include "nn/optim.hpp"
+#include "util/executor.hpp"
 
 namespace netsyn::fitness {
 
@@ -87,7 +88,8 @@ nn::Var Trainer::sampleLoss(const NnffModel& model,
 }
 
 std::size_t Trainer::threads() const {
-  return trainThreads(config_.threads, config_.batchSize);
+  return config_.threads != 0 ? config_.threads
+                              : util::Executor::instance().concurrency();
 }
 
 std::vector<EpochStats> Trainer::train(

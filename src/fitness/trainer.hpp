@@ -35,10 +35,11 @@ struct TrainConfig {
   BalanceMetric labelMetric = BalanceMetric::CF;  ///< classifier/regression
   LabelTransform labelTransform = LabelTransform::Identity;
   std::uint64_t shuffleSeed = 7;
-  /// Worker threads for the minibatches and the validation pass (0 =
-  /// min(hardware_concurrency, batchSize)). Purely a throughput knob: the
-  /// trained weights and every statistic are bit-identical for every value
-  /// (fitness/minibatch.hpp), so it is neither serialized nor a CLI flag.
+  /// Most threads of the process-wide util::Executor a minibatch or the
+  /// validation pass runs on (0 = the executor's concurrency). Purely a
+  /// throughput knob: the trained weights and every statistic are
+  /// bit-identical for every value (fitness/minibatch.hpp), so it is
+  /// neither serialized nor a CLI flag.
   std::size_t threads = 0;
 };
 
@@ -58,7 +59,7 @@ class Trainer {
 
   const TrainConfig& config() const { return config_; }
 
-  /// Worker threads train() and evaluate() use (TrainConfig::threads, 0
+  /// Most threads train() and evaluate() run on (TrainConfig::threads, 0
   /// resolved).
   std::size_t threads() const;
 

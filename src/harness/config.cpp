@@ -1,13 +1,12 @@
 #include "harness/config.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
+#include "util/executor.hpp"
 #include "util/json.hpp"
 
 namespace netsyn::harness {
@@ -226,18 +225,11 @@ ExperimentConfig ExperimentConfig::fromArgs(const util::ArgParse& args) {
     is.topology = parseTopology(args.getString("topology", "ring"));
   is.threads = nonNegative("island-threads", is.threads);
   is.heterogeneous = args.getBool("island-hetero", is.heterogeneous);
-  // Combined parallelism: when the experiment runner already fans out over
-  // worker threads, default each run's island gang to one thread so the two
-  // levels do not multiply into workers x K threads on the same cores.
-  // An explicit --island-threads still wins; results are identical either
-  // way (thread count never affects island results).
-  if (cfg.workers != 1 && !args.has("island-threads")) is.threads = 1;
   return cfg;
 }
 
 std::size_t ExperimentConfig::resolvedWorkers() const {
-  return workers != 0 ? workers
-                      : std::max(1u, std::thread::hardware_concurrency());
+  return workers != 0 ? workers : util::Executor::instance().concurrency();
 }
 
 std::string ExperimentConfig::toJson() const {

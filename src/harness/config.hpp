@@ -48,12 +48,13 @@ struct ExperimentConfig {
   core::SynthesizerConfig synthesizer;
 
   /// Worker threads for the experiment runner: (program, run) pairs are
-  /// dispatched onto a pool of this many workers, each owning its own method
-  /// instance. 1 = sequential (default); 0 = one per hardware thread. The
+  /// dispatched onto up to this many executor threads, each owning its own
+  /// method instance. 1 = sequential (default); 0 = the process-wide
+  /// util::Executor's concurrency. The
   /// per-(seed, program, run) seeding makes the resulting MethodReport
   /// identical to a sequential run (wall-clock `seconds` aside).
   std::size_t workers = 1;
-  /// `workers` with 0 resolved to the hardware thread count.
+  /// `workers` with 0 resolved to the executor's concurrency.
   std::size_t resolvedWorkers() const;
 
   std::uint64_t seed = 2021;

@@ -59,21 +59,16 @@ baselines::MethodPtr makeNetSyn(const ExperimentConfig& config,
 
   auto fpProvider = std::make_shared<fitness::ProbMapFitness>(models.fp);
   const auto islandFactory = netSynIslandFactory(models, variant);
-  // The experiment runner runs config.resolvedWorkers() searches at once;
-  // each grades on its share of the cores.
-  const std::size_t threads = fitness::gradeThreads(config.resolvedWorkers());
   switch (variant) {
     case NetSynVariant::CF:
       return std::make_shared<baselines::SynthesizerMethod>(
           "NetSyn_CF", sc,
-          std::make_shared<fitness::NeuralFitness>(models.cf, "NN_CF",
-                                                   threads),
+          std::make_shared<fitness::NeuralFitness>(models.cf, "NN_CF"),
           fpProvider, islandFactory);
     case NetSynVariant::LCS:
       return std::make_shared<baselines::SynthesizerMethod>(
           "NetSyn_LCS", sc,
-          std::make_shared<fitness::NeuralFitness>(models.lcs, "NN_LCS",
-                                                   threads),
+          std::make_shared<fitness::NeuralFitness>(models.lcs, "NN_LCS"),
           fpProvider, islandFactory);
     case NetSynVariant::FP:
       return std::make_shared<baselines::SynthesizerMethod>(

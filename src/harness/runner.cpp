@@ -5,7 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
+
+#include "util/executor.hpp"
 
 namespace netsyn::harness {
 
@@ -171,35 +172,34 @@ MethodReport runMethod(const baselines::MethodFactory& makeMethod,
   MethodReport report = emptyReport(firstInstance->name(), workload, config);
 
   // Work queue: flat (program, run) index, claimed atomically. Each worker
-  // owns one method instance for its whole lifetime; every run derives its
-  // RNG from (seed, p, k) and writes to its preassigned slot, so the
-  // deterministic report fields cannot depend on the schedule.
+  // builds one method instance when it claims its first run and keeps it;
+  // every run derives its RNG from (seed, p, k) and writes to its
+  // preassigned slot, so the deterministic report fields cannot depend on
+  // the schedule. A search's exception reaches the caller once every
+  // worker has stopped.
   std::atomic<std::size_t> nextTask{0};
   const std::size_t runsPer = config.runsPerProgram;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w]() {
-      const baselines::MethodPtr method =
-          w == 0 ? std::move(firstInstance) : makeMethod();
-      auto* targetAware = dynamic_cast<TargetAware*>(method.get());
-      while (true) {
-        const std::size_t task = nextTask.fetch_add(1);
-        if (task >= totalTasks) break;
-        const std::size_t p = task / runsPer;
-        const std::size_t k = task % runsPer;
-        const TestProgram& tp = workload[p];
-        if (targetAware) targetAware->setTarget(tp.target);
-        util::Rng rng = runSeedRng(config, p, k);
-        const auto result =
-            method->synthesize(tp.spec, tp.length, config.searchBudget, rng);
-        report.programs[p].runs[k] =
-            RunRecord{result.found, result.candidatesSearched, result.seconds,
-                      result.generations, result.islandStats};
+  const auto worker = [&](std::size_t w) {
+    baselines::MethodPtr method;
+    TargetAware* targetAware = nullptr;
+    for (std::size_t task; (task = nextTask.fetch_add(1)) < totalTasks;) {
+      if (!method) {
+        method = w == 0 ? std::move(firstInstance) : makeMethod();
+        targetAware = dynamic_cast<TargetAware*>(method.get());
       }
-    });
-  }
-  for (auto& t : pool) t.join();
+      const std::size_t p = task / runsPer;
+      const std::size_t k = task % runsPer;
+      const TestProgram& tp = workload[p];
+      if (targetAware) targetAware->setTarget(tp.target);
+      util::Rng rng = runSeedRng(config, p, k);
+      const auto result =
+          method->synthesize(tp.spec, tp.length, config.searchBudget, rng);
+      report.programs[p].runs[k] =
+          RunRecord{result.found, result.candidatesSearched, result.seconds,
+                    result.generations, result.islandStats};
+    }
+  };
+  util::Executor::instance().run(workers, worker, workers);
 
   if (verbose) reportProgress(report, workload);
   return report;

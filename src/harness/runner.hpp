@@ -80,10 +80,11 @@ MethodReport runMethod(baselines::Method& method,
                        const std::vector<TestProgram>& workload,
                        const ExperimentConfig& config, bool verbose = true);
 
-/// Parallel runner: dispatches every (program, run) pair onto a pool of
-/// config.workers threads (0 = one per hardware thread), each worker grading
-/// with its own method instance from `makeMethod`. Because run k of program
-/// p is seeded from (config.seed, p, k) and every result lands in its
+/// Parallel runner: dispatches every (program, run) pair onto up to
+/// config.workers threads of the process-wide util::Executor (0 = its
+/// concurrency), each worker grading with its own method instance from
+/// `makeMethod`; a search's exception is rethrown here. Because run k of
+/// program p is seeded from (config.seed, p, k) and every result lands in its
 /// preassigned slot, the report's deterministic fields (found / candidates /
 /// generations and everything derived from them) are identical to a
 /// sequential run; only the wall-clock `seconds` fields vary.

@@ -26,6 +26,7 @@
 #include "harness/workload.hpp"
 #include "service/checkpoint.hpp"
 #include "service/protocol.hpp"
+#include "util/executor.hpp"
 #include "util/faultinject.hpp"
 #include "util/json.hpp"
 
@@ -285,10 +286,9 @@ struct SynthService::Impl {
     // Recovery runs single-threaded before any worker or the watchdog
     // exists, so the *Locked helpers are safe to call bare here.
     if (!cfg.stateDir.empty()) recoverStateDir();
-    std::size_t n = cfg.workers == 0
-                        ? std::max(1u, std::thread::hardware_concurrency())
-                        : cfg.workers;
-    gradingThreads = fitness::gradeThreads(n);
+    const std::size_t n = cfg.workers == 0
+                              ? util::Executor::instance().concurrency()
+                              : cfg.workers;
     workers.reserve(n);
     for (std::size_t w = 0; w < n; ++w)
       workers.emplace_back([this, w] { workerLoop(w); });
@@ -345,9 +345,6 @@ struct SynthService::Impl {
   std::atomic<std::size_t> durableErrors{0};
 
   ModelStore models;  ///< thread-safe on its own lock
-  /// Threads each worker's NN fitness grades on: the worker's share of the
-  /// hardware threads. Set before the workers start.
-  std::size_t gradingThreads = 1;
 
   std::vector<std::thread> workers;
   std::thread watchdog;
@@ -776,10 +773,10 @@ WorkerContext::MethodKit& SynthService::Impl::kitFor(WorkerContext& ctx,
     kit.probMap = fp;
     if (job.method == "NetSyn_CF")
       kit.fitness = std::make_shared<fitness::NeuralFitness>(
-          shared.cf->clone(), "NN_CF", gradingThreads);
+          shared.cf->clone(), "NN_CF");
     else if (job.method == "NetSyn_LCS")
       kit.fitness = std::make_shared<fitness::NeuralFitness>(
-          shared.lcs->clone(), "NN_LCS", gradingThreads);
+          shared.lcs->clone(), "NN_LCS");
     else
       kit.fitness = fp;
   }

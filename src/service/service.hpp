@@ -69,7 +69,8 @@
 namespace netsyn::service {
 
 struct ServiceConfig {
-  /// Worker threads serving tasks (0 = one per hardware thread).
+  /// Worker threads serving tasks (0 = the process-wide util::Executor's
+  /// concurrency). Their searches grade on the executor.
   std::size_t workers = 2;
   /// Memoize completed jobs by (method, config) and answer identical
   /// resubmissions from the memo.

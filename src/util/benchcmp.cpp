@@ -24,9 +24,8 @@ void pushDelta(BenchComparison& cmp, const std::string& metric,
                                 /*higherIsBetter=*/true, gated});
 }
 
-/// Islands/fleet records carry a per-size "sweep" array; rows are matched
-/// by the sizing key ("islands" / "hosts") so a re-ordered sweep still
-/// compares correctly.
+/// Islands records carry a per-size "sweep" array; rows are matched by the
+/// sizing key ("islands") so a re-ordered sweep still compares correctly.
 const JsonValue* sweepEntry(const JsonValue& record, const char* key,
                             double k) {
   const JsonValue* sweep = record.find("sweep");
@@ -124,37 +123,6 @@ BenchComparison compareBenchRecords(const std::string& baselineJson,
                                     numberAt(entry, "solved_per_sec"),
                                     numberAt(*other, "solved_per_sec"), true,
                                     false});
-    }
-  } else if (baseTag == "fleet") {
-    // Fleet coordinator record: one sweep entry per host count, matched by
-    // "hosts". The coordinator's determinism contract makes solve counts
-    // host-count-independent — any solved delta between entries of the SAME
-    // record, or vs the baseline, is an algorithmic change: gated. Wall-
-    // clock rates and the scaling ratio swing with the host machine (and
-    // with subprocess spawn cost at these tiny workloads): info only, and
-    // presence-guarded so older records without the ratio still compare.
-    const JsonValue* sweep = baseline.find("sweep");
-    if (!sweep || sweep->kind != JsonValue::Kind::Array)
-      throw std::invalid_argument("fleet record missing sweep array");
-    for (const JsonValue& entry : sweep->items) {
-      const double h = numberAt(entry, "hosts");
-      const JsonValue* other = sweepEntry(fresh, "hosts", h);
-      if (!other)
-        throw std::invalid_argument("fresh fleet record lost the hosts=" +
-                                    std::to_string(static_cast<long>(h)) +
-                                    " sweep entry");
-      const std::string tag = "hosts=" + std::to_string(static_cast<long>(h));
-      cmp.rows.push_back(BenchDelta{tag + " solved", numberAt(entry, "solved"),
-                                    numberAt(*other, "solved"), true, true});
-      cmp.rows.push_back(BenchDelta{tag + " solved/sec",
-                                    numberAt(entry, "solved_per_sec"),
-                                    numberAt(*other, "solved_per_sec"), true,
-                                    false});
-      if (entry.find("scaling_vs_1host") && other->find("scaling_vs_1host"))
-        cmp.rows.push_back(BenchDelta{tag + " scaling vs 1 host",
-                                      numberAt(entry, "scaling_vs_1host"),
-                                      numberAt(*other, "scaling_vs_1host"),
-                                      true, false});
     }
   } else if (baseTag == "strdsl") {
     // String-domain synthesis record: one entry per search mode, matched by

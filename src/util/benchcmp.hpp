@@ -70,7 +70,7 @@ struct BenchComparison {
 };
 
 /// Compares two bench records of the same kind ("interpreter",
-/// "nn_scoring", "islands", "strdsl", or "fleet"). Throws
+/// "nn_scoring", "islands" or "strdsl"). Throws
 /// std::invalid_argument on malformed JSON, unknown bench tags, or a tag
 /// mismatch between the two records.
 BenchComparison compareBenchRecords(const std::string& baselineJson,

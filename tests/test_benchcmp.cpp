@@ -26,17 +26,10 @@ const char* kIslands =
     "{\"islands\": 1, \"solved\": 3, \"solved_per_sec\": 120.0}, "
     "{\"islands\": 4, \"solved\": 4, \"solved_per_sec\": 90.0}]}";
 
-const char* kFleet =
-    "{\"bench\": \"fleet\", \"sweep\": ["
-    "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 2.5, "
-    "\"scaling_vs_1host\": 1.0}, "
-    "{\"hosts\": 4, \"solved\": 5, \"solved_per_sec\": 8.0, "
-    "\"scaling_vs_1host\": 3.2}]}";
-
 }  // namespace
 
 TEST(BenchCmp, IdentityPassesEveryGate) {
-  for (const char* record : {kInterp, kNn, kIslands, kFleet}) {
+  for (const char* record : {kInterp, kNn, kIslands}) {
     const auto cmp = nu::compareBenchRecords(record, record);
     EXPECT_FALSE(cmp.anyRegression(0.15)) << record;
     EXPECT_FALSE(cmp.anyRegression(0.0)) << record;
@@ -260,52 +253,6 @@ TEST(BenchCmp, LaneRowsDemoteToInfoAcrossBackendsAndOldBaselines) {
   const auto cmp = nu::compareBenchRecords(kInterp, kInterp);
   for (const auto& row : cmp.rows)
     EXPECT_EQ(row.metric.find("lane"), std::string::npos) << row.metric;
-}
-
-TEST(BenchCmp, FleetSolveCountsGateButRatesAndScalingDoNot) {
-  // The fleet determinism contract: solved is host-count-independent, so a
-  // drop at any host count is an algorithmic regression — gated.
-  const std::string lostSolve =
-      "{\"bench\": \"fleet\", \"sweep\": ["
-      "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 2.5, "
-      "\"scaling_vs_1host\": 1.0}, "
-      "{\"hosts\": 4, \"solved\": 3, \"solved_per_sec\": 8.0, "
-      "\"scaling_vs_1host\": 3.2}]}";
-  EXPECT_TRUE(nu::compareBenchRecords(kFleet, lostSolve).anyRegression(0.15));
-
-  // Wall-clock rate and scaling ratio halving: host effect, info only.
-  const std::string slowHost =
-      "{\"bench\": \"fleet\", \"sweep\": ["
-      "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 1.2, "
-      "\"scaling_vs_1host\": 1.0}, "
-      "{\"hosts\": 4, \"solved\": 5, \"solved_per_sec\": 2.0, "
-      "\"scaling_vs_1host\": 1.6}]}";
-  EXPECT_FALSE(nu::compareBenchRecords(kFleet, slowHost).anyRegression(0.15));
-
-  // Entries match by host count, not position.
-  const std::string reordered =
-      "{\"bench\": \"fleet\", \"sweep\": ["
-      "{\"hosts\": 4, \"solved\": 5, \"solved_per_sec\": 8.0, "
-      "\"scaling_vs_1host\": 3.2}, "
-      "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 2.5, "
-      "\"scaling_vs_1host\": 1.0}]}";
-  EXPECT_FALSE(nu::compareBenchRecords(kFleet, reordered).anyRegression(0.0));
-
-  // A fresh record that lost a host-count entry is loud; a record without
-  // the scaling ratio (older bench binary) still compares on what's there.
-  const std::string lostEntry =
-      "{\"bench\": \"fleet\", \"sweep\": ["
-      "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 2.5}]}";
-  EXPECT_THROW(nu::compareBenchRecords(kFleet, lostEntry),
-               std::invalid_argument);
-  const std::string noScaling =
-      "{\"bench\": \"fleet\", \"sweep\": ["
-      "{\"hosts\": 1, \"solved\": 5, \"solved_per_sec\": 2.5}, "
-      "{\"hosts\": 4, \"solved\": 5, \"solved_per_sec\": 8.0}]}";
-  const auto cmp = nu::compareBenchRecords(kFleet, noScaling);
-  EXPECT_FALSE(cmp.anyRegression(0.15));
-  for (const auto& row : cmp.rows)
-    EXPECT_EQ(row.metric.find("scaling"), std::string::npos) << row.metric;
 }
 
 TEST(BenchCmp, ZeroBaselineCannotRegress) {

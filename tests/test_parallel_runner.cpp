@@ -1,8 +1,11 @@
 // Parallel experiment runner: workers=N must produce the same MethodReport
 // as the sequential runner (wall-clock seconds aside), independent of
-// scheduling, and the factory path must agree with the legacy single-method
-// path.
+// scheduling, the factory path must agree with the legacy single-method
+// path, and a search's exception must reach the caller at any worker count.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
 
 #include "harness/registry.hpp"
 #include "harness/runner.hpp"
@@ -110,4 +113,36 @@ TEST(ParallelRunner, WorkersFlagParsesAndDefaults) {
   const netsyn::util::ArgParse args(2, argv);
   const auto cfg = nh::ExperimentConfig::fromArgs(args);
   EXPECT_EQ(cfg.workers, 6u);
+}
+
+namespace {
+
+/// A method whose search always throws, like a search that hits
+/// ga.cpp's or search_state.cpp's invalid-argument checks.
+class ThrowingMethod final : public nb::Method {
+ public:
+  std::string name() const override { return "Throwing"; }
+  netsyn::core::SynthesisResult synthesize(const netsyn::dsl::Spec&,
+                                           std::size_t, std::size_t,
+                                           netsyn::util::Rng&) override {
+    throw std::runtime_error("search failed");
+  }
+};
+
+}  // namespace
+
+TEST(Runner, ParallelRunRethrowsASearchException) {
+  auto cfg = tinyConfig();
+  const auto workload = nh::makeFullWorkload(cfg);
+  const nb::MethodFactory factory = [] {
+    return std::make_shared<ThrowingMethod>();
+  };
+  // One worker or several: the caller sees the search's exception, and
+  // the process keeps running.
+  for (const std::size_t workers : {1, 2, 4}) {
+    cfg.workers = workers;
+    EXPECT_THROW(nh::runMethod(factory, workload, cfg, false),
+                 std::runtime_error)
+        << workers << " workers";
+  }
 }
