@@ -85,7 +85,7 @@ void MinibatchRunner::step(std::size_t n, const LossFn& loss, float gradClip,
         logs_[i].replay(params.params(), part, threads_);
     };
     util::Executor& executor = util::Executor::instance();
-    executor.run(threads_, backwardSamples, threads_);
+    executor.run(std::min(threads_, n), backwardSamples, threads_);
     executor.run(threads_, replayPart, threads_);
   }
   for (float l : losses_) lossSum += l;
@@ -107,7 +107,8 @@ void MinibatchRunner::forEach(
     nn::InferenceModeGuard guard;
     for (std::size_t i; (i = next.fetch_add(1)) < n;) fn(m, i);
   };
-  util::Executor::instance().run(threads_, forwardSamples, threads_);
+  util::Executor::instance().run(std::min(threads_, n), forwardSamples,
+                                 threads_);
 }
 
 }  // namespace netsyn::fitness

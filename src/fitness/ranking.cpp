@@ -17,7 +17,9 @@ std::vector<RankEpochStats> RankTrainer::train(
     throw std::invalid_argument("RankTrainer requires a Regression head");
   if (trainSet.empty()) throw std::invalid_argument("empty pair set");
 
-  MinibatchRunner runner(model, util::Executor::instance().concurrency());
+  MinibatchRunner runner(
+      model, std::min(util::Executor::instance().concurrency(),
+                      std::max<std::size_t>(1, config_.batchSize)));
   nn::Adam opt(model.params(), config_.learningRate);
   util::Rng shuffler(config_.shuffleSeed);
   std::vector<std::size_t> order(trainSet.size());

@@ -88,8 +88,9 @@ nn::Var Trainer::sampleLoss(const NnffModel& model,
 }
 
 std::size_t Trainer::threads() const {
-  return config_.threads != 0 ? config_.threads
-                              : util::Executor::instance().concurrency();
+  if (config_.threads != 0) return config_.threads;
+  return std::min(util::Executor::instance().concurrency(),
+                  std::max<std::size_t>(1, config_.batchSize));
 }
 
 std::vector<EpochStats> Trainer::train(

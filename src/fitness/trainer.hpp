@@ -36,7 +36,8 @@ struct TrainConfig {
   LabelTransform labelTransform = LabelTransform::Identity;
   std::uint64_t shuffleSeed = 7;
   /// Most threads of the process-wide util::Executor a minibatch or the
-  /// validation pass runs on (0 = the executor's concurrency). Purely a
+  /// validation pass runs on (0 = the executor's concurrency, at most
+  /// batchSize: a minibatch has no work for more). Purely a
   /// throughput knob: the trained weights and every statistic are
   /// bit-identical for every value (fitness/minibatch.hpp), so it is
   /// neither serialized nor a CLI flag.

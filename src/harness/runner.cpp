@@ -175,28 +175,33 @@ MethodReport runMethod(const baselines::MethodFactory& makeMethod,
   // builds one method instance when it claims its first run and keeps it;
   // every run derives its RNG from (seed, p, k) and writes to its
   // preassigned slot, so the deterministic report fields cannot depend on
-  // the schedule. A search's exception reaches the caller once every
-  // worker has stopped.
+  // the schedule. A search's exception ends the queue: the other workers
+  // stop after their current run, and it reaches the caller.
   std::atomic<std::size_t> nextTask{0};
   const std::size_t runsPer = config.runsPerProgram;
   const auto worker = [&](std::size_t w) {
     baselines::MethodPtr method;
     TargetAware* targetAware = nullptr;
-    for (std::size_t task; (task = nextTask.fetch_add(1)) < totalTasks;) {
-      if (!method) {
-        method = w == 0 ? std::move(firstInstance) : makeMethod();
-        targetAware = dynamic_cast<TargetAware*>(method.get());
+    try {
+      for (std::size_t task; (task = nextTask.fetch_add(1)) < totalTasks;) {
+        if (!method) {
+          method = w == 0 ? std::move(firstInstance) : makeMethod();
+          targetAware = dynamic_cast<TargetAware*>(method.get());
+        }
+        const std::size_t p = task / runsPer;
+        const std::size_t k = task % runsPer;
+        const TestProgram& tp = workload[p];
+        if (targetAware) targetAware->setTarget(tp.target);
+        util::Rng rng = runSeedRng(config, p, k);
+        const auto result =
+            method->synthesize(tp.spec, tp.length, config.searchBudget, rng);
+        report.programs[p].runs[k] =
+            RunRecord{result.found, result.candidatesSearched, result.seconds,
+                      result.generations, result.islandStats};
       }
-      const std::size_t p = task / runsPer;
-      const std::size_t k = task % runsPer;
-      const TestProgram& tp = workload[p];
-      if (targetAware) targetAware->setTarget(tp.target);
-      util::Rng rng = runSeedRng(config, p, k);
-      const auto result =
-          method->synthesize(tp.spec, tp.length, config.searchBudget, rng);
-      report.programs[p].runs[k] =
-          RunRecord{result.found, result.candidatesSearched, result.seconds,
-                    result.generations, result.islandStats};
+    } catch (...) {
+      nextTask.store(totalTasks);
+      throw;
     }
   };
   util::Executor::instance().run(workers, worker, workers);

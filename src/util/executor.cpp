@@ -52,11 +52,8 @@ void Executor::run(std::size_t tasks,
       std::lock_guard<std::mutex> lock(mutex_);
       open_.push_back(&g);
     }
-    // One wake-up call when the group may use every worker.
-    if (g.maxHelpers == workers_.size())
-      wake_.notify_all();
-    else
-      for (std::size_t h = 0; h < g.maxHelpers; ++h) wake_.notify_one();
+    // Workers that the cap or another group leaves out go back to sleep.
+    wake_.notify_all();
   }
   claimTasks(g);
   if (g.maxHelpers > 0) {

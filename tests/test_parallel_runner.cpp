@@ -4,8 +4,11 @@
 // path, and a search's exception must reach the caller at any worker count.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "harness/registry.hpp"
 #include "harness/runner.hpp"
@@ -117,16 +120,25 @@ TEST(ParallelRunner, WorkersFlagParsesAndDefaults) {
 
 namespace {
 
-/// A method whose search always throws, like a search that hits
-/// ga.cpp's or search_state.cpp's invalid-argument checks.
+/// A method whose first search throws, like a search that hits ga.cpp's or
+/// search_state.cpp's invalid-argument checks; every later search takes
+/// 50 ms and finds nothing. `searches` counts the searches started.
 class ThrowingMethod final : public nb::Method {
  public:
+  explicit ThrowingMethod(std::shared_ptr<std::atomic<int>> searches)
+      : searches_(std::move(searches)) {}
   std::string name() const override { return "Throwing"; }
   netsyn::core::SynthesisResult synthesize(const netsyn::dsl::Spec&,
                                            std::size_t, std::size_t,
                                            netsyn::util::Rng&) override {
-    throw std::runtime_error("search failed");
+    if (searches_->fetch_add(1) == 0)
+      throw std::runtime_error("search failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return {};
   }
+
+ private:
+  std::shared_ptr<std::atomic<int>> searches_;
 };
 
 }  // namespace
@@ -134,15 +146,21 @@ class ThrowingMethod final : public nb::Method {
 TEST(Runner, ParallelRunRethrowsASearchException) {
   auto cfg = tinyConfig();
   const auto workload = nh::makeFullWorkload(cfg);
-  const nb::MethodFactory factory = [] {
-    return std::make_shared<ThrowingMethod>();
-  };
-  // One worker or several: the caller sees the search's exception, and
-  // the process keeps running.
+  ASSERT_GT(workload.size() * cfg.runsPerProgram, 4u);
+  // One worker or several: the caller sees the search's exception, the
+  // process keeps running, and the run stops there. Each other worker
+  // finishes the one search it started before the throw, and starts no
+  // more.
   for (const std::size_t workers : {1, 2, 4}) {
+    const auto searches = std::make_shared<std::atomic<int>>(0);
+    const nb::MethodFactory factory = [searches] {
+      return std::make_shared<ThrowingMethod>(searches);
+    };
     cfg.workers = workers;
     EXPECT_THROW(nh::runMethod(factory, workload, cfg, false),
                  std::runtime_error)
+        << workers << " workers";
+    EXPECT_LE(searches->load(), static_cast<int>(workers))
         << workers << " workers";
   }
 }

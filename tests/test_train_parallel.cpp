@@ -270,6 +270,17 @@ TEST(TrainParallel, EvaluateMatchesTheSerialPass) {
   }
 }
 
+// threads = 0 starts no more threads than a minibatch has samples: a
+// replica per idle thread would only be copied, never used.
+TEST(TrainParallel, DefaultThreadsAreAtMostTheBatchSize) {
+  nf::TrainConfig tc;
+  tc.batchSize = 1;
+  EXPECT_EQ(nf::Trainer(tc).threads(), 1u);
+  tc.batchSize = 2;
+  EXPECT_GE(nf::Trainer(tc).threads(), 1u);
+  EXPECT_LE(nf::Trainer(tc).threads(), 2u);
+}
+
 TEST(TrainParallel, RankTrainerMatchesTheSerialSweep) {
   nf::NnffConfig cfg = tinyConfig(nf::HeadKind::Regression);
   Rng rng(5);
