@@ -14,6 +14,15 @@
 // claim re-attach (--reconnect-attempts) before failover kicks in. The
 // merged report's bytes are identical across subprocess and socket modes.
 //
+// With --verify the same config is also run one-shot (in-process,
+// sequential: harness::runMethod through the service's method registry),
+// and every (program, run) task's found / candidates / generations must
+// match the merged report; any divergence exits 1. One host
+// (--hosts=1 --host-workers=2) is the single-daemon check, and
+// --chaos-kill-host=0 --state-dir=DIR its kill-and-restart pass: the lone
+// backend is SIGKILLed mid-claim, respawned on its state dir, and
+// re-attached.
+//
 // Usage:
 //   fleet_coord [--hosts=N | --hosts=EP1,EP2,... | --hosts-file=PATH]
 //               [--synthd=PATH] [--method=NAME]
@@ -22,7 +31,8 @@
 //               [--daemon-faults=SPEC] [--token=STR] [--host-timeout=S]
 //               [--poll-ms=MS] [--chaos-kill-host=I|auto]
 //               [--reconnect-attempts=N]
-//               [--report=FILE] [--metrics-json=FILE] [--verbose]
+//               [--report=FILE] [--metrics-json=FILE] [--verify]
+//               [--verbose]
 //               [experiment flags: --scale / --config-file, --budget, ...]
 //
 //   --hosts=N              backend count (default 2), spawned as local
@@ -57,11 +67,15 @@
 //   --report=FILE          write the canonical report line to FILE
 //                          (default stdout)
 //   --metrics-json=FILE    write the aggregated fleet metrics to FILE
+//   --verify               compare the merged report with a one-shot
+//                          in-process run of the same config; exit 1 on
+//                          any divergence
 //
 // Experiment flags are the shared harness set (--scale=ci|paper,
 // --config-file=PATH, --budget, --runs, --lengths, --seed, ...).
 //
-// Exit 0 on a completed run; diagnostics go to stderr.
+// Exit 0 on a completed (and, with --verify, matching) run; diagnostics go
+// to stderr.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -72,7 +86,10 @@
 #include <vector>
 
 #include "harness/config.hpp"
+#include "harness/runner.hpp"
+#include "harness/workload.hpp"
 #include "service/fleet.hpp"
+#include "service/service.hpp"
 #include "util/argparse.hpp"
 
 namespace {
@@ -109,6 +126,49 @@ std::vector<netsyn::util::SocketEndpoint> readHostsFile(
         netsyn::util::SocketEndpoint::parse(line.substr(start, end - start + 1)));
   }
   return out;
+}
+
+/// --verify: runs `config` one-shot in-process and compares each (program,
+/// run) task's found / candidates / generations with the merged fleet
+/// report. Prints one MISMATCH line per divergence; true when none.
+bool matchesOneShot(const netsyn::service::FleetReport& report,
+                    const netsyn::harness::ExperimentConfig& config,
+                    const std::string& method) {
+  using namespace netsyn;
+  service::ModelStore models;
+  const baselines::MethodPtr oneShot =
+      service::makeOneShotMethod(method, config, models);
+  const harness::MethodReport expected =
+      harness::runMethod(*oneShot, harness::makeFullWorkload(config), config,
+                         /*verbose=*/false);
+  const std::size_t runs = report.runsPerProgram;
+  if (expected.programs.size() != report.programs ||
+      report.tasks.size() != report.programs * runs) {
+    std::fprintf(stderr,
+                 "[fleet_coord] MISMATCH: fleet reported %zu tasks over %zu "
+                 "programs, one-shot ran %zu programs\n",
+                 report.tasks.size(), report.programs,
+                 expected.programs.size());
+    return false;
+  }
+  bool match = true;
+  for (std::size_t p = 0; p < report.programs; ++p) {
+    for (std::size_t k = 0; k < runs; ++k) {
+      const harness::RunRecord& r = expected.programs[p].runs.at(k);
+      const service::TaskRecord& t = report.tasks[p * runs + k];
+      if (r.found == t.found && r.candidates == t.candidates &&
+          r.generations == t.generations)
+        continue;
+      std::fprintf(stderr,
+                   "[fleet_coord] MISMATCH p=%zu k=%zu: fleet (found=%d "
+                   "cand=%zu gen=%zu) vs one-shot (found=%d cand=%zu "
+                   "gen=%zu)\n",
+                   p, k, t.found, t.candidates, t.generations, r.found,
+                   r.candidates, r.generations);
+      match = false;
+    }
+  }
+  return match;
 }
 
 }  // namespace
@@ -202,6 +262,16 @@ int main(int argc, char** argv) {
                  metrics.hostsRestarted, metrics.hostsReconnected,
                  metrics.tasksReassigned, metrics.claimsShed,
                  metrics.recovered(), report.synthesizedFraction);
+    if (args.getBool("verify", false)) {
+      if (!matchesOneShot(report, config, method)) {
+        std::fprintf(stderr,
+                     "[fleet_coord] FAILED: fleet results diverge from a "
+                     "one-shot run\n");
+        return 1;
+      }
+      std::fprintf(stderr,
+                   "[fleet_coord] verified against a one-shot run\n");
+    }
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[fleet_coord] fatal: %s\n", e.what());

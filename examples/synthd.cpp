@@ -1,7 +1,7 @@
 // synthd — the long-lived synthesis daemon.
 //
 // Serves the line-delimited JSON protocol (service/protocol.hpp) on
-// stdin/stdout, so any parent process — synth_client, a CI step, a shell
+// stdin/stdout, so any parent process — fleet_coord, a CI step, a shell
 // pipeline — can hold a session over a pipe pair. Jobs submitted on the
 // session run concurrently on one shared worker pool with cross-request
 // plan/model/result caches (service/service.hpp); responses come back one
@@ -10,7 +10,7 @@
 // With --listen the daemon serves the same protocol over a TCP or
 // Unix-domain socket instead: each accepted connection is an independent
 // NDJSON session on its own thread (service::SocketServer), so one daemon
-// can serve a fleet coordinator and ad-hoc synth_client sessions at once.
+// can serve several fleet coordinators' sessions at once.
 // A shutdown op from any session stops the daemon.
 //
 // Usage:

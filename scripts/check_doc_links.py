@@ -4,10 +4,18 @@
 Walks every tracked *.md file, extracts [text](target) links, and fails when
 a *relative* target (optionally with a #fragment) does not exist on disk.
 External links (http/https/mailto) are skipped — CI must not depend on the
-network. Run from the repository root:
+network.
+
+Also checks binaries: every `build/<name>` or `./build/<name>` token in the
+tracked *.md files and CI workflows must name a CMake target (the stem of a
+tests/, bench/ or examples/ *.cpp file), so a deleted binary cannot linger in
+docs or CI. Paths with further components or a file extension are skipped,
+and so is CHANGES.md: its history names binaries as they were.
+Run from the repository root:
 
     python3 scripts/check_doc_links.py
 """
+import glob
 import os
 import re
 import subprocess
@@ -15,18 +23,41 @@ import sys
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+# build/<name> not inside a longer path; group 2 catches a further component.
+BINARY = re.compile(r"(?<![\w./-])(?:\./)?build/([\w.-]+)(/?)")
 
 
-def tracked_markdown():
-    out = subprocess.run(["git", "ls-files", "*.md", "**/*.md"],
+def tracked(*patterns):
+    out = subprocess.run(["git", "ls-files", *patterns],
                          capture_output=True, text=True, check=True)
     return sorted(set(p for p in out.stdout.splitlines() if p))
 
 
+def cmake_targets():
+    return {os.path.splitext(os.path.basename(p))[0]
+            for d in ("tests", "bench", "examples")
+            for p in glob.glob(os.path.join(d, "*.cpp"))}
+
+
+def unknown_binaries(path, text, targets):
+    bad = []
+    for name, further in BINARY.findall(text):
+        if further or "." in name or name in targets:
+            continue
+        bad.append(f"{path}: 'build/{name}' is not a CMake target")
+    return bad
+
+
 def main():
     bad = []
-    files = tracked_markdown()
+    files = tracked("*.md", "**/*.md")
+    targets = cmake_targets()
     checked = 0
+    for path in sorted(set(files + tracked(".github/workflows/*.yml"))):
+        if path == "CHANGES.md":
+            continue
+        with open(path, encoding="utf-8") as f:
+            bad += unknown_binaries(path, f.read(), targets)
     for md in files:
         with open(md, encoding="utf-8") as f:
             text = f.read()
@@ -47,7 +78,8 @@ def main():
                 bad.append(f"{md}: broken relative link '{target}'")
     for line in bad:
         print(line, file=sys.stderr)
-    print(f"checked {checked} relative links across {len(files)} files: "
+    print(f"checked {checked} relative links across {len(files)} files and "
+          f"build/ binaries against {len(targets)} targets: "
           f"{'FAIL' if bad else 'ok'}")
     return 1 if bad else 0
 

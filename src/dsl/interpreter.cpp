@@ -242,11 +242,6 @@ const ExecPlan& Executor::planFor(const Program& program,
 
 const char* Executor::backendName() { return simd::backendName(); }
 
-void Executor::clearPlanCache() {
-  for (Slot& s : slots_) s.used = false;
-  occupied_ = 0;
-}
-
 ExecResult run(const Program& program, const std::vector<Value>& inputs) {
   ExecResult result;
   executePlan(compilePlan(program, signatureOf(inputs)), inputs, result);

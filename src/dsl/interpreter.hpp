@@ -202,7 +202,6 @@ class Executor {
     compiles_ = 0;
     lookups_ = 0;
   }
-  void clearPlanCache();
 
  private:
   /// 64-bit fingerprint of (program, signature). FNV-1a, same family as

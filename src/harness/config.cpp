@@ -158,7 +158,7 @@ void ExperimentConfig::applyDomain() {
 
 ExperimentConfig ExperimentConfig::fromArgs(const util::ArgParse& args) {
   // --config-file=PATH seeds the config from a toJson() document (the
-  // fleet coordinator and synth_client hand configs around this way);
+  // fleet coordinator and synthd hand configs around this way);
   // individual flags still override field-wise below. The file records its
   // own scale, so combining it with an explicit --scale is ambiguous.
   const bool fromFile = args.has("config-file");

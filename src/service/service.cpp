@@ -1443,7 +1443,6 @@ void SocketServer::acceptLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_.load(std::memory_order_relaxed)) return;
       sessions_.push_back(std::move(session));
-      ++served_;
     }
     raw->thread = std::thread([this, raw] { serveSession(raw); });
   }
@@ -1463,7 +1462,7 @@ void SocketServer::serveSession(Session* session) {
       if (shutdownRequested) break;
     }
   } catch (const util::TransportClosed&) {
-    // Peer gone (or dropConnections() severed us): just end this session.
+    // Peer gone (or stop() severed us): just end this session.
   }
   session->transport->close();
   session->done.store(true, std::memory_order_release);
@@ -1506,31 +1505,6 @@ void SocketServer::stop() {
     if (s->thread.joinable()) s->thread.join();
   }
   listener_.close();
-}
-
-std::size_t SocketServer::dropConnections() {
-  std::size_t severed = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& s : sessions_) {
-    if (!s->done.load(std::memory_order_acquire) && s->transport->alive()) {
-      s->transport->sever();
-      ++severed;
-    }
-  }
-  return severed;
-}
-
-std::size_t SocketServer::sessionsServed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return served_;
-}
-
-std::size_t SocketServer::sessionsActive() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t active = 0;
-  for (const auto& s : sessions_)
-    if (s && !s->done.load(std::memory_order_acquire)) ++active;
-  return active;
 }
 
 }  // namespace netsyn::service

@@ -190,8 +190,8 @@ struct SubmitOptions {
   /// Idempotent resubmission: when a job with the same (method, config) key
   /// is already tracked and not Cancelled/Failed, return its id (with
   /// SubmitResult::attached set) instead of starting a duplicate run. The
-  /// reconnecting synth_client resubmits this way after a daemon death —
-  /// safe because identical submissions are deterministic.
+  /// fleet coordinator re-claims this way after a backend restart or a
+  /// re-dial — safe because identical submissions are deterministic.
   bool attach = false;
   /// Per-job wall-clock deadline override (seconds; 0 = the service
   /// default).
@@ -286,7 +286,7 @@ bool isKnownMethod(const std::string& name);
 
 /// A one-shot method instance for `method` built through the same registry
 /// transforms the service applies per job — the comparison path
-/// tests/test_service.cpp and `synth_client --verify` run jobs through.
+/// tests/test_service.cpp and `fleet_coord --verify` run jobs through.
 baselines::MethodPtr makeOneShotMethod(const std::string& method,
                                        const harness::ExperimentConfig& config,
                                        ModelStore& models);
@@ -422,14 +422,6 @@ class SocketServer {
   /// run()/the owner performs the join.
   void stop();
 
-  /// Chaos hook: abruptly severs every live session (RST-close) while the
-  /// listener keeps accepting — a network partition between coordinator
-  /// and backend, not a backend death. Returns the number severed.
-  std::size_t dropConnections();
-
-  std::size_t sessionsServed() const;  ///< connections accepted so far
-  std::size_t sessionsActive() const;  ///< sessions currently being served
-
  private:
   struct Session;
 
@@ -441,9 +433,8 @@ class SocketServer {
   util::SocketListener listener_;
   double recvTimeoutSeconds_ = 0.0;
 
-  mutable std::mutex mu_;  ///< guards sessions_ and served_
+  std::mutex mu_;  ///< guards sessions_
   std::vector<std::unique_ptr<Session>> sessions_;
-  std::size_t served_ = 0;
 
   std::thread acceptThread_;
   std::atomic<bool> stopping_{false};

@@ -122,16 +122,6 @@ std::pair<std::string, FaultSpec> parseClause(const std::string& clause) {
 
 }  // namespace
 
-const char* faultActionName(FaultAction a) {
-  switch (a) {
-    case FaultAction::Crash: return "crash";
-    case FaultAction::Throw: return "throw";
-    case FaultAction::Delay: return "delay";
-    case FaultAction::Corrupt: return "corrupt";
-  }
-  return "?";
-}
-
 FaultRegistry& FaultRegistry::instance() {
   static FaultRegistry registry;
   return registry;
@@ -193,15 +183,6 @@ FaultSiteStats FaultRegistry::stats(const std::string& site) const {
   if (const auto it = sites_.find(site); it != sites_.end())
     return it->second.stats;
   return FaultSiteStats{};
-}
-
-std::vector<std::pair<std::string, FaultSiteStats>> FaultRegistry::allStats()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, FaultSiteStats>> out;
-  out.reserve(sites_.size());
-  for (const auto& [name, site] : sites_) out.emplace_back(name, site.stats);
-  return out;
 }
 
 std::uint64_t FaultRegistry::totalHits() const {

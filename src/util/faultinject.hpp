@@ -59,8 +59,6 @@ class FaultInjected : public std::runtime_error {
 
 enum class FaultAction : std::uint8_t { Crash, Throw, Delay, Corrupt };
 
-const char* faultActionName(FaultAction a);
-
 struct FaultSpec {
   FaultAction action = FaultAction::Throw;
   std::uint64_t first = 1;  ///< 1-based hit index of the first fire
@@ -107,8 +105,6 @@ class FaultRegistry {
 
   /// Counters for one site (zeros when never armed).
   FaultSiteStats stats(const std::string& site) const;
-  /// Every armed site with its counters, name-ordered.
-  std::vector<std::pair<std::string, FaultSiteStats>> allStats() const;
   std::uint64_t totalHits() const;
   std::uint64_t totalFires() const;
 

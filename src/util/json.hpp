@@ -1,7 +1,8 @@
 // Minimal strict JSON: the one parser every subsystem that speaks JSON
 // shares — experiment configs (harness/config.cpp), the synthesis-service
 // wire protocol (service/protocol.cpp), the bench-baseline regression gate
-// (util/benchcmp.cpp), and the synth_client response reader.
+// (util/benchcmp.cpp), and the fleet coordinator's response reader
+// (service/fleet.cpp).
 //
 // Scope is deliberately the subset our writers emit: objects, arrays,
 // double-quoted strings with backslash escapes (\u00XX only), integer and

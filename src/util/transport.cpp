@@ -120,18 +120,41 @@ void PipeTransport::markClosed() {
 void PipeTransport::sendLine(const std::string& line) {
   if (closed_) throw TransportClosed("transport already closed");
   const std::string framed = line + "\n";
+  // A pipe has no MSG_NOSIGNAL: block SIGPIPE on this thread for the
+  // write, and consume the one a write to a reader-less pipe raises, so
+  // peer death is EPIPE (TransportClosed) in every process. A SIGPIPE that
+  // was already pending before the write is not ours to consume.
+  sigset_t sigpipe;
+  sigset_t previous;
+  sigset_t pending;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  sigpending(&pending);
+  const bool alreadyPending = sigismember(&pending, SIGPIPE) == 1;
+  pthread_sigmask(SIG_BLOCK, &sigpipe, &previous);
   const char* data = framed.c_str();
   std::size_t left = framed.size();
+  int error = 0;
   while (left > 0) {
     const ssize_t n = write(writeFd_, data, left);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
-      const std::string why = std::strerror(errno);
-      markClosed();
-      throw TransportClosed("write to backend failed (" + why + ")");
+      error = n < 0 ? errno : EIO;
+      break;
     }
     data += n;
     left -= static_cast<std::size_t>(n);
+  }
+  if (error == EPIPE && !alreadyPending) {
+    const struct timespec zero {};
+    while (sigtimedwait(&sigpipe, nullptr, &zero) < 0 && errno == EINTR) {
+    }
+  }
+  pthread_sigmask(SIG_SETMASK, &previous, nullptr);
+  if (error != 0) {
+    markClosed();
+    throw TransportClosed("write to backend failed (" +
+                          std::string(std::strerror(error)) + ")");
   }
 }
 

@@ -1,5 +1,5 @@
-// Line-oriented transport seam for the NDJSON protocol: one interface the
-// fleet coordinator and synth_client speak through. Implementations:
+// Line-oriented transport seam for the NDJSON protocol: the one interface
+// the fleet coordinator speaks through. Implementations:
 // PipeTransport (fork/exec subprocess over a pipe pair), SocketTransport
 // (TCP or Unix-domain stream to a remote daemon, dialed or adopted from a
 // SocketListener accept), and the in-process LoopbackTransport in
@@ -8,7 +8,10 @@
 // Failure model: every way the peer can be gone — EPIPE on write, EOF or
 // connection reset on read, a receive that outlives its timeout, a line
 // that exceeds the framing cap — surfaces as TransportClosed (timeouts as
-// the TransportTimeout subclass). A transport that threw TransportClosed
+// the TransportTimeout subclass). No write raises SIGPIPE, whatever the
+// process's disposition: sockets send with MSG_NOSIGNAL, and the pipe
+// write blocks the signal on its thread and consumes any it raised. A
+// transport that threw TransportClosed
 // is dead for good: a line protocol cannot resynchronize mid-frame, so the
 // caller must re-dial/respawn and re-hello rather than retry the request.
 // kill() simulates abrupt host death (SIGKILL for subprocesses, an
@@ -177,7 +180,7 @@ class SocketTransport : public Transport {
   /// transport itself. Unlike close()/kill() this never releases the fd,
   /// so it is safe to call while the owning thread is mid-recv — the one
   /// transport operation with that guarantee (service::SocketServer's
-  /// stop/dropConnections hook).
+  /// stop hook).
   void sever();
 
   /// Raw unframed bytes on the wire — the framing-fuzz hook: tests split

@@ -327,10 +327,11 @@ using MakeFitness = std::function<std::unique_ptr<nf::FitnessFunction>(
 
 /// Sharded grading is exact: at 1, 2, 3, 4 and 8 threads, scoreBatch calls
 /// of 1 to 37 genes (made in turn on one fitness, so later calls meet warm
-/// memos and a grown gang and workspace set) and a call whose contexts span
-/// two specs score bit for bit like
-/// the single-thread path. Explicit thread counts, so the gang really runs
-/// concurrently on any host (and under TSan).
+/// memos and a grown workspace set) and a call whose contexts span two
+/// specs score bit for bit like the single-thread path. Explicit thread
+/// counts, so each round splits into that many shards and the executor's
+/// workers run them concurrently wherever the host has the cores (and
+/// under TSan).
 void expectThreadCountParity(const std::shared_ptr<nf::NnffModel>& model,
                              const MakeFitness& make) {
   const auto fxA = makePopulation(37, 25);

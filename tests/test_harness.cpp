@@ -2,7 +2,9 @@
 // percentile-row math, the runner, and the method registry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 
 #include "harness/config.hpp"
@@ -10,6 +12,7 @@
 #include "harness/registry.hpp"
 #include "harness/runner.hpp"
 #include "harness/workload.hpp"
+#include "nn/optim.hpp"
 
 namespace nb = netsyn::baselines;
 namespace nc = netsyn::core;
@@ -434,6 +437,29 @@ TEST(Models, BuildModelHeadsAndFpExampleWidth) {
   EXPECT_EQ(fp->config().maxExamples, cfg.examplesPerProgram);
 }
 
+namespace {
+
+/// Every parameter value's bit pattern, in ParamStore order.
+std::vector<std::uint32_t> paramBits(const nf::NnffModel& model) {
+  std::vector<std::uint32_t> bits;
+  for (const auto& p : model.params().params())
+    for (const float v : p->value().vec())
+      bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+/// The model's logits on `sample` (IO-only models ignore the candidate).
+std::vector<float> logitsOn(const nf::NnffModel& model,
+                            const nf::Sample& sample) {
+  const auto out =
+      model.config().useTrace
+          ? model.forward(sample.spec, sample.candidate, sample.traces)
+          : model.forwardIOOnly(sample.spec);
+  return out->value().vec();
+}
+
+}  // namespace
+
 TEST(Models, LoadOrTrainCachesToDisk) {
   auto cfg = nh::ExperimentConfig::forScale("ci");
   cfg.trainingPrograms = 30;
@@ -455,6 +481,46 @@ TEST(Models, LoadOrTrainCachesToDisk) {
   const bool fromCache2 =
       nh::loadOrTrain(cfg, *model2, nf::BalanceMetric::CF, "cf", true);
   EXPECT_TRUE(fromCache2);
+  EXPECT_EQ(paramBits(*model2), paramBits(*model));
+
+  // A truncated cache is unusable: the model is retrained and the cache
+  // rewritten whole.
+  const std::string path = nh::modelCachePath(cfg, "cf");
+  const auto fullSize = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, fullSize / 2);
+  auto retrained = nh::buildModel(cfg, nf::HeadKind::Classifier);
+  EXPECT_FALSE(
+      nh::loadOrTrain(cfg, *retrained, nf::BalanceMetric::CF, "cf", true));
+  EXPECT_EQ(std::filesystem::file_size(path), fullSize);
+
+  // loadOrTrainAll fills all three: cf from the rewritten cache, lcs and fp
+  // trained and cached.
+  const nh::TrainedModels all = nh::loadOrTrainAll(cfg, true);
+  ASSERT_TRUE(all.cf && all.lcs && all.fp);
+  EXPECT_EQ(paramBits(*all.cf), paramBits(*retrained));
+  EXPECT_TRUE(all.lcs->config().useTrace);
+  EXPECT_FALSE(all.fp->config().useTrace);
+  EXPECT_TRUE(std::filesystem::exists(nh::modelCachePath(cfg, "lcs")));
+  EXPECT_TRUE(std::filesystem::exists(nh::modelCachePath(cfg, "fp")));
+
+  // clone() makes deep copies: the same predictions, and a weight update
+  // on a copy leaves the original untouched.
+  const nh::TrainedModels copy = all.clone();
+  const nf::Sample sample =
+      nh::buildCorpus(cfg, 2, nf::BalanceMetric::CF, 5).front();
+  for (const auto& [original, clone] :
+       {std::pair{all.cf, copy.cf}, std::pair{all.lcs, copy.lcs},
+        std::pair{all.fp, copy.fp}}) {
+    ASSERT_TRUE(clone);
+    EXPECT_NE(clone.get(), original.get());
+    EXPECT_EQ(logitsOn(*clone, sample), logitsOn(*original, sample));
+  }
+  const auto before = paramBits(*all.lcs);
+  netsyn::nn::Adam adam(copy.lcs->params(), 1e-2f);
+  for (const auto& p : copy.lcs->params().params()) p->grad().fill(0.5f);
+  adam.step();
+  EXPECT_NE(paramBits(*copy.lcs), before);
+  EXPECT_EQ(paramBits(*all.lcs), before);
   std::filesystem::remove_all(cfg.modelDir);
 }
 

@@ -338,27 +338,45 @@ bool okOf(const nu::JsonValue& v) {
 
 TEST(ServiceProtocol, FullSessionOverLines) {
   const auto cfg = tinyConfig(37);
+  const std::string submit =
+      "{\"op\": \"submit\", \"method\": \"Edit\", \"config\": " +
+      cfg.toJson();
   std::ostringstream script;
   script << "{\"op\": \"ping\"}\n"
          << "not json at all\n"
          << "{\"op\": \"status\", \"job\": 42}\n"
-         << "{\"op\": \"submit\", \"method\": \"Edit\", \"config\": "
-         << cfg.toJson() << "}\n"
+         << submit << "}\n"
+         << submit << ", \"attach\": true}\n"
          << "{\"op\": \"wait\", \"job\": 1}\n"
+         << submit << "}\n"
          << "{\"op\": \"metrics\"}\n"
          << "{\"op\": \"nonsense\"}\n"
          << "{\"op\": \"stats\"}\n"
          << "{\"op\": \"shutdown\"}\n";
   const auto responses = runSession(script.str());
-  ASSERT_EQ(responses.size(), 9u);
+  ASSERT_EQ(responses.size(), 11u);
+
+  const auto flag = [](const nu::JsonValue& v, const char* key) {
+    bool b = false;
+    nu::readBool(v, key, b);
+    return b;
+  };
+  const auto jobOf = [](const nu::JsonValue& v) {
+    return nu::jsonUnsigned(*v.find("job"), "job");
+  };
 
   EXPECT_TRUE(okOf(responses[0]));   // ping
   EXPECT_FALSE(okOf(responses[1]));  // garbage line -> error, session lives
   EXPECT_FALSE(okOf(responses[2]));  // unknown job
   ASSERT_TRUE(okOf(responses[3]));   // submit echoes the job status
-  EXPECT_EQ(nu::jsonUnsigned(*responses[3].find("job"), "job"), 1u);
+  EXPECT_EQ(jobOf(responses[3]), 1u);
+  EXPECT_FALSE(flag(responses[3], "attached"));
+  // An attach resubmission joins the tracked job instead of starting one.
+  ASSERT_TRUE(okOf(responses[4]));
+  EXPECT_TRUE(flag(responses[4], "attached"));
+  EXPECT_EQ(jobOf(responses[4]), 1u);
 
-  const nu::JsonValue& done = responses[4];
+  const nu::JsonValue& done = responses[5];
   ASSERT_TRUE(okOf(done));
   std::string state;
   nu::readString(done, "state", state);
@@ -371,15 +389,26 @@ TEST(ServiceProtocol, FullSessionOverLines) {
   EXPECT_NE(done.find("synthesized_fraction"), nullptr);
   EXPECT_NE(done.find("plan_hits"), nullptr);
 
-  ASSERT_TRUE(okOf(responses[5]));  // metrics carries the session counters
-  EXPECT_EQ(nu::jsonUnsigned(*responses[5].find("jobs_submitted"), "n"), 1u);
-  EXPECT_FALSE(okOf(responses[6]));  // unknown op
+  // An identical plain resubmission is answered from the result memo.
+  ASSERT_TRUE(okOf(responses[6]));
+  EXPECT_TRUE(flag(responses[6], "from_cache"));
+  EXPECT_FALSE(flag(responses[6], "attached"));
+  EXPECT_EQ(jobOf(responses[6]), 2u);
+  nu::readString(responses[6], "state", state);
+  EXPECT_EQ(state, "done");
+
+  ASSERT_TRUE(okOf(responses[7]));  // metrics carries the session counters
+  EXPECT_EQ(nu::jsonUnsigned(*responses[7].find("jobs_submitted"), "n"), 2u);
+  EXPECT_EQ(nu::jsonUnsigned(*responses[7].find("result_cache_hits"), "n"),
+            1u);
+  EXPECT_EQ(nu::jsonUnsigned(*responses[7].find("attach_hits"), "n"), 1u);
+  EXPECT_FALSE(okOf(responses[8]));  // unknown op
   // "stats" was folded into "metrics": it is an unknown op like any other.
-  ASSERT_FALSE(okOf(responses[7]));
+  ASSERT_FALSE(okOf(responses[9]));
   std::string error;
-  nu::readString(responses[7], "error", error);
+  nu::readString(responses[9], "error", error);
   EXPECT_EQ(error, "unknown op 'stats'");
-  EXPECT_TRUE(okOf(responses[8]));   // shutdown
+  EXPECT_TRUE(okOf(responses[10]));  // shutdown
 }
 
 TEST(ServiceProtocol, WaitOnAPausedJobReturnsInsteadOfDeadlocking) {

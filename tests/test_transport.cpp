@@ -2,7 +2,8 @@
 // subprocess, TCP socket, Unix-domain socket, in-process loopback — must
 // honor the same contract (util/transport.hpp): lines round trip in order,
 // a silent peer times out as TransportTimeout within the stated budget, a
-// dead peer surfaces as TransportClosed (never a crash or a hang), kill()
+// dead peer surfaces as TransportClosed (never a crash or a hang; this
+// binary leaves SIGPIPE at its default disposition to prove it), kill()
 // and close() leave the transport permanently dead, oversized frames trip
 // the framing cap, and byte-level chunking cannot corrupt framing.
 //
@@ -34,13 +35,6 @@ namespace ns = netsyn::service;
 namespace nu = netsyn::util;
 
 namespace {
-
-// A SIGKILLed pipe peer turns the next write into SIGPIPE unless it is
-// ignored — synth_client and the coordinator both run with it ignored, so
-// the conformance process does too.
-struct IgnoreSigpipe {
-  IgnoreSigpipe() { signal(SIGPIPE, SIG_IGN); }
-} ignoreSigpipe;
 
 double nowSeconds() {
   return std::chrono::duration<double>(
@@ -165,6 +159,10 @@ class Rig {
   /// floods bytes without a newline); nullptr when the rig cannot arrange
   /// that.
   virtual std::unique_ptr<nu::Transport> dialFlood() { return nullptr; }
+
+  /// A transport whose peer has closed its read end but is still alive,
+  /// and has said so in one line; nullptr when the rig cannot arrange that.
+  virtual std::unique_ptr<nu::Transport> dialDeaf() { return nullptr; }
 };
 
 class PipeRig : public Rig {
@@ -186,6 +184,13 @@ class PipeRig : public Rig {
         std::vector<std::string>{
             "-c", "head -c 9437184 /dev/zero | tr '\\0' 'x'"},
         60.0);
+  }
+
+  std::unique_ptr<nu::Transport> dialDeaf() override {
+    return std::make_unique<nu::PipeTransport>(
+        "/bin/sh",
+        std::vector<std::string>{"-c", "exec 0<&-; echo deaf; exec sleep 30"},
+        30.0);
   }
 };
 
@@ -321,6 +326,17 @@ TEST_P(TransportConformance, PeerDeathSurfacesAsTransportClosed) {
   // Dead for good — no operation revives the session.
   EXPECT_THROW(t->sendLine("after death"), nu::TransportClosed);
   EXPECT_THROW(t->recvLine(), nu::TransportClosed);
+}
+
+// A peer that stops reading: the next write must throw TransportClosed in
+// a process that leaves SIGPIPE at its default (terminate) disposition.
+TEST_P(TransportConformance, PeerThatStopsReadingSurfacesAsTransportClosed) {
+  auto t = rig_->dialDeaf();
+  if (!t) GTEST_SKIP() << "rig peer cannot close only its read end";
+  ASSERT_EQ(t->recvLine(), "deaf");
+  EXPECT_THROW(t->sendLine("nobody reads this"), nu::TransportClosed);
+  EXPECT_FALSE(t->alive());
+  t->kill();
 }
 
 TEST_P(TransportConformance, KillAndCloseAreTerminalAndIdempotent) {
